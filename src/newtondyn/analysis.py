@@ -338,11 +338,13 @@ def barna_check(p, cfg=None, max_period=5, samples=1_000_000,
         bound_ok[k] = dividing >= base ** k
 
     # Monte-Carlo nonconvergence estimate with an active-set loop: points
-    # either land within conv_rtol of a real root or burn the whole budget
+    # either land within conv_rtol of a real root, go non-finite, or burn
+    # the whole budget; only the first count as converged
     rng = np.random.default_rng(int(prng_seed))
     x = rng.uniform(float(sample_interval[0]), float(sample_interval[1]), int(samples))
     step = _make_step(*_real_rational(N))
     alive = np.arange(x.size)
+    nonfinite = 0
     for _ in range(budget):
         if alive.size == 0:
             break
@@ -354,9 +356,10 @@ def barna_check(p, cfg=None, max_period=5, samples=1_000_000,
             converged = finite & (dist <= conv_rtol * scale)
         else:
             converged = np.zeros(nx.shape, dtype=bool)
-        x[alive] = np.where(finite, nx, np.inf)
-        alive = alive[~(converged | ~finite)]
-    nonconvergent = float(alive.size) / float(samples)
+        nonfinite += int(np.count_nonzero(~finite))
+        x[alive] = nx
+        alive = alive[finite & ~converged]
+    nonconvergent = float(alive.size + nonfinite) / float(samples)
 
     return BarnaReport(
         description=_format_poly(p),

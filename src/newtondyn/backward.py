@@ -41,6 +41,7 @@ from .poly import (
     MultiPoly,
     PlaneMap,
     UniComplexPoly,
+    _merge_points,
     batched_complex_roots,
     system_real_roots,
     univariate_complex_roots,
@@ -169,7 +170,7 @@ def _planar_counterimages(N, z, dom):
     # multiple roots of the cleared system polish to clusters wider than
     # the solver's own merge radius; collapse them before filtering
     diag = math.hypot(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
-    merged = _merge_close(raw, 1e-5 * (1.0 + diag))
+    merged = _merge_points(raw, 1e-5 * (1.0 + diag))
     out = []
     scale = 1.0 + math.hypot(zx, zy)
     for w in merged:
@@ -181,18 +182,6 @@ def _planar_counterimages(N, z, dom):
             out.append((float(w[0]), float(w[1])))
     out.sort()
     return out
-
-
-def _merge_close(points, radius):
-    merged = []
-    for p in sorted(points):
-        for k, q in enumerate(merged):
-            if math.hypot(p[0] - q[0], p[1] - q[1]) <= radius:
-                merged[k] = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-                break
-        else:
-            merged.append(tuple(p))
-    return merged
 
 
 # ---------------------------------------------------------------------------

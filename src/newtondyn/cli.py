@@ -8,7 +8,8 @@ Modes: basins, alpha-tree, alpha-random, ifs, param-scan, barna, ghost,
 compare.  Every job writes a JSON report; raster modes also write binary
 PPM images and alpha-random writes a CSV orbit dump.  All artifacts except
 the wall-clock timings inside the report are deterministic for a fixed
-config and seed, at any thread count.
+config and seed.  --threads is accepted and recorded in the report but has
+no effect on computation.
 
 Exit codes: 0 success, 1 config or validation error, 2 runtime error.
 """
@@ -48,7 +49,13 @@ from .newton import (
     build_newton_plane,
     ghost_lines,
 )
-from .forward import ScanConfig, classify_orbit, render_basins, parameter_scan
+from .forward import (
+    ScanConfig,
+    _family_coefficients,
+    classify_orbit,
+    parameter_scan,
+    render_basins,
+)
 from .backward import (
     backward_tree,
     hutchinson_iterate,
@@ -172,18 +179,8 @@ def _as_point(value, planar, key="seed_point"):
     return (x, y) if planar else complex(x, y)
 
 
-def _to_univariate(mp, text):
-    coeffs = {}
-    for (ex, ey), c in mp.terms:
-        if ey != 0:
-            raise ConfigError(f"polynomial '{text}' is not univariate")
-        coeffs[ex] = c
-    top = max(coeffs) if coeffs else 0
-    return UniComplexPoly([coeffs.get(k, 0.0) for k in range(top + 1)])
-
-
 def _parse_univariate(text, variable):
-    return _to_univariate(parse_poly(text, variables=(variable,)), text)
+    return UniComplexPoly.from_multipoly(parse_poly(text, variables=(variable,)))
 
 
 def _build_map(desc, mode):
@@ -611,7 +608,7 @@ def _run_param_scan(job, timings, artifacts, out):
     cycles = []
     for row, col in list(zip(cycle_rows, cycle_cols))[:p["report_cycles"]]:
         a = complex(xs[row, col], ys[row, col])
-        member = _member_of_family(job.source, a)
+        member = UniComplexPoly(_family_coefficients(job.source, np.array([a]))[0])
         member_roots = univariate_complex_roots(member,
                                                 tol=job.scan.root_tol)
         outcome = _stage(timings, "classify_orbit", classify_orbit,
@@ -630,15 +627,6 @@ def _run_param_scan(job, timings, artifacts, out):
     }
     artifacts["raster"] = (raster, out("raster", "param-scan.ppm"))
     return stats
-
-
-def _member_of_family(family, a):
-    # specialize the (dynamic, parameter) polynomial at parameter a
-    coeffs = {}
-    for (ez, ea), c in family.terms:
-        coeffs[ez] = coeffs.get(ez, 0.0) + c * (a ** ea)
-    top = max(coeffs)
-    return UniComplexPoly([coeffs.get(k, 0.0) for k in range(top + 1)])
 
 
 def _cycle_entry(rec):
@@ -799,7 +787,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's prng_seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="thread count (outputs identical at any value)")
+                        help="recorded in the report; has no effect on "
+                             "computation")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

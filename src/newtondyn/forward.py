@@ -116,24 +116,27 @@ def outcome_code(kind_code, root_index):
 class _BatchResult:
     __slots__ = ("kind", "root_index", "iterations", "period", "rep", "multiplier")
 
-    def __init__(self, n, planar):
+    def __init__(self, n):
         self.kind = np.full(n, _UNDECIDED, np.int8)
         self.root_index = np.full(n, -1, np.int32)
         self.iterations = np.full(n, -1, np.int32)
         self.period = np.full(n, -1, np.int32)
-        self.rep = np.zeros((n, 2), float) if planar else np.zeros(n, complex)
+        self.rep = np.zeros(n, complex)
         self.multiplier = np.full(n, np.nan)
 
-    def outcome(self, i):
+    def settle(self, idx, kind, iterations):
+        self.kind[idx] = kind
+        self.iterations[idx] = iterations
+
+    def outcome(self, i, planar):
         kind = int(self.kind[i])
         if kind == _ROOT:
             return OrbitOutcome("root", root_index=int(self.root_index[i]),
                                 iterations=int(self.iterations[i]))
         if kind == _CYCLE:
-            rep = self.rep[i]
-            rep = (float(rep[0]), float(rep[1])) if rep.ndim else complex(rep)
+            rep = complex(self.rep[i])
             return OrbitOutcome("cycle", period=int(self.period[i]),
-                                representative=rep,
+                                representative=(rep.real, rep.imag) if planar else rep,
                                 multiplier=float(self.multiplier[i]))
         if kind == _ESCAPED:
             return OrbitOutcome("escaped", iterations=int(self.iterations[i]))
@@ -150,20 +153,45 @@ class _BatchResult:
         return codes
 
 
-def _complex_cycle_multiplier(N, z, q, h):
-    """|d(N^q)/dz| at z by central differences; None on singular/overflow."""
+# ---------------------------------------------------------------------------
+# Map adapters.  The kernel works on packed points: a complex value as is,
+# a planar (x, y) as x + iy, so distances and norms are np.abs for both.
+# An adapter provides step(z) -> (w, singular), nearest(z) -> root index or
+# -1, keep(mask) to follow the kernel's active-set compression, and
+# multiplier(z, q, h) -> cycle multiplier per point (nan when unavailable).
+
+
+def _pack(x, y):
+    """Planar points (x, y) packed exactly as x + iy."""
+    z = np.empty(np.size(x), complex)
+    z.real, z.imag = np.ravel(x), np.ravel(y)
+    return z
+
+
+def _nearest(z, roots, tol):
+    """Index of the root within tol of each point, else -1.  roots has one
+    row shared by all points or one row per point."""
+    if roots.shape[1] == 0:
+        return np.full(z.size, -1, np.int32)
+    d = np.abs(z[:, None] - roots)
+    h = np.argmin(d, axis=1).astype(np.int32)
+    near = d[np.arange(z.size), h] <= tol
+    return np.where(near, h, -1).astype(np.int32)
+
+
+def _complex_multiplier(N, z, q, h):
+    """|d(N^q)/dz| at z by central differences; nan on singular/overflow."""
     try:
         a, b = z + h, z - h
         for _ in range(q):
             a = N.step(a)
             b = N.step(b)
     except SingularJacobianError:
-        return None
-    m = abs(a - b) / (2.0 * h)
-    return m if np.isfinite(m) else None
+        return np.nan
+    return abs(a - b) / (2.0 * h)
 
 
-def _planar_cycle_multiplier(N, point, q, h):
+def _planar_multiplier(N, point, q, h):
     """Spectral radius of the finite-difference Jacobian of N^q at point."""
 
     def power(p):
@@ -177,7 +205,7 @@ def _planar_cycle_multiplier(N, point, q, h):
         yp = power((point[0], point[1] + h))
         ym = power((point[0], point[1] - h))
     except SingularJacobianError:
-        return None
+        return np.nan
     J = np.array(
         [
             [(xp[0] - xm[0]) / (2 * h), (yp[0] - ym[0]) / (2 * h)],
@@ -185,62 +213,127 @@ def _planar_cycle_multiplier(N, point, q, h):
         ]
     )
     if not np.all(np.isfinite(J)):
-        return None
+        return np.nan
     return float(np.max(np.abs(np.linalg.eigvals(J))))
 
 
-def _classify_complex_batch(N, z0, roots, cfg):
-    z0 = np.atleast_1d(np.asarray(z0, dtype=complex)).ravel()
-    res = _BatchResult(z0.size, planar=False)
-    roots_arr = np.asarray(roots, dtype=complex) if len(roots) else None
+class _ComplexPoints:
+    """One complex (Newton or rational) map over complex points."""
 
-    def nearest(z):
-        d = np.abs(z[:, None] - roots_arr[None, :])
-        h = np.argmin(d, axis=1).astype(np.int32)
-        near = d[np.arange(z.size), h] <= cfg.root_tol
-        return np.where(near, h, -1).astype(np.int32)
+    def __init__(self, N, roots, tol):
+        self.N = N
+        self.roots = np.asarray(roots, dtype=complex).reshape(1, -1)
+        self.tol = tol
 
-    idx = np.arange(z0.size)
-    z = z0.copy()
-    prev_hit = nearest(z) if roots_arr is not None else np.full(z.size, -1, np.int32)
+    def step(self, z):
+        return self.N.step_many(z)
+
+    def nearest(self, z):
+        return _nearest(z, self.roots, self.tol)
+
+    def keep(self, mask):
+        pass
+
+    def multiplier(self, z, q, h):
+        return np.array([_complex_multiplier(self.N, complex(p), int(k), h)
+                         for p, k in zip(z, q)], float)
+
+
+class _PlanarPoints(_ComplexPoints):
+    """One planar Newton map over points packed as x + iy."""
+
+    def __init__(self, N, roots, tol):
+        super().__init__(N, _pack([r[0] for r in roots], [r[1] for r in roots]), tol)
+
+    def step(self, z):
+        nx, ny, singular = self.N.step_many(z.real, z.imag)
+        return _pack(nx, ny), singular
+
+    def multiplier(self, z, q, h):
+        return np.array([_planar_multiplier(self.N, (p.real, p.imag), int(k), h)
+                         for p, k in zip(z, q)], float)
+
+
+def _point_map(N, roots, cfg):
+    cls = _PlanarPoints if N.kind == "planar" else _ComplexPoints
+    return cls(N, roots, cfg.root_tol)
+
+
+class _FamilyRows:
+    """Row i is the Newton map of the polynomial with coefficient row C[i]
+    (rows share their full degree d >= 1); point i is iterated by map i."""
+
+    def __init__(self, C, tol):
+        self.C = C
+        self.D = C[:, 1:] * np.arange(1, C.shape[1])[None, :]
+        self.dscale = np.max(np.abs(self.D), axis=1)
+        self.roots = batched_complex_roots(C)
+        self.tol = tol
+
+    def step(self, z):
+        pv = row_polyval(self.C, z)
+        dv = row_polyval(self.D, z)
+        d = self.C.shape[1] - 1
+        singular = np.abs(dv) <= 1e-12 * self.dscale * (1.0 + np.abs(z)) ** (d - 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = z - pv / np.where(singular, 1.0, dv)
+        singular |= ~np.isfinite(w)
+        return np.where(singular, 0.0, w), singular
+
+    def nearest(self, z):
+        return _nearest(z, self.roots, self.tol)
+
+    def keep(self, mask):
+        self.C, self.D, self.roots, self.dscale = (
+            self.C[mask], self.D[mask], self.roots[mask], self.dscale[mask])
+
+    def multiplier(self, z, q, h):
+        # each member's exact rational Newton map, as classify_orbit uses
+        return np.array([
+            _complex_multiplier(build_newton_complex(UniComplexPoly(c)),
+                                complex(p), int(k), h)
+            for c, p, k in zip(self.C, z, q)
+        ], float)
+
+
+# ---------------------------------------------------------------------------
+# The kernel
+
+
+def _classify(M, z, cfg):
+    """Settle loop over packed points z under adapter M, then cycle phase."""
+    res = _BatchResult(z.size)
+    idx = np.arange(z.size)
+    prev_hit = M.nearest(z)
     for k in range(1, cfg.max_iter + 1):
-        if z.size == 0:
+        if idx.size == 0:
             break
-        w, sing = N.step_many(z)
-        if np.any(sing):
-            res.kind[idx[sing]] = _SINGULAR
-            res.iterations[idx[sing]] = k - 1
+        w, sing = M.step(z)
+        res.settle(idx[sing], _SINGULAR, k - 1)
         esc = ~sing & (np.abs(w) > cfg.escape_radius)
-        res.kind[idx[esc]] = _ESCAPED
-        res.iterations[idx[esc]] = k
-        active = ~sing & ~esc
-        if roots_arr is not None:
-            hit = nearest(w)
-            confirm = active & (hit >= 0) & (hit == prev_hit)
-            res.kind[idx[confirm]] = _ROOT
-            res.root_index[idx[confirm]] = hit[confirm]
-            res.iterations[idx[confirm]] = k - 1
-            active &= ~confirm
-            prev_hit = hit[active]
-        z, idx = w[active], idx[active]
+        res.settle(idx[esc], _ESCAPED, k)
+        hit = M.nearest(w)
+        confirm = ~sing & ~esc & (hit >= 0) & (hit == prev_hit)
+        res.settle(idx[confirm], _ROOT, k - 1)
+        res.root_index[idx[confirm]] = hit[confirm]
+        active = ~(sing | esc | confirm)
+        z, idx, prev_hit = w[active], idx[active], hit[active]
+        M.keep(active)
     if idx.size:
-        _cycle_phase_complex(N, z, idx, res, cfg)
+        _cycle_phase(M, z, idx, res, cfg)
     return res
 
 
-def _cycle_phase_complex(N, z, idx, res, cfg):
+def _cycle_phase(M, z, idx, res, cfg):
     W = cfg.cycle_window
     trail = np.empty((W + 1, z.size), complex)
     trail[0] = z
     alive = np.ones(z.size, bool)
     for k in range(1, W + 1):
-        w, sing = N.step_many(trail[k - 1])
-        newly = alive & sing
-        res.kind[idx[newly]] = _SINGULAR
-        res.iterations[idx[newly]] = cfg.max_iter + k - 1
+        w, sing = M.step(trail[k - 1])
+        res.settle(idx[alive & sing], _SINGULAR, cfg.max_iter + k - 1)
         esc = alive & ~sing & (np.abs(w) > cfg.escape_radius)
-        res.kind[idx[esc]] = _ESCAPED
-        res.iterations[idx[esc]] = cfg.max_iter + k
+        res.settle(idx[esc], _ESCAPED, cfg.max_iter + k)
         alive &= ~sing & ~esc
         trail[k] = np.where(alive, w, trail[k - 1])
     last = trail[-1]
@@ -250,99 +343,16 @@ def _cycle_phase_complex(N, z, idx, res, cfg):
             np.abs(trail[-1 - q] - last) <= cfg.cycle_tol * (1.0 + np.abs(last))
         )
         found_q[cand] = q
-    for i in np.nonzero(alive & (found_q > 0))[0]:
-        q = int(found_q[i])
-        m = _complex_cycle_multiplier(N, complex(last[i]), q, cfg.multiplier_step)
-        if m is not None and m < 1.0:
-            res.kind[idx[i]] = _CYCLE
-            res.period[idx[i]] = q
-            res.rep[idx[i]] = last[i]
-            res.multiplier[idx[i]] = m
-
-
-def _classify_planar_batch(N, x0, y0, roots, cfg):
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).ravel()
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float)).ravel()
-    res = _BatchResult(x0.size, planar=True)
-    if len(roots):
-        rx = np.array([r[0] for r in roots])
-        ry = np.array([r[1] for r in roots])
-    else:
-        rx = None
-
-    def nearest(x, y):
-        d2 = (x[:, None] - rx[None, :]) ** 2 + (y[:, None] - ry[None, :]) ** 2
-        h = np.argmin(d2, axis=1).astype(np.int32)
-        near = d2[np.arange(x.size), h] <= cfg.root_tol**2
-        return np.where(near, h, -1).astype(np.int32)
-
-    idx = np.arange(x0.size)
-    x, y = x0.copy(), y0.copy()
-    prev_hit = nearest(x, y) if rx is not None else np.full(x.size, -1, np.int32)
-    for k in range(1, cfg.max_iter + 1):
-        if x.size == 0:
-            break
-        nx, ny, sing = N.step_many(x, y)
-        if np.any(sing):
-            res.kind[idx[sing]] = _SINGULAR
-            res.iterations[idx[sing]] = k - 1
-        esc = ~sing & (nx**2 + ny**2 > cfg.escape_radius**2)
-        res.kind[idx[esc]] = _ESCAPED
-        res.iterations[idx[esc]] = k
-        active = ~sing & ~esc
-        if rx is not None:
-            hit = nearest(nx, ny)
-            confirm = active & (hit >= 0) & (hit == prev_hit)
-            res.kind[idx[confirm]] = _ROOT
-            res.root_index[idx[confirm]] = hit[confirm]
-            res.iterations[idx[confirm]] = k - 1
-            active &= ~confirm
-            prev_hit = hit[active]
-        x, y, idx = nx[active], ny[active], idx[active]
-    if idx.size:
-        _cycle_phase_planar(N, x, y, idx, res, cfg)
-    return res
-
-
-def _cycle_phase_planar(N, x, y, idx, res, cfg):
-    W = cfg.cycle_window
-    tx = np.empty((W + 1, x.size))
-    ty = np.empty((W + 1, x.size))
-    tx[0], ty[0] = x, y
-    alive = np.ones(x.size, bool)
-    for k in range(1, W + 1):
-        nx, ny, sing = N.step_many(tx[k - 1], ty[k - 1])
-        newly = alive & sing
-        res.kind[idx[newly]] = _SINGULAR
-        res.iterations[idx[newly]] = cfg.max_iter + k - 1
-        esc = alive & ~sing & (nx**2 + ny**2 > cfg.escape_radius**2)
-        res.kind[idx[esc]] = _ESCAPED
-        res.iterations[idx[esc]] = cfg.max_iter + k
-        alive &= ~sing & ~esc
-        tx[k] = np.where(alive, nx, tx[k - 1])
-        ty[k] = np.where(alive, ny, ty[k - 1])
-    scale = 1.0 + np.hypot(tx[-1], ty[-1])
-    found_q = np.full(x.size, -1, np.int32)
-    for q in range(1, W + 1):
-        gap = np.hypot(tx[-1 - q] - tx[-1], ty[-1 - q] - ty[-1])
-        cand = alive & (found_q < 0) & (gap <= cfg.cycle_tol * scale)
-        found_q[cand] = q
-    for i in np.nonzero(alive & (found_q > 0))[0]:
-        q = int(found_q[i])
-        point = (float(tx[-1][i]), float(ty[-1][i]))
-        m = _planar_cycle_multiplier(N, point, q, cfg.multiplier_step)
-        if m is not None and m < 1.0:
-            res.kind[idx[i]] = _CYCLE
-            res.period[idx[i]] = q
-            res.rep[idx[i]] = point
-            res.multiplier[idx[i]] = m
-
-
-def _classify_batch(N, points, roots, cfg):
-    if N.kind == "complex":
-        return _classify_complex_batch(N, points, roots, cfg)
-    x, y = points
-    return _classify_planar_batch(N, x, y, roots, cfg)
+    found = found_q > 0
+    M.keep(found)
+    last, q, idx = last[found], found_q[found], idx[found]
+    m = M.multiplier(last, q, cfg.multiplier_step)
+    attracting = m < 1.0
+    sel = idx[attracting]
+    res.kind[sel] = _CYCLE
+    res.period[sel] = q[attracting]
+    res.rep[sel] = last[attracting]
+    res.multiplier[sel] = m[attracting]
 
 
 def classify_orbit(N, x0, roots, cfg=None):
@@ -352,11 +362,9 @@ def classify_orbit(N, x0, roots, cfg=None):
     pairs for planar maps); it may be empty.
     """
     cfg = cfg or ScanConfig()
-    if N.kind == "complex":
-        res = _classify_complex_batch(N, [complex(x0)], roots, cfg)
-    else:
-        res = _classify_planar_batch(N, [x0[0]], [x0[1]], roots, cfg)
-    return res.outcome(0)
+    planar = N.kind == "planar"
+    z = _pack(x0[0], x0[1]) if planar else np.array([complex(x0)])
+    return _classify(_point_map(N, roots, cfg), z, cfg).outcome(0, planar)
 
 
 def _legend(roots, complex_case):
@@ -378,10 +386,8 @@ def render_basins(N, roots, window, width, height, cfg=None):
     cfg = cfg or ScanConfig()
     window = Window.from_sequence(window)
     X, Y = window.pixel_centers(width, height)
-    if N.kind == "complex":
-        res = _classify_complex_batch(N, (X + 1j * Y).ravel(), roots, cfg)
-    else:
-        res = _classify_planar_batch(N, X.ravel(), Y.ravel(), roots, cfg)
+    z = _pack(X, Y) if N.kind == "planar" else (X + 1j * Y).ravel()
+    res = _classify(_point_map(N, roots, cfg), z, cfg)
     return BasinRaster(
         window=window,
         width=width,
@@ -444,13 +450,9 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
     degenerate = degrees < 1
     odd = ~main & ~degenerate
     for i in np.nonzero(odd)[0]:
-        p = UniComplexPoly(C[i, : degrees[i] + 1])
-        outcome = _scan_single(p, seed, cfg)
-        codes[i], iters[i] = outcome
+        codes[i], iters[i] = _scan_single(UniComplexPoly(C[i, : degrees[i] + 1]), seed, cfg)
     if np.any(main) and deg_full >= 1:
-        codes_m, iters_m = _scan_main_batch(C[main], seed, cfg)
-        codes[main] = codes_m
-        iters[main] = iters_m
+        codes[main], iters[main] = _scan_main_batch(C[main], seed, cfg)
 
     legend = {CODE_CYCLE: "attracting cycle", CODE_ESCAPED: "escaped beyond radius",
               CODE_SINGULAR: "singular derivative hit", CODE_UNDECIDED: "undecided"}
@@ -467,66 +469,14 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
 
 
 def _scan_single(p, seed, cfg):
-    """(code, iterations) for one explicit family member."""
-    if p.degree < 1:
-        return CODE_UNDECIDED, -1
-    N = build_newton_complex(p)
-    roots = univariate_complex_roots(p, tol=1e-10) if p.degree >= 1 else []
-    res = _classify_complex_batch(N, [complex(seed)], roots, cfg)
+    """(code, iterations) for one explicit family member of degree >= 1."""
+    roots = univariate_complex_roots(p, tol=1e-10)
+    M = _ComplexPoints(build_newton_complex(p), roots, cfg.root_tol)
+    res = _classify(M, np.array([complex(seed)]), cfg)
     return outcome_code(int(res.kind[0]), int(res.root_index[0])), int(res.iterations[0])
 
 
 def _scan_main_batch(C, seed, cfg):
     """Vectorized scan over rows sharing the full degree."""
-    m, n = C.shape
-    d = n - 1
-    roots = batched_complex_roots(C)
-    D = C[:, 1:] * np.arange(1, n)[None, :]
-    dscale = np.max(np.abs(D), axis=1)
-    codes = np.full(m, CODE_UNDECIDED, np.int32)
-    iters = np.full(m, -1, np.int32)
-
-    idx = np.arange(m)
-    z = np.full(m, complex(seed))
-    rC, rD, rroots, rdscale = C, D, roots, dscale
-
-    def nearest(zv, rr):
-        dd = np.abs(zv[:, None] - rr)
-        h = np.argmin(dd, axis=1).astype(np.int32)
-        near = dd[np.arange(zv.size), h] <= cfg.root_tol
-        return np.where(near, h, -1).astype(np.int32)
-
-    prev_hit = nearest(z, rroots)
-    for k in range(1, cfg.max_iter + 1):
-        if z.size == 0:
-            break
-        pv = row_polyval(rC, z)
-        dv = row_polyval(rD, z)
-        sing = np.abs(dv) <= 1e-12 * rdscale * (1.0 + np.abs(z)) ** (d - 1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = z - pv / np.where(sing, 1.0, dv)
-        bad = ~(np.isfinite(w.real) & np.isfinite(w.imag))
-        sing = sing | bad
-        codes[idx[sing]] = CODE_SINGULAR
-        iters[idx[sing]] = k - 1
-        esc = ~sing & (np.abs(w) > cfg.escape_radius)
-        codes[idx[esc]] = CODE_ESCAPED
-        iters[idx[esc]] = k
-        active = ~sing & ~esc
-        hit = nearest(np.where(active, w, 0.0), rroots)
-        confirm = active & (hit >= 0) & (hit == prev_hit)
-        codes[idx[confirm]] = hit[confirm]
-        iters[idx[confirm]] = k - 1
-        active &= ~confirm
-        z, idx, prev_hit = w[active], idx[active], hit[active]
-        rC, rD, rroots, rdscale = rC[active], rD[active], rroots[active], rdscale[active]
-
-    # cycle phase per surviving parameter, exact per-member maps
-    for j, i in enumerate(idx):
-        p = UniComplexPoly(rC[j])
-        N = build_newton_complex(p)
-        res = _BatchResult(1, planar=False)
-        _cycle_phase_complex(N, np.array([z[j]]), np.array([0]), res, cfg)
-        codes[i] = outcome_code(int(res.kind[0]), -1)
-        iters[i] = int(res.iterations[0])
-    return codes, iters
+    res = _classify(_FamilyRows(C, cfg.root_tol), np.full(C.shape[0], complex(seed)), cfg)
+    return res.codes(), res.iterations

@@ -195,6 +195,13 @@ class TestBarnaCheck:
         assert len(report.hypothesis_notes) > 0
         assert any("4" in note for note in report.hypothesis_notes)
 
+    def test_nonfinite_iterates_count_as_nonconvergent(self):
+        # z^4 at 1e200 overflows on the first Newton step, so no sample
+        # ever reaches a root
+        report = barna_check(QUARTIC, max_period=1, samples=1000,
+                             sample_interval=(1e200, 1e201))
+        assert report.nonconvergent_fraction == 1.0
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             barna_check(UniComplexPoly([-1.0, 0.0, 1.0]))
