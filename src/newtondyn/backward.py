@@ -6,8 +6,10 @@ roots of the cleared polynomial num(w) - z*den(w); the complex case
 therefore yields exactly deg(N) preimages counted with multiplicity for
 all but finitely many targets.  The planar Newton map clears its
 denominator the same way: N_f(w) = z becomes the polynomial system
-Df(w)(w - z) = f(w), solved over a bounded search domain, with
-solutions on the Jacobian's singular locus discarded as spurious.
+Df(w)(w - z) = f(w), solved by interval subdivision one target at a
+time and by total-degree homotopy over C^2 for the batches of trees and
+set maps; real solutions in a bounded search domain are kept, those on
+the Jacobian's singular locus discarded as spurious.
 
 Random backward orbits draw one branch per step: uniformly over the d
 complex preimages with multiplicity (so a k-step branch has weight
@@ -38,12 +40,15 @@ from .newton import (
     build_newton_plane,
 )
 from .poly import (
+    PATH_FINITE,
     MultiPoly,
     PlaneMap,
     UniComplexPoly,
     _merge_points,
+    _plane_system,
     batched_complex_roots,
     system_real_roots,
+    total_degree_homotopy,
     univariate_complex_roots,
 )
 
@@ -314,86 +319,38 @@ def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
     return kids[good]
 
 
-def _eval_grid(p, X, Y):
-    return np.asarray(p.eval(X, Y), float) + np.zeros_like(X)
+def _planar_preimages_batch(N, zx, zy, dom):
+    """Validated real counterimages of many targets, concatenated.
 
-
-def _planar_preimages_batch(N, zx, zy, dom, seeds_per_axis=6, iters=40):
-    """Multi-start Newton solve of the cleared system for many targets.
-
-    Seeds form a fixed grid over the search domain plus each target
-    itself; converged candidates are kept only if the forward map sends
-    them back onto their target.  Branches whose basin misses every
-    seed are lost, which pixel-level aggregation tolerates; the
-    exhaustive path stays in counterimages().
+    A total-degree homotopy solves every target's cleared system over C^2;
+    endpoints that are real (|Im| <= 1e-9 (1 + |.|)) and in the domain are
+    kept if the forward map sends them back onto their target.  Each
+    regular counterimage comes back once, unless its path failed.
     """
     zx = np.asarray(zx, float).ravel()
     zy = np.asarray(zy, float).ravel()
-    if zx.size == 0:
-        return np.empty(0), np.empty(0)
     f = N.source
     (fx, fy), (gx, gy) = N.jacobian
-    fxx, fxy, fyy = fx.diff(0), fx.diff(1), fy.diff(1)
-    gxx, gxy, gyy = gx.diff(0), gx.diff(1), gy.diff(1)
+    u, v = MultiPoly.variable(0), MultiPoly.variable(1)
+    # Df(w)(w - z) - f(w) is affine in z: P(w) - zx Df(w)e1 - zy Df(w)e2
+    parts = (_plane_system(fx * u + fy * v - f.first, gx * u + gy * v - f.second),
+             _plane_system(fx, gx), _plane_system(fy, gy))
 
-    s = int(seeds_per_axis)
-    sx = dom.xmin + (np.arange(s) + 0.5) * (dom.xmax - dom.xmin) / s
-    sy = dom.ymax - (np.arange(s) + 0.5) * (dom.ymax - dom.ymin) / s
-    gxs, gys = np.meshgrid(sx, sy)
-    seeds = s * s + 1
-    max_step = 0.5 * math.hypot(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
+    def cleared(x, y, rows):
+        p, q, r = (part(x, y) for part in parts)
+        return tuple(pk - zx[rows] * qk - zy[rows] * rk for pk, qk, rk in zip(p, q, r))
 
-    chunk = max(1, 2_000_000 // seeds)
-    out_x, out_y = [], []
-    for lo in range(0, zx.size, chunk):
-        tx = zx[lo: lo + chunk]
-        ty = zy[lo: lo + chunk]
-        m = tx.size
-        wx = np.empty((m, seeds))
-        wy = np.empty((m, seeds))
-        wx[:, :-1] = gxs.ravel()[None, :]
-        wy[:, :-1] = gys.ravel()[None, :]
-        wx[:, -1] = tx
-        wy[:, -1] = ty
-        cx = tx[:, None]
-        cy = ty[:, None]
-        for _ in range(iters):
-            ux = wx - cx
-            uy = wy - cy
-            r1 = _eval_grid(fx, wx, wy) * ux + _eval_grid(fy, wx, wy) * uy \
-                - _eval_grid(f.first, wx, wy)
-            r2 = _eval_grid(gx, wx, wy) * ux + _eval_grid(gy, wx, wy) * uy \
-                - _eval_grid(f.second, wx, wy)
-            # cleared system's Jacobian rows are Hessian-weighted offsets
-            j11 = _eval_grid(fxx, wx, wy) * ux + _eval_grid(fxy, wx, wy) * uy
-            j12 = _eval_grid(fxy, wx, wy) * ux + _eval_grid(fyy, wx, wy) * uy
-            j21 = _eval_grid(gxx, wx, wy) * ux + _eval_grid(gxy, wx, wy) * uy
-            j22 = _eval_grid(gxy, wx, wy) * ux + _eval_grid(gyy, wx, wy) * uy
-            det = j11 * j22 - j12 * j21
-            safe = np.where(np.abs(det) > 1e-300, det, 1.0)
-            dx = (j22 * r1 - j12 * r2) / safe
-            dy = (j11 * r2 - j21 * r1) / safe
-            norm = np.hypot(dx, dy)
-            damp = np.where(norm > max_step, max_step / np.where(norm == 0, 1, norm), 1.0)
-            ok = np.abs(det) > 1e-300
-            wx = np.where(ok, wx - damp * dx, wx)
-            wy = np.where(ok, wy - damp * dy, wy)
-
-        fwx = wx.ravel()
-        fwy = wy.ravel()
-        rx = np.repeat(tx, seeds)
-        ry = np.repeat(ty, seeds)
-        good = np.isfinite(fwx) & np.isfinite(fwy)
-        margin = 1e-9 * (1.0 + max_step)
-        good &= (
-            (fwx >= dom.xmin - margin) & (fwx <= dom.xmax + margin)
-            & (fwy >= dom.ymin - margin) & (fwy <= dom.ymax + margin)
-        )
-        nx, ny, sing = N.step_many(np.where(good, fwx, 0.0), np.where(good, fwy, 0.0))
-        good &= ~sing & (np.hypot(nx - rx, ny - ry) <= RESIDUAL_RTOL * (1.0 + np.hypot(rx, ry)))
-        out_x.append(fwx[good])
-        out_y.append(fwy[good])
-    return np.concatenate(out_x), np.concatenate(out_y)
+    wx, wy, status = total_degree_homotopy(
+        cleared, (f.first.degree, f.second.degree), zx.size)
+    good = (status == PATH_FINITE) \
+        & (np.abs(wx.imag) <= 1e-9 * (1.0 + np.abs(wx))) \
+        & (np.abs(wy.imag) <= 1e-9 * (1.0 + np.abs(wy)))
+    rows = np.nonzero(good)[0]
+    rx, ry, wx, wy = zx[rows], zy[rows], wx.real[good], wy.real[good]
+    nx, ny, sing = N.step_many(wx, wy)
+    good = (wx >= dom.xmin) & (wx <= dom.xmax) & (wy >= dom.ymin) & (wy <= dom.ymax) \
+        & ~sing & (np.hypot(nx - rx, ny - ry) <= RESIDUAL_RTOL * (1.0 + np.hypot(rx, ry)))
+    return wx[good], wy[good]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ import numpy as np
 
 from . import __version__
 from .poly import (
-    MultiPoly,
-    PlaneMap,
     UniComplexPoly,
     PolyParseError,
     parse_poly,

@@ -9,11 +9,12 @@ complex map is the rational function (z p' - p) / p'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .poly import MultiPoly, PlaneMap, UniComplexPoly, system_real_roots
+from .poly import (PATH_FINITE, MultiPoly, PlaneMap, UniComplexPoly, _plane_system,
+                   system_real_roots, total_degree_homotopy)
 
 __all__ = [
     "SingularJacobianError",
@@ -461,7 +462,9 @@ class GhostLine:
     invariance_defect is the largest sampled distance by which the Newton
     map moves line points off the line; it is numerically zero exactly when
     the line is invariant (always the case when both components of f have
-    degree <= 2, where the line through any two solutions is preserved)."""
+    degree <= 2, where the line through any two solutions is preserved).
+    ghost_lines samples |t| <= span with span half its box's diagonal (4.24
+    for [-3, 3]^2); other spans give other defects for the same line."""
 
     base: tuple
     direction: tuple
@@ -494,102 +497,36 @@ def ghost_line_from_pair(solution):
     )
 
 
-def _complex_system_solutions(f, box, seeds_per_axis=32, dedupe_radius=1e-6):
-    """All isolated solutions of f = 0 over C^2 reachable from a coarse
-    complexified-box seed grid, by vectorized two-variable Newton."""
-    xmin, xmax, ymin, ymax = box
-    sx = 0.5 * (xmax - xmin)
-    sy = 0.5 * (ymax - ymin)
-    re_x = np.linspace(xmin, xmax, seeds_per_axis)
-    im_x = np.linspace(-sx, sx, seeds_per_axis)
-    re_y = np.linspace(ymin, ymax, seeds_per_axis)
-    im_y = np.linspace(-sy, sy, seeds_per_axis)
-    (fx, fy), (gx, gy) = f.jacobian()
-    scale = max(f.first.max_abs_coeff(), f.second.max_abs_coeff(), 1.0)
-
-    found_x, found_y = [], []
-    grids = np.meshgrid(re_x, im_x, re_y, im_y, indexing="ij")
-    X = (grids[0] + 1j * grids[1]).ravel()
-    Y = (grids[2] + 1j * grids[3]).ravel()
-    chunk = 1 << 17
-    for start in range(0, X.size, chunk):
-        x = X[start:start + chunk].copy()
-        y = Y[start:start + chunk].copy()
-        for it in range(60):
-            f1 = f.first.eval(x, y)
-            f2 = f.second.eval(x, y)
-            a = fx.eval(x, y) + np.zeros_like(x)
-            b = fy.eval(x, y) + np.zeros_like(x)
-            c = gx.eval(x, y) + np.zeros_like(x)
-            d = gy.eval(x, y) + np.zeros_like(x)
-            det = a * d - b * c
-            dead = np.abs(det) < 1e-14
-            det = np.where(dead, 1.0, det)
-            dx = (d * f1 - b * f2) / det
-            dy = (a * f2 - c * f1) / det
-            x = np.where(dead, x, x - dx)
-            y = np.where(dead, y, y - dy)
-            settled = (np.abs(dx) + np.abs(dy)) <= 1e-13 * (1.0 + np.abs(x) + np.abs(y))
-            if np.any(settled & ~dead):
-                take = settled & ~dead
-                found_x.append(x[take])
-                found_y.append(y[take])
-            keep = (np.abs(x) < 1e6) & (np.abs(y) < 1e6) & ~dead & ~settled
-            x, y = x[keep], y[keep]
-            if x.size == 0:
-                break
-    if found_x:
-        x = np.concatenate(found_x)
-        y = np.concatenate(found_y)
-        r = np.abs(f.first.eval(x, y)) + np.abs(f.second.eval(x, y))
-        ok = r <= 1e-9 * scale
-        found_x, found_y = [x[ok]], [y[ok]]
-    if not found_x:
-        return []
-    x = np.concatenate(found_x)
-    y = np.concatenate(found_y)
-    # bucket dedupe: quantize to the dedupe radius, then exact pass
-    seen = {}
-    for xi, yi in zip(x, y):
-        key = (round(xi.real / dedupe_radius), round(xi.imag / dedupe_radius),
-               round(yi.real / dedupe_radius), round(yi.imag / dedupe_radius))
-        if key not in seen:
-            seen[key] = (complex(xi), complex(yi))
-    solutions = []
-    for cand in seen.values():
-        if all(
-            max(abs(cand[0] - s[0]), abs(cand[1] - s[1])) > dedupe_radius
-            for s in solutions
-        ):
-            solutions.append(cand)
-    return solutions
-
-
 def ghost_lines(f, box, invariance_samples=50):
     """Ghost lines of a real plane map: real traces of complex lines through
     conjugate pairs of strictly complex solutions of f = 0.
 
-    Candidate solutions come from a coarse complexified-box Newton search
-    (32 seeds per real/imaginary axis).  Every conjugate pair yields one
-    line; each line carries its measured invariance defect, the largest
-    sampled distance by which the planar Newton map moves line points off
-    the line (numerically zero for maps with quadratic components).
+    The solutions are the finite endpoints of a total-degree homotopy
+    (all isolated complex solutions, none searched for in box).  Every
+    conjugate pair yields one line; each line carries its measured
+    invariance defect, the largest distance by which the planar Newton
+    map moves line points off the line, sampled at parameters t in
+    [-span, span] with span half the diagonal of box (numerically zero
+    for maps with quadratic components).
     """
-    solutions = _complex_system_solutions(f, box)
-    N = build_newton_plane(f)
-    span = 0.5 * math.hypot(box[1] - box[0], box[3] - box[2])
+    xs, ys, status = total_degree_homotopy(_plane_system(f.first, f.second),
+                                           (f.first.degree, f.second.degree))
+    finite = status[0] == PATH_FINITE
     lines = []
-    for sol in solutions:
-        zx, zy = sol
+    for zx, zy in zip(xs[0, finite], ys[0, finite]):
         if math.hypot(zx.imag, zy.imag) <= 1e-8:
             continue
         if zx.imag < 0 or (abs(zx.imag) <= 1e-12 and zy.imag < 0):
             continue  # keep one representative per conjugate pair
-        line = ghost_line_from_pair(sol)
-        defect = measure_invariance_defect(N, line, span, invariance_samples)
-        line = GhostLine(line.base, line.direction, line.source_pair, defect)
+        line = ghost_line_from_pair((zx, zy))
         if all(not _same_line(line, other) for other in lines):
             lines.append(line)
+    if not lines:
+        return []  # before build_newton_plane: f may have no Newton map
+    N = build_newton_plane(f)
+    span = 0.5 * math.hypot(box[1] - box[0], box[3] - box[2])
+    lines = [replace(L, invariance_defect=measure_invariance_defect(
+        N, L, span, invariance_samples)) for L in lines]
     lines.sort(key=lambda L: (L.base[0], L.base[1], L.direction[0], L.direction[1]))
     return lines
 

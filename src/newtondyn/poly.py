@@ -1,6 +1,7 @@
 """Polynomial layer: sparse bivariate real polynomials, plane maps, and
 univariate complex polynomials, with evaluation, differentiation, parsing,
-and the two root solvers everything else is built on.
+and the root solvers everything else is built on: companion matrices,
+interval subdivision and total-degree homotopy.
 
 Conventions: a MultiPoly is a canonical sparse sum of c * x^i * y^j terms,
 the zero polynomial has degree -1, and all evaluation routines accept
@@ -27,6 +28,10 @@ __all__ = [
     "batched_complex_roots",
     "row_polyval",
     "system_real_roots",
+    "total_degree_homotopy",
+    "PATH_FINITE",
+    "PATH_DIVERGED",
+    "PATH_FAILED",
     "complex_poly_to_plane_map",
 ]
 
@@ -629,21 +634,32 @@ def _interval_eval(p, xlo, xhi, ylo, yhi):
     return lo, hi
 
 
-def _newton_polish_batch(fmap, jac, x, y, tol, max_step, iters=60):
+def _solve_2x2(a, b, c, d, f1, f2):
+    """Elementwise Cramer solve of [[a, b], [c, d]] (sx, sy) = (f1, f2);
+    returns (sx, sy, bad), (sx, sy) meaningless where |det| < 1e-300."""
+    det = a * d - b * c
+    bad = np.abs(det) < 1e-300
+    det = np.where(bad, 1.0, det)
+    return (d * f1 - b * f2) / det, (a * f2 - c * f1) / det, bad
+
+
+def _plane_system(f, g):
+    """(f, g) and its Jacobian [[a, b], [c, d]] as (x, y, rows) -> (f, g,
+    a, b, c, d), the form total_degree_homotopy takes (rows is unused)."""
+    fx, fy, gx, gy = f.diff(0), f.diff(1), g.diff(0), g.diff(1)
+
+    def system(x, y, rows=None):
+        return (f.eval(x, y), g.eval(x, y),
+                fx.eval(x, y), fy.eval(x, y), gx.eval(x, y), gy.eval(x, y))
+
+    return system
+
+
+def _newton_polish_batch(system, x, y, max_step, iters=60):
     """Damped Newton on a batch of seeds; returns polished points."""
-    (fx, fy), (gx, gy) = jac
     for _ in range(iters):
-        f1 = fmap.first.eval(x, y)
-        f2 = fmap.second.eval(x, y)
-        a = fx.eval(x, y)
-        b = fy.eval(x, y)
-        c = gx.eval(x, y)
-        d = gy.eval(x, y)
-        det = a * d - b * c
-        bad = np.abs(det) < 1e-300
-        det = np.where(bad, 1.0, det)
-        sx = (d * f1 - b * f2) / det
-        sy = (a * f2 - c * f1) / det
+        f1, f2, a, b, c, d = system(x, y)
+        sx, sy, bad = _solve_2x2(a, b, c, d, f1, f2)
         norm = np.hypot(sx, sy)
         lim = np.where(norm > max_step, max_step / np.maximum(norm, 1e-300), 1.0)
         sx, sy = sx * lim, sy * lim
@@ -668,7 +684,7 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
         raise ValueError("box must have positive width and height")
     diag0 = math.hypot(xmax - xmin, ymax - ymin)
     leaf_side = max(diag0 / 4096.0, 1e3 * tol)
-    jac = f.jacobian()
+    system = _plane_system(f.first, f.second)
 
     boxes = np.array([[xmin, xmax, ymin, ymax]])
     leaves = []
@@ -711,7 +727,7 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
         leaves = np.vstack(leaves)
         cx = 0.5 * (leaves[:, 0] + leaves[:, 1])
         cy = 0.5 * (leaves[:, 2] + leaves[:, 3])
-        px, py = _newton_polish_batch(f, jac, cx, cy, tol, max_step=4.0 * leaf_side)
+        px, py = _newton_polish_batch(system, cx, cy, max_step=4.0 * leaf_side)
         r1 = np.abs(f.first.eval(px, py))
         r2 = np.abs(f.second.eval(px, py))
         side_x = leaves[:, 1] - leaves[:, 0]
@@ -751,3 +767,93 @@ def _merge_points(points, radius):
         else:
             merged.append((x, y))
     return merged
+
+
+# ---------------------------------------------------------------------------
+# Complex solutions of 2x2 polynomial systems: total-degree homotopy
+# continuation, vectorized over the paths of many systems at once.
+
+PATH_FINITE, PATH_DIVERGED, PATH_FAILED = 0, 1, 2
+
+# fixed generic unit complex number of the gamma trick: paths stay regular
+# for t < 1 on all but a measure-zero set of systems, deterministically
+_GAMMA = complex(math.cos(2.0), math.sin(2.0))
+_STEP_MAX = 0.05  # larger steps let paths jump between close solutions
+_STEP_MIN = 1e-14
+_CORRECTOR_ITERS = 3
+_CORRECTOR_RTOL = 1e-4  # bound on the last corrector step, relative to 1 + |w|
+_POLISH_ITERS = 5
+_DIVERGED_NORM = 1e6
+_MAX_STEPS = 400
+_CHUNK_PATHS = 1 << 16
+
+
+def _homotopy(system, x, y, t, rows, d1, d2):
+    """H = (1 - t) gamma G + t F at (x, y), its Jacobian, and dH/dt."""
+    f1, f2, a, b, c, d = system(x, y, rows)
+    s = (1.0 - t) * _GAMMA
+    xp = x ** (d1 - 1)
+    yp = y ** (d2 - 1)
+    g1 = xp * x - 1.0
+    g2 = yp * y - 1.0
+    return (s * g1 + t * f1, s * g2 + t * f2,
+            s * d1 * xp + t * a, t * b, t * c, s * d2 * yp + t * d,
+            f1 - _GAMMA * g1, f2 - _GAMMA * g2)
+
+
+def total_degree_homotopy(system, degrees, targets=1):
+    """All isolated complex solutions of `targets` systems F(x, y) = 0.
+
+    system(x, y, rows) returns (f1, f2, a, b, c, d): F and its Jacobian
+    [[a, b], [c, d]] at complex arrays x, y, where rows[k] is the target of
+    point k (for per-target constants); (d1, d2) = degrees bound the total
+    degrees of f1 and f2.  Each root of G = (x^d1 - 1, y^d2 - 1) starts a
+    path of H = (1 - t) gamma G + t F, tracked from t = 0 to 1 (Euler
+    predictor, Newton corrector, per-path step) and polished on F.
+
+    Returns (x, y, status) shaped (targets, d1*d2).  Each path ends
+    PATH_FINITE (reached t = 1), PATH_DIVERGED (|w| passed 1e6: lost to
+    infinity) or PATH_FAILED (step size or budget exhausted), so the
+    counts of every target sum to the Bezout number d1*d2.
+    """
+    d1, d2 = (max(int(d), 1) for d in degrees)
+    kx, ky = np.meshgrid(np.arange(d1), np.arange(d2), indexing="ij")
+    x = np.tile(np.exp(2j * np.pi * kx.ravel() / d1), targets)
+    y = np.tile(np.exp(2j * np.pi * ky.ravel() / d2), targets)
+    rows = np.repeat(np.arange(targets), d1 * d2)
+    t = np.zeros(x.size)
+    h = np.full(x.size, _STEP_MAX)
+    status = np.full(x.size, PATH_FAILED, np.uint8)
+    for lo in range(0, x.size, _CHUNK_PATHS):
+        chunk = active = np.arange(lo, min(lo + _CHUNK_PATHS, x.size))
+        for _ in range(_MAX_STEPS):
+            if active.size == 0:
+                break
+            xa, ya, ta, ra, ha = x[active], y[active], t[active], rows[active], h[active]
+            t1 = np.minimum(ta + ha, 1.0)
+            # Euler predictor along dw/dt = -H_w^-1 H_t, then Newton at t1
+            _, _, a, b, c, d, ht1, ht2 = _homotopy(system, xa, ya, ta, ra, d1, d2)
+            vx, vy, bad = _solve_2x2(a, b, c, d, ht1, ht2)
+            px, py = xa - (t1 - ta) * vx, ya - (t1 - ta) * vy
+            for _ in range(_CORRECTOR_ITERS):
+                h1, h2, a, b, c, d, _, _ = _homotopy(system, px, py, t1, ra, d1, d2)
+                sx, sy, sing = _solve_2x2(a, b, c, d, h1, h2)
+                px, py, bad = px - sx, py - sy, bad | sing
+            norm = np.sqrt(np.abs(px) ** 2 + np.abs(py) ** 2)
+            last = np.sqrt(np.abs(sx) ** 2 + np.abs(sy) ** 2)
+            ok = ~bad & np.isfinite(norm) & (last <= _CORRECTOR_RTOL * (1.0 + norm))
+            x[active[ok]], y[active[ok]], t[active[ok]] = px[ok], py[ok], t1[ok]
+            h[active] = np.where(ok, np.minimum(2.0 * ha, _STEP_MAX), 0.5 * ha)
+            diverged = ok & (norm > _DIVERGED_NORM)
+            arrived = ok & ~diverged & (t1 == 1.0)
+            status[active[diverged]] = PATH_DIVERGED
+            status[active[arrived]] = PATH_FINITE
+            active = active[~(diverged | arrived | (h[active] < _STEP_MIN))]
+        done = chunk[status[chunk] == PATH_FINITE]
+        for _ in range(_POLISH_ITERS):
+            f1, f2, a, b, c, d = system(x[done], y[done], rows[done])
+            sx, sy, sing = _solve_2x2(a, b, c, d, f1, f2)
+            x[done] -= np.where(sing, 0.0, sx)
+            y[done] -= np.where(sing, 0.0, sy)
+    shape = (targets, d1 * d2)
+    return x.reshape(shape), y.reshape(shape), status.reshape(shape)

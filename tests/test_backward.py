@@ -21,6 +21,7 @@ from newtondyn.backward import (
     hutchinson_iterate,
     random_backward_orbit,
 )
+from newtondyn.backward import _planar_preimages_batch
 
 CUBIC = UniComplexPoly([-1, 0, 0, 1])  # z^3 - 1
 SQUARE_WINDOW = (-2.0, 2.0, -2.0, 2.0)
@@ -140,6 +141,28 @@ class TestPlanarCounterimages:
         # reachability: preimages of (zx, zy) need zx^2 >= zy, violated here
         N = quartic_newton()
         assert counterimages(N, (0.37, 1.21), QUARTIC_DOMAIN) == []
+
+    def test_batch_returns_each_counterimage_once(self):
+        # the batched homotopy solve must give, over many targets, exactly
+        # the multiset of the exhaustive subdivision solve: nothing lost,
+        # nothing repeated
+        N = quartic_newton()
+        rng = np.random.default_rng(5)
+        xmin, xmax, ymin, ymax = QUARTIC_DOMAIN
+        zx = rng.uniform(xmin, xmax, 50)
+        zy = rng.uniform(ymin, ymax, 50)
+        wx, wy = _planar_preimages_batch(N, zx, zy, Window.from_sequence(QUARTIC_DOMAIN))
+        want = np.array([w for z in zip(zx, zy) for w in counterimages(N, z, QUARTIC_DOMAIN)])
+        got = np.column_stack([wx, wy])
+        assert len(want) > 50
+        assert len(got) == len(want)
+        gaps = np.hypot(*(got[:, None, :] - want[None, :, :]).transpose(2, 0, 1))
+        assert np.all(gaps.min(axis=0) <= 1e-8)
+        assert np.all(gaps.min(axis=1) <= 1e-8)
+        # the seed target of the two-parabolas tree has 4 distinct preimages
+        wx, wy = _planar_preimages_batch(N, [0.0], [-1.0],
+                                         Window.from_sequence(QUARTIC_DOMAIN))
+        assert len(set(zip(np.round(wx, 6), np.round(wy, 6)))) == len(wx) == 4
 
 
 class TestRandomBackwardOrbit:

@@ -334,6 +334,11 @@ class TestGhostLines:
     def test_all_real_solutions_give_no_lines(self):
         assert ghost_lines(DECOUPLED, (-2, 2, -2, 2)) == []
 
+    def test_system_without_solutions_gives_no_lines(self):
+        # parallel parabolas: every homotopy path is lost to infinity
+        f = parse_plane_map("x^2 - y", "x^2 - y + 1")
+        assert ghost_lines(f, (-3, 3, -3, 3)) == []
+
     def test_cubic_component_lines_found_but_not_invariant(self):
         # with a degree-3 component the restricted Wronskian of the two
         # components is nonzero off the solutions, so the line cannot be

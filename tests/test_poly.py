@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from newtondyn.poly import (
+    PATH_DIVERGED,
+    PATH_FINITE,
     MultiPoly,
     PlaneMap,
     PolyParseError,
@@ -12,6 +14,7 @@ from newtondyn.poly import (
     poly_diff,
     poly_eval,
     system_real_roots,
+    total_degree_homotopy,
     univariate_complex_roots,
 )
 
@@ -203,6 +206,59 @@ def test_system_roots_rejects_empty_box():
     f = parse_plane_map("x", "y")
     with pytest.raises(ValueError):
         system_real_roots(f, (1, 1, 0, 2))
+
+
+def _counting_system(f, calls):
+    """Homotopy system callback for one plane map, logging each call."""
+    (fx, fy), (gx, gy) = f.jacobian()
+
+    def system(x, y, rows):
+        calls.append(x.size)
+        return (f.first.eval(x, y), f.second.eval(x, y),
+                fx.eval(x, y), fy.eval(x, y), gx.eval(x, y), gy.eval(x, y))
+
+    return system
+
+
+def test_homotopy_finds_all_bezout_solutions():
+    # independent oracle: x = y^2 - 0.5 turns the system into a sextic in y
+    f = parse_plane_map("x^3 - x^2 + y", "x + 0.5 - y^2")
+    x, y, status = total_degree_homotopy(_counting_system(f, []), (3, 2))
+    assert status.shape == (1, 6)
+    assert np.all(status == PATH_FINITE)
+    p = np.poly1d([1.0, 0.0, -0.5])
+    want_y = np.roots(p ** 3 - p ** 2 + np.poly1d([1.0, 0.0]))
+    got_y = np.sort_complex(y[0])
+    assert np.allclose(got_y, np.sort_complex(want_y), atol=1e-9)
+    assert np.allclose(x[0], y[0] ** 2 - 0.5, atol=1e-12)
+    # six distinct endpoints: no two paths ended on the same solution
+    assert np.min(np.abs(got_y[1:] - got_y[:-1])) > 1e-3
+
+
+def test_homotopy_accounts_for_paths_lost_to_infinity():
+    # x^2 - y = 0 and x^2 - y + 1 = 0 never meet: all 4 Bezout paths run
+    # off to infinity, and tracking stops within the step budget
+    f = parse_plane_map("x^2 - y", "x^2 - y + 1")
+    calls = []
+    _, _, status = total_degree_homotopy(_counting_system(f, calls), (2, 2))
+    assert status.shape == (1, 4)
+    assert np.all(status == PATH_DIVERGED)
+    assert len(calls) <= 2000
+
+
+def test_homotopy_broadcasts_per_target_constants():
+    # target k solves (x^2 - c_k, y - x): solutions (+-sqrt(c_k), same)
+    c = np.array([1.0, 4.0, 9.0])
+
+    def system(x, y, rows):
+        one = np.ones_like(x)
+        return x * x - c[rows], y - x, 2.0 * x, 0.0 * one, -one, one
+
+    x, y, status = total_degree_homotopy(system, (2, 1), targets=3)
+    assert status.shape == (3, 2)
+    assert np.all(status == PATH_FINITE)
+    assert np.allclose(np.sort(x.real, axis=1), np.sqrt(c)[:, None] * [-1.0, 1.0])
+    assert np.allclose(y, x) and np.allclose(x.imag, 0.0)
 
 
 def test_complex_poly_to_plane_map():
