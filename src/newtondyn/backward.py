@@ -277,7 +277,7 @@ def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
     """Validated counterimages of every target, concatenated.
 
     Rows of num - z*den are grouped by effective degree so each group
-    can be solved by one batched companion call; degenerate rows fall
+    can be solved by one batched_complex_roots call; degenerate rows fall
     back to the scalar solver.
     """
     targets = np.asarray(targets, complex).ravel()

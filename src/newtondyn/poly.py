@@ -1,6 +1,6 @@
 """Polynomial layer: sparse bivariate real polynomials, plane maps, and
 univariate complex polynomials, with evaluation, differentiation, parsing,
-and the root solvers everything else is built on: companion matrices,
+and the root solvers everything else is built on: batched Aberth-Ehrlich,
 interval subdivision and total-degree homotopy.
 
 Conventions: a MultiPoly is a canonical sparse sum of c * x^i * y^j terms,
@@ -518,7 +518,11 @@ def complex_poly_to_plane_map(p):
 
 
 # ---------------------------------------------------------------------------
-# Univariate complex roots: companion-matrix eigenvalues + Newton polish.
+# Univariate complex roots: Aberth-Ehrlich or companion seeds + Newton polish.
+
+_ABERTH_ITERS = 60
+_ABERTH_RTOL = 1e-14  # bound on every correction of a row, relative to 1 + |z|
+_ROOT_POLISH_ROUNDS = 12
 
 
 def univariate_complex_roots(p, tol=1e-10):
@@ -529,18 +533,8 @@ def univariate_complex_roots(p, tol=1e-10):
     """
     if p.degree < 1:
         raise ValueError("root solver needs degree >= 1")
-    coeffs_desc = np.array(list(reversed(p.coefficients)), dtype=complex)
-    roots = np.roots(coeffs_desc)
-    dp = p.diff()
-    for _ in range(12):
-        pv = p.eval(roots)
-        dv = dp.eval(roots)
-        safe = np.abs(dv) > 1e-300
-        step = np.zeros_like(roots)
-        step[safe] = pv[safe] / dv[safe]
-        moved = roots - step
-        better = np.abs(p.eval(moved)) <= np.abs(pv)
-        roots = np.where(better & safe, moved, roots)
+    C = np.array(p.coefficients, dtype=complex)
+    roots = _polish_rows(C[None], np.roots(C[::-1]).astype(complex)[None])[0]
     scale = p.max_abs_coeff()
     bound = tol * (1.0 + np.abs(roots)) ** p.degree * scale
     resid = np.abs(p.eval(roots))
@@ -549,8 +543,7 @@ def univariate_complex_roots(p, tol=1e-10):
         raise ArithmeticError(
             f"root polishing failed residual bound (worst ratio {worst:.3g})"
         )
-    order = np.lexsort((roots.imag, roots.real))
-    return [complex(r) for r in roots[order]]
+    return [complex(r) for r in np.sort(roots, kind="stable")]
 
 
 def row_polyval(coeff_rows, z):
@@ -568,37 +561,72 @@ def row_polyval(coeff_rows, z):
     return out
 
 
-def batched_complex_roots(coeff_rows, polish=12):
+def _aberth_rows(C):
+    """Aberth-Ehrlich iteration on all rows of C (ascending, nonzero leading
+    coefficients) at once, from circles of radius max_k |a_k/a_d|^(1/(d-k)).
+    Returns (roots, converged): a row converges once every correction is
+    <= 1e-14 (1 + |z|); a multiple root, as in (z - 1)^3, prevents that."""
+    m, n = C.shape
+    d = n - 1
+    radius = np.max(np.abs(C[:, :-1] / C[:, -1:]) ** (1.0 / np.arange(d, 0, -1)), axis=1)
+    # the angular offset keeps the start off the symmetry axes of real rows
+    roots = radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.4))
+    active, z, Ca, Da = np.arange(m), roots, C, C[:, 1:] * np.arange(1, n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ABERTH_ITERS):
+            w = row_polyval(Ca, z) / row_polyval(Da, z)
+            # sum over j != i of 1 / (z_i - z_j), one roll per shift
+            s = sum(1.0 / (z - np.roll(z, k, axis=1)) for k in range(1, d))
+            corr = w / (1.0 - w * s)
+            z = z - corr
+            roots[active] = z
+            left = ~np.all(np.abs(corr) <= _ABERTH_RTOL * (1.0 + np.abs(z)), axis=1)
+            active, z, Ca, Da = active[left], z[left], Ca[left], Da[left]
+            if active.size == 0:
+                break
+    return roots, ~np.isin(np.arange(m), active)
+
+
+def _polish_rows(C, roots):
+    """Newton polish of roots[k] on row C[k], in place: at most 12 rounds,
+    keeping a step only if |p| does not grow.  A row that one round leaves
+    bit-for-bit unchanged is at a fixed point and stops."""
+    D = C[:, 1:] * np.arange(1, C.shape[1])
+    active = np.arange(C.shape[0])
+    for _ in range(_ROOT_POLISH_ROUNDS):
+        Ca, z = C[active], roots[active]
+        pv = row_polyval(Ca, z)
+        dv = row_polyval(D[active], z)
+        step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
+        moved = z - step
+        polished = np.where(np.abs(row_polyval(Ca, moved)) <= np.abs(pv), moved, z)
+        roots[active] = polished
+        active = active[np.any(polished.view(np.uint64) != z.view(np.uint64), axis=1)]
+        if active.size == 0:
+            break
+    return roots
+
+
+def batched_complex_roots(coeff_rows):
     """Roots of many same-degree polynomials, one ascending coefficient row
-    each, via batched companion eigenvalues plus Newton polish.
+    each: Aberth-Ehrlich seeds (companion-matrix eigenvalues for the rows it
+    leaves unconverged), then the Newton polish of _polish_rows.
 
     Every row's leading coefficient must be nonzero (callers group rows by
     effective degree).  Rows of roots come back lexicographically sorted by
     (real, imag); no residual bound is enforced here.
     """
     C = np.asarray(coeff_rows, dtype=complex)
-    m, n = C.shape
-    d = n - 1
+    d = C.shape[1] - 1
     if d < 1:
         raise ValueError("need degree >= 1 rows")
-    comp = np.zeros((m, d, d), complex)
-    if d > 1:
-        comp[:, 1:, :-1] = np.eye(d - 1)
-    comp[:, :, -1] = -C[:, :-1] / C[:, -1:]
-    roots = np.linalg.eigvals(comp)
-    D = C[:, 1:] * np.arange(1, n)[None, :]
-    for _ in range(polish):
-        pv = row_polyval(C, roots)
-        dv = row_polyval(D, roots)
-        step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
-        moved = roots - step
-        better = np.abs(row_polyval(C, moved)) <= np.abs(pv)
-        roots = np.where(better, moved, roots)
-    ordered = np.empty_like(roots)
-    for row in range(m):
-        order = np.lexsort((roots[row].imag, roots[row].real))
-        ordered[row] = roots[row][order]
-    return ordered
+    roots, converged = _aberth_rows(C)
+    stuck = ~converged
+    comp = np.zeros((np.count_nonzero(stuck), d, d), complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = -C[stuck, :-1] / C[stuck, -1:]
+    roots[stuck] = np.linalg.eigvals(comp)
+    return np.sort(_polish_rows(C, roots), axis=1, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +842,9 @@ def total_degree_homotopy(system, degrees, targets=1):
     Returns (x, y, status) shaped (targets, d1*d2).  Each path ends
     PATH_FINITE (reached t = 1), PATH_DIVERGED (|w| passed 1e6: lost to
     infinity) or PATH_FAILED (step size or budget exhausted), so the
-    counts of every target sum to the Bezout number d1*d2.
+    counts of every target sum to the Bezout number d1*d2.  A path lost
+    to infinity slowly, with |w| growing like (1 - t)^(-1/k), cannot pass
+    1e6 for k >= 3 before t = 1 in double precision and ends PATH_FAILED.
     """
     d1, d2 = (max(int(d), 1) for d in degrees)
     kx, ky = np.meshgrid(np.arange(d1), np.arange(d2), indexing="ij")

@@ -10,7 +10,8 @@ from newtondyn.newton import (
     build_newton_complex,
     build_newton_plane,
 )
-from newtondyn.poly import MultiPoly, PlaneMap, UniComplexPoly
+from newtondyn import backward
+from newtondyn.poly import PATH_FINITE, MultiPoly, PlaneMap, UniComplexPoly
 from newtondyn.backward import (
     EmptyOrbitError,
     EmptySetError,
@@ -163,6 +164,30 @@ class TestPlanarCounterimages:
         wx, wy = _planar_preimages_batch(N, [0.0], [-1.0],
                                          Window.from_sequence(QUARTIC_DOMAIN))
         assert len(set(zip(np.round(wx, 6), np.round(wy, 6)))) == len(wx) == 4
+
+    def test_homotopy_endpoints_of_one_target_are_distinct(self, monkeypatch):
+        # nothing in the tracker checks that a target's finite endpoints
+        # differ; a path that jumps onto a neighbour (here near-double
+        # complex roots close to 1 +- 0.05i, as a step cap of 1.0 allows)
+        # repeats one solution and drops another without any count
+        ends = []
+        track = backward.total_degree_homotopy
+
+        def recording(*args):
+            ends.append(track(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(backward, "total_degree_homotopy", recording)
+        zx, zy = np.random.default_rng(13).uniform(-2.0, 2.0, (2, 2000))
+        _planar_preimages_batch(decoupled_newton(), zx, zy, Window.from_sequence(SQUARE_WINDOW))
+        (x, y, status), = ends
+        assert status.shape == (2000, 9)
+        finite = status == PATH_FINITE
+        assert finite.sum() > 9000
+        gap = np.hypot(np.abs(x[:, :, None] - x[:, None, :]),
+                       np.abs(y[:, :, None] - y[:, None, :]))
+        pairs = finite[:, :, None] & finite[:, None, :] & ~np.eye(9, dtype=bool)
+        assert not np.any(pairs & (gap <= 1e-6))
 
 
 class TestRandomBackwardOrbit:

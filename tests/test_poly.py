@@ -3,11 +3,13 @@ import pytest
 
 from newtondyn.poly import (
     PATH_DIVERGED,
+    PATH_FAILED,
     PATH_FINITE,
     MultiPoly,
     PlaneMap,
     PolyParseError,
     UniComplexPoly,
+    batched_complex_roots,
     complex_poly_to_plane_map,
     parse_plane_map,
     parse_poly,
@@ -17,6 +19,7 @@ from newtondyn.poly import (
     total_degree_homotopy,
     univariate_complex_roots,
 )
+from newtondyn.poly import _aberth_rows, _polish_rows, row_polyval
 
 
 def test_eval_simple_points():
@@ -145,6 +148,58 @@ def test_univariate_roots_rejects_constants():
         univariate_complex_roots(UniComplexPoly([]))
 
 
+def test_batched_roots_match_per_row_roots():
+    rng = np.random.default_rng(29)
+    for deg in range(1, 7):
+        C = rng.normal(size=(200, deg + 1)) + 1j * rng.normal(size=(200, deg + 1))
+        got = batched_complex_roots(C)
+        assert got.shape == (200, deg)
+        want = np.array([np.sort_complex(np.roots(row[::-1])) for row in C])
+        assert np.max(np.abs(got - want)) <= 1e-8
+        # each row is in lexicographic (real, imag) order
+        for row in got:
+            assert list(row) == sorted(row, key=lambda z: (z.real, z.imag))
+
+
+def test_batched_roots_fall_back_on_multiple_roots():
+    # (z - 1)^3 and z^3 next to z^3 - 1: Aberth stalls on the triple root
+    # and breaks down on z^3 (all starting points at 0), and the companion
+    # eigenvalues of those rows alone take over
+    C = np.array([[-1.0, 3.0, -3.0, 1.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0]],
+                 complex)
+    _, converged = _aberth_rows(C)
+    assert converged.tolist() == [False, False, True]
+    roots = batched_complex_roots(C)
+    assert np.all(np.abs(roots[0] - 1.0) <= 1e-4)
+    assert np.all(np.abs(roots[1]) <= 1e-12)
+    cube = np.exp(2j * np.pi * np.arange(3) / 3)
+    assert np.allclose(roots[2], np.sort_complex(cube), atol=1e-14)
+
+
+def test_polish_exit_matches_all_twelve_rounds():
+    # reference: the same Newton rule run for all 12 rounds on every row;
+    # stopping a row that a round left unchanged must not move any bit
+    rng = np.random.default_rng(31)
+    C = rng.normal(size=(500, 5)) + 1j * rng.normal(size=(500, 5))
+    seeds, _ = _aberth_rows(C)
+    seeds += 1e-3 * rng.normal(size=seeds.shape)
+    want = seeds.copy()
+    D = C[:, 1:] * np.arange(1, 5)
+    for _ in range(12):
+        pv, dv = row_polyval(C, want), row_polyval(D, want)
+        moved = want - np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
+        want = np.where(np.abs(row_polyval(C, moved)) <= np.abs(pv), moved, want)
+    got = _polish_rows(C, seeds.copy())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_batched_roots_with_tiny_leading_coefficient():
+    # 1e-11 w^2 + w + 1: one root near -1, the other near -1e11
+    roots = batched_complex_roots([[1.0, 1.0, 1e-11]])[0]
+    assert abs(roots[0] + 1e11) <= 1e-8 * 1e11
+    assert abs(roots[1] + 1.0) <= 1e-10
+
+
 def test_system_roots_decoupled_product():
     # roots of (g(x), h(y)) are the Cartesian product of the 1-d roots
     f = parse_plane_map("x^3 - x", "y^3 - y")
@@ -244,6 +299,16 @@ def test_homotopy_accounts_for_paths_lost_to_infinity():
     assert status.shape == (1, 4)
     assert np.all(status == PATH_DIVERGED)
     assert len(calls) <= 2000
+
+
+def test_homotopy_ends_slow_divergence_as_failed():
+    # x^3 - y and x^3 - y + 1 never meet, but |w| grows only like
+    # (1 - t)^(-1/3) and stays below the divergence norm: all 9 paths end
+    # failed instead of being reported lost to infinity
+    f = parse_plane_map("x^3 - y", "x^3 - y + 1")
+    _, _, status = total_degree_homotopy(_counting_system(f, []), (3, 3))
+    assert status.shape == (1, 9)
+    assert np.all(status == PATH_FAILED)
 
 
 def test_homotopy_broadcasts_per_target_constants():
