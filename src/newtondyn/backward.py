@@ -157,9 +157,10 @@ def _complex_counterimages(N, z, dom):
     return [complex(w) for w in roots[keep]]
 
 
-def _cleared_plane_system(f, zx, zy):
+def _cleared_plane_system(N, zx, zy):
     """Polynomial system whose regular zeros are the Newton preimages of z."""
-    (fx, fy), (gx, gy) = f.jacobian()
+    f = N.source
+    (fx, fy), (gx, gy) = N.jacobian
     wx = MultiPoly.variable(0)
     wy = MultiPoly.variable(1)
     return PlaneMap(
@@ -170,7 +171,7 @@ def _cleared_plane_system(f, zx, zy):
 
 def _planar_counterimages(N, z, dom):
     zx, zy = z
-    g = _cleared_plane_system(N.source, zx, zy)
+    g = _cleared_plane_system(N, zx, zy)
     raw = system_real_roots(g, dom.as_tuple(), tol=1e-10)
     # multiple roots of the cleared system polish to clusters wider than
     # the solver's own merge radius; collapse them before filtering

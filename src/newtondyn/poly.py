@@ -565,13 +565,15 @@ def _aberth_rows(C):
     """Aberth-Ehrlich iteration on all rows of C (ascending, nonzero leading
     coefficients) at once, from circles of radius max_k |a_k/a_d|^(1/(d-k)).
     Returns (roots, converged): a row converges once every correction is
-    <= 1e-14 (1 + |z|); a multiple root, as in (z - 1)^3, prevents that."""
+    <= 1e-14 (1 + |z|); a multiple root, as in (z - 1)^3, prevents that.
+    A row stops, unconverged, at its first non-finite iterate."""
     m, n = C.shape
     d = n - 1
     radius = np.max(np.abs(C[:, :-1] / C[:, -1:]) ** (1.0 / np.arange(d, 0, -1)), axis=1)
     # the angular offset keeps the start off the symmetry axes of real rows
     roots = radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.4))
     active, z, Ca, Da = np.arange(m), roots, C, C[:, 1:] * np.arange(1, n)
+    converged = np.zeros(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ABERTH_ITERS):
             w = row_polyval(Ca, z) / row_polyval(Da, z)
@@ -580,11 +582,13 @@ def _aberth_rows(C):
             corr = w / (1.0 - w * s)
             z = z - corr
             roots[active] = z
-            left = ~np.all(np.abs(corr) <= _ABERTH_RTOL * (1.0 + np.abs(z)), axis=1)
+            done = np.all(np.abs(corr) <= _ABERTH_RTOL * (1.0 + np.abs(z)), axis=1)
+            converged[active[done]] = True
+            left = ~done & np.all(np.isfinite(z), axis=1)
             active, z, Ca, Da = active[left], z[left], Ca[left], Da[left]
             if active.size == 0:
                 break
-    return roots, ~np.isin(np.arange(m), active)
+    return roots, converged
 
 
 def _polish_rows(C, roots):
@@ -635,9 +639,11 @@ def batched_complex_roots(coeff_rows):
 
 
 def _interval_pow(lo, hi, k):
-    """Elementwise interval power for arrays of box bounds."""
+    """Elementwise interval power for arrays of box bounds (x^0 is 1.0)."""
     if k == 0:
-        return np.ones_like(lo), np.ones_like(lo)
+        return 1.0, 1.0
+    if k == 1:
+        return lo, hi
     if k % 2 == 1:
         return lo**k, hi**k
     abs_lo, abs_hi = np.abs(lo), np.abs(hi)
@@ -647,19 +653,30 @@ def _interval_pow(lo, hi, k):
     return np.where(contains_zero, 0.0, small), big
 
 
-def _interval_eval(p, xlo, xhi, ylo, yhi):
-    """Interval enclosure of p over axis-aligned boxes (vectorized)."""
-    lo = np.zeros_like(xlo)
-    hi = np.zeros_like(xlo)
-    for (ex, ey), c in p.terms:
-        xl, xh = _interval_pow(xlo, xhi, ex)
-        yl, yh = _interval_pow(ylo, yhi, ey)
-        cands = (xl * yl, xl * yh, xh * yl, xh * yh)
-        tlo = c * np.minimum.reduce(cands) if c >= 0 else c * np.maximum.reduce(cands)
-        thi = c * np.maximum.reduce(cands) if c >= 0 else c * np.minimum.reduce(cands)
-        lo = lo + tlo
-        hi = hi + thi
-    return lo, hi
+def _interval_eval(polys, xlo, xhi, ylo, yhi):
+    """Interval enclosures (lo, hi) of each polynomial in polys over
+    axis-aligned boxes (vectorized), sharing the powers of x and y and the
+    hull of each monomial; x^0 and y^0 multiply nothing (1.0 * v is v)."""
+    exps = {e for p in polys for e, _ in p.terms}
+    xp = {k: _interval_pow(xlo, xhi, k) for k in {ex for ex, _ in exps}}
+    yp = {k: _interval_pow(ylo, yhi, k) for k in {ey for _, ey in exps}}
+    hull = {}
+    for ex, ey in exps:
+        (xl, xh), (yl, yh) = xp[ex], yp[ey]
+        if ex == 0 or ey == 0:
+            hull[ex, ey] = (yl, yh) if ex == 0 else (xl, xh)
+        else:
+            a, b, c, d = xl * yl, xl * yh, xh * yl, xh * yh
+            hull[ex, ey] = (np.minimum(np.minimum(a, b), np.minimum(c, d)),
+                            np.maximum(np.maximum(a, b), np.maximum(c, d)))
+    out = []
+    for p in polys:
+        lo = hi = np.zeros_like(xlo)
+        for e, c in p.terms:
+            mn, mx = hull[e] if c >= 0 else hull[e][::-1]
+            lo, hi = lo + c * mn, hi + c * mx
+        out.append((lo, hi))
+    return out
 
 
 def _solve_2x2(a, b, c, d, f1, f2):
@@ -684,16 +701,29 @@ def _plane_system(f, g):
 
 
 def _newton_polish_batch(system, x, y, max_step, iters=60):
-    """Damped Newton on a batch of seeds; returns polished points."""
-    for _ in range(iters):
-        f1, f2, a, b, c, d = system(x, y)
+    """Damped Newton on a batch of seeds; returns the points after iters
+    rounds.  A point's rounds depend on that point alone, so a point whose
+    round returns its previous iterate (a fixed point) or the one before
+    (an exact 2-cycle) stops with the iterate that the remaining rounds
+    would end on: the result is bit-for-bit that of all iters rounds."""
+    p = np.array([x, y], dtype=float)  # row 0 holds x, row 1 holds y
+    out, prev, active = p.copy(), p, np.arange(p.shape[1])
+    for left in range(iters - 1, -1, -1):
+        f1, f2, a, b, c, d = system(p[0], p[1])
         sx, sy, bad = _solve_2x2(a, b, c, d, f1, f2)
         norm = np.hypot(sx, sy)
         lim = np.where(norm > max_step, max_step / np.maximum(norm, 1e-300), 1.0)
-        sx, sy = sx * lim, sy * lim
-        x = np.where(bad, x, x - sx)
-        y = np.where(bad, y, y - sy)
-    return x, y
+        new = np.where(bad, p, p - np.array([sx, sy]) * lim)
+        bits = new.view(np.uint64)
+        fixed = np.all(bits == p.view(np.uint64), axis=0)
+        cycle = np.all(bits == prev.view(np.uint64), axis=0)
+        # from a 2-cycle, an odd number of rounds left ends on p, not new
+        out[:, active] = np.where(cycle & (left % 2 == 1), p, new)
+        go = ~(fixed | cycle)
+        active, prev, p = active[go], p[:, go], new[:, go]
+        if active.size == 0:
+            break
+    return out[0], out[1]
 
 
 def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
@@ -702,10 +732,13 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
 
     box is (xmin, xmax, ymin, ymax).  Recursive bisection with an interval
     exclusion test isolates candidate boxes; leaf centers are polished by
-    damped Newton to residual <= tol; points closer than 10*tol are merged.
-    Leaf boxes that survive exclusion but yield no converged point are
-    collected as unresolved (returned when return_unresolved is set) rather
-    than treated as fatal.
+    60 rounds of damped Newton to residual <= tol; points closer than 10*tol
+    are merged.  The polish stops a point early only at an exact fixed point
+    or 2-cycle, and the enclosures share their monomials between the two
+    components, so neither moves a bit of the result.  Leaf boxes that
+    survive exclusion but yield no converged point are collected as
+    unresolved (returned when return_unresolved is set) rather than
+    treated as fatal.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in box)
     if not (xmax > xmin and ymax > ymin):
@@ -722,8 +755,7 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
             break
         xlo, xhi, ylo, yhi = boxes.T
         keep = np.ones(boxes.shape[0], dtype=bool)
-        for comp in (f.first, f.second):
-            lo, hi = _interval_eval(comp, xlo, xhi, ylo, yhi)
+        for lo, hi in _interval_eval((f.first, f.second), xlo, xhi, ylo, yhi):
             keep &= (lo <= 0.0) & (hi >= 0.0)
         boxes = boxes[keep]
         if boxes.shape[0] == 0:
@@ -735,17 +767,14 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
             boxes = boxes[~small]
         if boxes.shape[0] == 0:
             break
+        # halve across the longer side (x on ties): left halves, then right
         xlo, xhi, ylo, yhi = boxes.T
-        xmid = 0.5 * (xlo + xhi)
-        ymid = 0.5 * (ylo + yhi)
-        split_x = (xhi - xlo) >= (yhi - ylo)
-        left = np.where(split_x[:, None],
-                        np.column_stack([xlo, xmid, ylo, yhi]),
-                        np.column_stack([xlo, xhi, ylo, ymid]))
-        right = np.where(split_x[:, None],
-                         np.column_stack([xmid, xhi, ylo, yhi]),
-                         np.column_stack([xlo, xhi, ymid, yhi]))
-        boxes = np.vstack([left, right])
+        rows = np.arange(boxes.shape[0])
+        col = np.where((xhi - xlo) >= (yhi - ylo), 0, 2)
+        mid = 0.5 * (boxes[rows, col] + boxes[rows, col + 1])
+        boxes = np.concatenate([boxes, boxes])
+        boxes[rows, col + 1] = mid
+        boxes[rows + rows.size, col] = mid
     if boxes.shape[0]:
         # depth exhausted before reaching leaf size
         leaves.append(boxes)

@@ -1,6 +1,8 @@
 """Tests for counterimage computation, random backward orbits, backward
 trees, Hutchinson iteration, and raster distances."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,19 @@ class TestRandomBackwardOrbit:
             fx, fy = N.step(child)
             err = np.hypot(fx - parent[0], fy - parent[1])
             assert err <= 1e-8 * (1.0 + np.hypot(*parent))
+
+    def test_planar_orbit_bits_are_pinned(self):
+        # no checked-in config takes this one-target planar path; a moved
+        # last bit of one preimage can swap the sort order of a pair that
+        # shares an x-coordinate and send the orbit down another branch
+        N = quartic_newton()
+        orb = random_backward_orbit(
+            N, (0.0, -1.0), 60, burn_in=0, prng_seed=0, domain=QUARTIC_DOMAIN
+        )
+        text = "\n".join(f"{x.hex()} {y.hex()}" for x, y in orb.points)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e9cb50b92f82006dda675793762116223a9fe1ad71a8e49dda7ac78f7d15d63b"
+        )
 
     def test_branch_law_is_recorded(self):
         N = cubic_newton()

@@ -19,7 +19,17 @@ from newtondyn.poly import (
     total_degree_homotopy,
     univariate_complex_roots,
 )
-from newtondyn.poly import _aberth_rows, _polish_rows, row_polyval
+from newtondyn import poly
+from newtondyn.backward import _cleared_plane_system
+from newtondyn.newton import build_newton_plane
+from newtondyn.poly import (
+    _aberth_rows,
+    _interval_eval,
+    _newton_polish_batch,
+    _plane_system,
+    _polish_rows,
+    row_polyval,
+)
 
 
 def test_eval_simple_points():
@@ -176,6 +186,35 @@ def test_batched_roots_fall_back_on_multiple_roots():
     assert np.allclose(roots[2], np.sort_complex(cube), atol=1e-14)
 
 
+def test_aberth_drops_nonfinite_rows_at_once(monkeypatch):
+    # every start of z^3 sits at 0, so the first iterate is already
+    # non-finite; such rows leave the iteration there, unconverged
+    calls = []
+    real_polyval = poly.row_polyval
+
+    def counting_polyval(C, z):
+        calls.append(len(C))
+        return real_polyval(C, z)
+
+    monkeypatch.setattr(poly, "row_polyval", counting_polyval)
+    _, converged = _aberth_rows(np.tile(np.array([0, 0, 0, 1], complex), (100, 1)))
+    assert len(calls) <= 4
+    assert not converged.any()
+
+
+def test_aberth_rows_of_a_mixed_batch_match_rows_alone():
+    rng = np.random.default_rng(5)
+    C = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+    C[[2, 7]] = [0, 0, 0, 1]  # z^3: non-finite from the first iterate
+    C[5] = [-1, 3, -3, 1]  # (z - 1)^3: never converges
+    roots, converged = _aberth_rows(C)
+    assert converged.tolist() == [k not in (2, 5, 7) for k in range(12)]
+    for k in range(12):
+        alone, conv = _aberth_rows(C[k:k + 1])
+        assert conv[0] == converged[k]
+        assert np.array_equal(alone[0].view(np.uint64), roots[k].view(np.uint64))
+
+
 def test_polish_exit_matches_all_twelve_rounds():
     # reference: the same Newton rule run for all 12 rounds on every row;
     # stopping a row that a round left unchanged must not move any bit
@@ -261,6 +300,108 @@ def test_system_roots_rejects_empty_box():
     f = parse_plane_map("x", "y")
     with pytest.raises(ValueError):
         system_real_roots(f, (1, 1, 0, 2))
+
+
+def _sixty_rounds(system, x, y, max_step):
+    """The damped-Newton polish run for all 60 rounds on every point;
+    returns the points and which of them reach an exact fixed point and
+    an exact 2-cycle on the way."""
+    hist = [np.array([x, y])]
+    for _ in range(60):
+        f1, f2, a, b, c, d = system(x, y)
+        det = a * d - b * c
+        bad = np.abs(det) < 1e-300
+        det = np.where(bad, 1.0, det)
+        sx, sy = (d * f1 - b * f2) / det, (a * f2 - c * f1) / det
+        norm = np.hypot(sx, sy)
+        lim = np.where(norm > max_step, max_step / np.maximum(norm, 1e-300), 1.0)
+        x = np.where(bad, x, x - sx * lim)
+        y = np.where(bad, y, y - sy * lim)
+        hist.append(np.array([x, y]))
+    bits = np.array(hist).view(np.uint64)
+    fixed = np.all(bits[1:] == bits[:-1], axis=1).any(axis=0)
+    cycle = np.all(bits[2:] == bits[:-2], axis=1).any(axis=0)
+    return hist[-1], fixed, cycle & ~fixed
+
+
+def test_polish_exit_matches_all_sixty_rounds():
+    # seeds near the real roots of cleared Newton-preimage systems, on
+    # lines where their Jacobian is singular (x = zx on the two-parabolas
+    # system, x = 0 on the cubic one) and far out; stopping a point at an
+    # exact fixed point or 2-cycle must not move any bit
+    rng = np.random.default_rng(17)
+    exits = np.zeros(2, dtype=int)
+    for first, second in (("y - x^2", "x - 2 + 4*y - y^2"),
+                          ("x^3 - x^2 + y", "x + 0.5 - y^2"),
+                          ("x^3 - x", "y^3 - y")):
+        N = build_newton_plane(parse_plane_map(first, second))
+        for zx, zy in rng.uniform(-3, 3, size=(4, 2)):
+            g = _cleared_plane_system(N, zx, zy)
+            system = _plane_system(g.first, g.second)
+            r = np.array(system_real_roots(g, (-6, 6, -6, 6))).reshape(-1, 2)
+            seeds = [r + s * rng.normal(size=r.shape) for s in (0, 1e-12, 1e-8, 1e-4, 1e-2)]
+            line = rng.uniform(-6, 6, size=20)
+            seeds += [np.column_stack([np.full(20, zx), line]),
+                      np.column_stack([np.zeros(20), line]),
+                      rng.uniform(-1e3, 1e3, size=(20, 2))]
+            x, y = np.concatenate(seeds).T
+            for max_step in (0.01, 0.05, 4.0):
+                want, fixed, cycle = _sixty_rounds(system, x, y, max_step)
+                got = np.array(_newton_polish_batch(system, x, y, max_step))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                exits += fixed.sum(), cycle.sum()
+    assert exits.min() > 0
+
+
+def _interval_eval_by_terms(p, xlo, xhi, ylo, yhi):
+    """Interval enclosure of p as first written: every term recomputes its
+    powers and the hull of its four corner products."""
+    def power(lo, hi, k):
+        if k == 0:
+            return np.ones_like(lo), np.ones_like(lo)
+        if k % 2 == 1:
+            return lo**k, hi**k
+        abs_lo, abs_hi = np.abs(lo), np.abs(hi)
+        big = np.maximum(abs_lo, abs_hi) ** k
+        small = np.minimum(abs_lo, abs_hi) ** k
+        return np.where((lo <= 0.0) & (hi >= 0.0), 0.0, small), big
+
+    lo = np.zeros_like(xlo)
+    hi = np.zeros_like(xlo)
+    for (ex, ey), c in p.terms:
+        xl, xh = power(xlo, xhi, ex)
+        yl, yh = power(ylo, yhi, ey)
+        cands = (xl * yl, xl * yh, xh * yl, xh * yh)
+        lo = lo + (c * np.minimum.reduce(cands) if c >= 0 else c * np.maximum.reduce(cands))
+        hi = hi + (c * np.maximum.reduce(cands) if c >= 0 else c * np.minimum.reduce(cands))
+    return lo, hi
+
+
+def test_interval_eval_matches_term_by_term_enclosure():
+    rng = np.random.default_rng(11)
+    polys = [MultiPoly(),
+             MultiPoly([((0, 0), -7.0), ((1, 0), -1.0), ((2, 0), 3.0), ((0, 1), -0.5),
+                        ((1, 1), -2.0), ((3, 2), 1.5), ((0, 4), 1.0)])]
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        exps = [tuple(e) for e in rng.integers(0, 5, size=(n, 2))]
+        polys.append(MultiPoly(zip(exps, rng.normal(size=n) * 10.0 ** rng.integers(-2, 3, n))))
+    # centers in [-3, 3] and half-widths up to 3 make many boxes straddle 0
+    center = rng.uniform(-3, 3, size=(2, 400))
+    half = 10.0 ** rng.uniform(-6, 0.5, size=(2, 400))
+    xlo, ylo = center - half
+    xhi, yhi = center + half
+    t = rng.uniform(0.1, 0.9, size=(2, 16, 1))
+    xs, ys = xlo + t[0] * (xhi - xlo), ylo + t[1] * (yhi - ylo)
+    got = _interval_eval(polys, xlo, xhi, ylo, yhi)
+    for p, (lo, hi) in zip(polys, got):
+        want_lo, want_hi = _interval_eval_by_terms(p, xlo, xhi, ylo, yhi)
+        # == compares values, so +0.0 and -0.0 count as equal
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+        keep = (lo <= 0.0) & (hi >= 0.0)
+        assert np.array_equal(keep, (want_lo <= 0.0) & (want_hi >= 0.0))
+        v = p.eval(xs, ys)
+        assert np.all((lo <= v) & (v <= hi))
 
 
 def _counting_system(f, calls):
