@@ -9,6 +9,10 @@ scanning for N^k(x) = x is only reliable between poles.  Each pole-free
 piece is sampled with an initial bracket budget and refined by doubling
 until the root count stops changing, so refining never loses a root.
 
+The census runs on arrays (one grid over all pieces, one bisection over all
+brackets, one orbit array over all candidates) with the elementwise
+operations of a one-point loop, so no bit of a record depends on batching.
+
 Cycle multipliers are products of per-step central differences along the
 orbit.  A single finite difference on N^k itself is useless at repelling
 cycles: the expansion factor reaches 1e7 by period 5, far beyond the linear
@@ -22,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import CODE_CYCLE, OccupancyRaster
-from .newton import SingularJacobianError, build_newton_complex, measure_invariance_defect
+from .newton import build_newton_complex, measure_invariance_defect
 from .poly import UniComplexPoly, univariate_complex_roots
 from .backward import directed_pixel_distance
 
@@ -71,7 +75,7 @@ def _make_step(num, den):
 
 
 def _iterate(step, x, k):
-    y = np.asarray(x, dtype=float).copy() if not np.isscalar(x) else float(x)
+    y = np.asarray(x, dtype=float)
     for _ in range(k):
         y = step(y)
     return y
@@ -99,38 +103,48 @@ def _poles_of_iterate(num, den, k, lo, hi):
     return sorted(poles)
 
 
-def _scan_piece(step, k, a, b, samples, cert_rtol):
-    """Bisection-certified solutions of N^k(x) = x on a pole-free piece."""
+def _scan_pieces(step, k, a, b, samples, cert_rtol, rtol):
+    """Bisection-certified solutions of N^k(x) = x on the pole-free pieces
+    [a[i], b[i]], piece i sampled at samples[i] points; one sorted list per
+    piece, deduplicated with relative tolerance rtol."""
     pad = 1e-9 * (b - a)
-    xs = np.linspace(a + pad, b - pad, samples)
+    start, stop = a + pad, b - pad
+    owner = np.repeat(np.arange(a.size), samples)
+    first = np.cumsum(samples) - samples
+    # np.linspace(start, stop, samples) of every piece, bit for bit
+    xs = (np.arange(owner.size) - first[owner]) * ((stop - start) / (samples - 1))[owner]
+    xs += start[owner]
+    xs[first + samples - 1] = stop
     g = _iterate(step, xs, k) - xs
     ok = np.isfinite(g)
+    zeros = np.flatnonzero(g == 0.0)
     sgn = np.sign(g)
-    hits = [float(v) for v in xs[ok & (g == 0.0)]]
-    flips = np.nonzero(
-        ok[:-1] & ok[1:] & (sgn[:-1] * sgn[1:] < 0)
-    )[0]
-    for i in flips:
-        ax, bx, fa = xs[i], xs[i + 1], g[i]
-        for _ in range(90):
-            m = 0.5 * (ax + bx)
-            fm = _iterate(step, m, k) - m
-            if not np.isfinite(fm):
-                break
-            if fm == 0.0:
-                ax = bx = m
-                break
-            if np.sign(fm) == np.sign(fa):
-                ax, fa = m, fm
-            else:
-                bx = m
-        m = 0.5 * (ax + bx)
-        res = _iterate(step, m, k) - m
-        # rejects spurious brackets across poles of N^k that the pole
-        # enumeration missed: their residual stays large
-        if np.isfinite(res) and abs(res) <= cert_rtol * (1.0 + abs(m)):
-            hits.append(m)
-    return hits
+    flips = np.flatnonzero(ok[:-1] & ok[1:] & (sgn[:-1] * sgn[1:] < 0)
+                           & (owner[:-1] == owner[1:]))
+    ax, bx, fa = xs[flips], xs[flips + 1], g[flips]
+    live = np.arange(flips.size)
+    for _ in range(90):
+        if live.size == 0:
+            break
+        m = 0.5 * (ax[live] + bx[live])
+        fm = _iterate(step, m, k) - m
+        # +1 keeps the sign of fa and -1 flips it; at 0 (an exact zero) the
+        # bracket collapses to m and at NaN (a non-finite value) it freezes
+        s = np.where(np.isfinite(fm), np.sign(fm) * np.sign(fa[live]), np.nan)
+        ax[live[s >= 0]], fa[live[s >= 0]] = m[s >= 0], fm[s >= 0]
+        bx[live[s <= 0]] = m[s <= 0]
+        live = live[np.abs(s) == 1]
+    m = 0.5 * (ax + bx)
+    res = _iterate(step, m, k) - m
+    # rejects spurious brackets across poles of N^k that the pole
+    # enumeration missed: their residual stays large
+    cert = np.isfinite(res) & (np.abs(res) <= cert_rtol * (1.0 + np.abs(m)))
+    # per piece: exact sample zeros, then bracket midpoints, stably sorted
+    values = np.concatenate([xs[zeros], m[cert]])
+    piece = np.concatenate([owner[zeros], owner[flips[cert]]])
+    order = np.lexsort((values, piece))
+    groups = np.split(values[order], np.searchsorted(piece[order], np.arange(1, a.size)))
+    return [_dedupe_sorted(v.tolist(), rtol) for v in groups]
 
 
 def _dedupe_sorted(values, rtol):
@@ -160,82 +174,66 @@ def enumerate_cycles_1d(N, period, interval, tol=1e-8, initial_brackets=10_000,
 
     cert_rtol = max(10.0 * tol, 1e-9)
     poles = [q for q in _poles_of_iterate(num, den, period, lo, hi) if lo < q < hi]
-    cuts = [lo] + poles + [hi]
+    cuts = np.array([lo] + poles + [hi])
     base_poles = [q for q in _real_poly_roots(den) if lo < q < hi]
     base_cuts = np.array([lo] + base_poles + [hi])
     # every pole-bounded piece of N shares the initial bracket budget among
     # the finer pole-free pieces of N^period it contains
-    pieces = list(zip(cuts[:-1], cuts[1:]))
-    parent = np.clip(
-        np.searchsorted(base_cuts, [0.5 * (a + b) for a, b in pieces]) - 1,
-        0, len(base_cuts) - 2,
-    )
+    a, b = cuts[:-1], cuts[1:]
+    parent = np.clip(np.searchsorted(base_cuts, 0.5 * (a + b)) - 1, 0, len(base_cuts) - 2)
     per_parent = np.bincount(parent, minlength=len(base_cuts) - 1)
+    wide = b - a >= 1e-13
+    a, b = a[wide], b[wide]
+    samples = np.maximum(64, initial_brackets // np.maximum(1, per_parent[parent[wide]]))
 
-    solutions = []
-    for (a, b), par in zip(pieces, parent):
-        if b - a < 1e-13:
-            continue
-        samples = max(64, initial_brackets // max(1, int(per_parent[par])))
-        prev = None
-        for _ in range(max_refinements + 1):
-            found = _dedupe_sorted(
-                _scan_piece(step, period, a, b, samples, cert_rtol), 0.1 * tol
-            )
-            if prev is not None and len(found) == len(prev):
-                break
-            prev = found
-            samples *= 2
-        solutions.extend(prev)
+    # each piece doubles its samples until two successive counts agree and
+    # keeps the coarser of the two
+    found = [None] * a.size
+    todo = np.arange(a.size)
+    for _ in range(max_refinements + 1):
+        if todo.size == 0:
+            break
+        scans = _scan_pieces(step, period, a[todo], b[todo], samples[todo],
+                             cert_rtol, 0.1 * tol)
+        changed = []
+        for i, hits in zip(todo, scans):
+            if found[i] is None or len(hits) != len(found[i]):
+                found[i] = hits
+                changed.append(i)
+        todo = np.array(changed, dtype=int)
+        samples[todo] *= 2
+    x0 = np.array(_dedupe_sorted([v for hits in found for v in hits], 0.1 * tol))
 
-    solutions = _dedupe_sorted(solutions, 0.1 * tol)
-
+    # orbit[:, j] = N^j(x0): the lower-period filter, the orbit walk and the
+    # closing check all read it
     match_rtol = 100.0 * tol
+    orbit = np.empty((x0.size, period + 1))
+    orbit[:, 0] = x0
+    for j in range(period):
+        orbit[:, j + 1] = step(orbit[:, j])
+
+    back = np.abs(orbit - x0[:, None]) <= match_rtol * (1.0 + np.abs(x0[:, None]))
+    lower = [m for m in range(1, period) if period % m == 0]
+    keep = np.all(np.isfinite(orbit), axis=1) & back[:, period]
+    keep &= ~np.any(back[:, lower], axis=1)
+    orbit = orbit[keep, :period]
+    # chain rule: product of per-step central differences in orbit order
+    h = 1e-6 * (1.0 + np.abs(orbit))
+    d = (step(orbit + h) - step(orbit - h)) / (2.0 * h)
+    mult = np.multiply.accumulate(np.where(np.isfinite(d), d, np.inf), axis=1)[:, -1]
+
     records = {}
-    for x0 in solutions:
-        lower = False
-        for m in range(1, period):
-            if period % m == 0:
-                v = _iterate(step, x0, m)
-                if np.isfinite(v) and abs(v - x0) <= match_rtol * (1.0 + abs(x0)):
-                    lower = True
-                    break
-        if lower:
-            continue
-        orbit = [x0]
-        bad = False
-        for _ in range(period - 1):
-            nxt = step(orbit[-1])
-            if not np.isfinite(nxt):
-                bad = True
-                break
-            orbit.append(float(nxt))
-        if bad:
-            continue
-        back = step(orbit[-1])
-        if not np.isfinite(back) or abs(back - orbit[0]) > match_rtol * (1.0 + abs(orbit[0])):
-            continue
+    for points, mult in zip(orbit.tolist(), np.abs(mult).tolist()):
         # one record per orbit: key on the smallest point
-        key = round(min(orbit), 9)
+        key = round(min(points), 9)
         if any(abs(key - k0) <= match_rtol * (1.0 + abs(key)) for k0 in records):
             continue
-        mult = 1.0
-        for v in orbit:
-            h = 1e-6 * (1.0 + abs(v))
-            d = (step(v + h) - step(v - h)) / (2.0 * h)
-            mult *= d if np.isfinite(d) else np.inf
-        mult = float(abs(mult))
-        if mult < 1.0 - STABILITY_BAND:
-            stability = "attracting"
-        elif mult > 1.0 + STABILITY_BAND:
-            stability = "repelling"
-        else:
-            stability = "neutral"
-        start = orbit.index(min(orbit))
-        orbit = orbit[start:] + orbit[:start]
+        stability = ("attracting" if mult < 1.0 - STABILITY_BAND else
+                     "repelling" if mult > 1.0 + STABILITY_BAND else "neutral")
+        start = points.index(min(points))
         records[key] = CycleRecord(
-            period=period, points=tuple(orbit), multiplier=mult,
-            stability=stability,
+            period=period, points=tuple(points[start:] + points[:start]),
+            multiplier=mult, stability=stability,
         )
     return [records[k] for k in sorted(records)]
 
@@ -509,18 +507,21 @@ class GhostProbeReport:
     divergence_rate: float
 
 
-def _track_near_line(N, line, start, steps, delta):
-    p = start
+def _walk(N, x, y, steps, line=None, delta=np.inf):
+    """Step the seeds (x, y) with N.step_many up to `steps` times, yielding
+    (index, x, y) of the orbits still going after each step.  An orbit
+    stops at its first singular or non-finite step and, given a line, at
+    its first point farther than delta from it."""
+    index = np.arange(x.size)
     for _ in range(steps):
-        try:
-            p = N.step(p)
-        except (SingularJacobianError, ArithmeticError):
-            return False
-        if not (np.isfinite(p[0]) and np.isfinite(p[1])):
-            return False
-        if line.distance(p[0], p[1]) > delta:
-            return False
-    return True
+        if index.size == 0:
+            return
+        x, y, singular = N.step_many(x, y)
+        go = ~singular
+        if line is not None:
+            go &= line.distance(x, y) <= delta
+        index, x, y = index[go], x[go], y[go]
+        yield index, x, y
 
 
 def probe_ghost_attractor(N, line, cfg=None):
@@ -537,52 +538,34 @@ def probe_ghost_attractor(N, line, cfg=None):
 
     rng = np.random.default_rng(int(cfg.prng_seed))
     normal = (-line.direction[1], line.direction[0])
-    stayed = 0
-    for t in rng.uniform(-cfg.span, cfg.span, cfg.seed_count):
-        side = 1.0 if rng.integers(2) else -1.0
-        base = line.point_at(float(t))
-        start = (base[0] + side * cfg.offset * normal[0],
-                 base[1] + side * cfg.offset * normal[1])
-        stayed += _track_near_line(N, line, start, cfg.iterations, cfg.delta)
-    stay_fraction = stayed / float(cfg.seed_count)
+    bx, by = line.point_at(rng.uniform(-cfg.span, cfg.span, cfg.seed_count))
+    side = np.array([1.0 if rng.integers(2) else -1.0 for _ in range(cfg.seed_count)])
+    stayed = np.arange(cfg.seed_count)  # the last yield: seeds that stayed throughout
+    for stayed, _, _ in _walk(N, bx + side * cfg.offset * normal[0],
+                              by + side * cfg.offset * normal[1],
+                              cfg.iterations, line, cfg.delta):
+        pass
+    stay_fraction = stayed.size / float(cfg.seed_count)
 
-    drift = []
-    for t in np.linspace(-cfg.span, cfg.span, cfg.online_samples):
-        p = line.point_at(float(t))
-        worst = 0.0
-        alive = True
-        for _ in range(cfg.online_iterations):
-            try:
-                p = N.step(p)
-            except (SingularJacobianError, ArithmeticError):
-                alive = False
-                break
-            if not (np.isfinite(p[0]) and np.isfinite(p[1])):
-                alive = False
-                break
-            worst = max(worst, float(line.distance(p[0], p[1])))
-        if alive:
-            drift.append(worst)
-    online_max_drift = max(drift) if drift else float("nan")
+    ox, oy = line.point_at(np.linspace(-cfg.span, cfg.span, cfg.online_samples))
+    worst = np.zeros(ox.size)
+    alive = np.arange(ox.size)
+    for alive, px, py in _walk(N, ox, oy, cfg.online_iterations):
+        worst[alive] = np.maximum(worst[alive], line.distance(px, py))
+    online_max_drift = float(worst[alive].max()) if alive.size else float("nan")
 
-    rate = float("nan")
-    a = line.point_at(0.1 * cfg.span)
-    b = line.point_at(0.1 * cfg.span + cfg.divergence_offset)
+    pair = line.point_at(0.1 * cfg.span + np.array([0.0, cfg.divergence_offset]))
     logs = []
-    for _ in range(cfg.divergence_steps):
-        try:
-            a = N.step(a)
-            b = N.step(b)
-        except (SingularJacobianError, ArithmeticError):
+    for alive, px, py in _walk(N, *pair, cfg.divergence_steps):
+        if alive.size < 2:
             break
-        sep = float(np.hypot(a[0] - b[0], a[1] - b[1]))
+        sep = float(np.hypot(px[0] - px[1], py[0] - py[1]))
         if not np.isfinite(sep) or sep == 0.0:
             break
         logs.append(np.log(sep))
         if sep > 0.5 * cfg.span:
             break
-    if len(logs) >= 2:
-        rate = float((logs[-1] - logs[0]) / (len(logs) - 1))
+    rate = float("nan") if len(logs) < 2 else float((logs[-1] - logs[0]) / (len(logs) - 1))
 
     return GhostProbeReport(
         line=line,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -582,9 +583,11 @@ def _aberth_rows(C):
             corr = w / (1.0 - w * s)
             z = z - corr
             roots[active] = z
-            done = np.all(np.abs(corr) <= _ABERTH_RTOL * (1.0 + np.abs(z)), axis=1)
+            # row-wise all() as an & over columns: np.all(axis=1) is several
+            # times slower on rows this short
+            done = reduce(np.logical_and, (np.abs(corr) <= _ABERTH_RTOL * (1.0 + np.abs(z))).T)
             converged[active[done]] = True
-            left = ~done & np.all(np.isfinite(z), axis=1)
+            left = ~done & reduce(np.logical_and, np.isfinite(z).T)
             active, z, Ca, Da = active[left], z[left], Ca[left], Da[left]
             if active.size == 0:
                 break
@@ -870,10 +873,13 @@ def total_degree_homotopy(system, degrees, targets=1):
 
     Returns (x, y, status) shaped (targets, d1*d2).  Each path ends
     PATH_FINITE (reached t = 1), PATH_DIVERGED (|w| passed 1e6: lost to
-    infinity) or PATH_FAILED (step size or budget exhausted), so the
-    counts of every target sum to the Bezout number d1*d2.  A path lost
-    to infinity slowly, with |w| growing like (1 - t)^(-1/k), cannot pass
-    1e6 for k >= 3 before t = 1 in double precision and ends PATH_FAILED.
+    infinity) or PATH_FAILED (step size or budget exhausted, or it ended
+    within 1e-8 (1 + |w|) of an earlier finite endpoint of its target, as
+    a path that jumps onto another does), so the counts of every target
+    sum to the Bezout number d1*d2 and no two of its finite endpoints
+    coincide.  A path lost to infinity slowly, with |w| growing like
+    (1 - t)^(-1/k), cannot pass 1e6 for k >= 3 before t = 1 in double
+    precision and ends PATH_FAILED.
     """
     d1, d2 = (max(int(d), 1) for d in degrees)
     kx, ky = np.meshgrid(np.arange(d1), np.arange(d2), indexing="ij")
@@ -914,5 +920,13 @@ def total_degree_homotopy(system, degrees, targets=1):
             sx, sy, sing = _solve_2x2(a, b, c, d, f1, f2)
             x[done] -= np.where(sing, 0.0, sx)
             y[done] -= np.where(sing, 0.0, sy)
-    shape = (targets, d1 * d2)
-    return x.reshape(shape), y.reshape(shape), status.reshape(shape)
+    x, y, status = (v.reshape(targets, d1 * d2) for v in (x, y, status))
+    # a path that jumped onto another ends on that path's solution: it
+    # fails, so that no target repeats a solution and drops another unseen
+    for i in range(1, d1 * d2):
+        xi, yi = x[:, i:i + 1], y[:, i:i + 1]
+        gap = np.hypot(np.abs(x[:, :i] - xi), np.abs(y[:, :i] - yi))
+        near = gap <= 1e-8 * (1.0 + np.hypot(np.abs(xi), np.abs(yi)))
+        same = near & (status[:, :i] == PATH_FINITE)
+        status[(status[:, i] == PATH_FINITE) & np.any(same, axis=1), i] = PATH_FAILED
+    return x, y, status

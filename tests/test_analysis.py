@@ -6,9 +6,12 @@ import pytest
 
 from newtondyn.poly import UniComplexPoly, MultiPoly, PlaneMap
 from newtondyn.newton import (
+    GhostLine,
+    SingularJacobianError,
     build_newton_complex,
     build_newton_plane,
     ghost_lines,
+    measure_invariance_defect,
 )
 from newtondyn.forward import render_basins, ScanConfig
 from newtondyn.grid import (
@@ -30,6 +33,14 @@ from newtondyn.analysis import (
     GhostProbeConfig,
     GhostProbeReport,
     probe_ghost_attractor,
+)
+from newtondyn.analysis import (
+    STABILITY_BAND,
+    _dedupe_sorted,
+    _make_step,
+    _poles_of_iterate,
+    _real_poly_roots,
+    _real_rational,
 )
 
 
@@ -149,6 +160,153 @@ class TestEnumerateCycles1d:
         complex_map = build_newton_complex(UniComplexPoly([1j, 0.0, 1.0]))
         with pytest.raises(ValueError):
             enumerate_cycles_1d(complex_map, 2, (-10.0, 10.0))
+
+
+def _scalar_iterate(step, x, k):
+    y = np.asarray(x, dtype=float).copy() if not np.isscalar(x) else float(x)
+    for _ in range(k):
+        y = step(y)
+    return y
+
+
+def _scalar_scan_piece(step, k, a, b, samples, cert_rtol):
+    pad = 1e-9 * (b - a)
+    xs = np.linspace(a + pad, b - pad, samples)
+    g = _scalar_iterate(step, xs, k) - xs
+    ok = np.isfinite(g)
+    sgn = np.sign(g)
+    hits = [float(v) for v in xs[ok & (g == 0.0)]]
+    flips = np.nonzero(ok[:-1] & ok[1:] & (sgn[:-1] * sgn[1:] < 0))[0]
+    for i in flips:
+        ax, bx, fa = xs[i], xs[i + 1], g[i]
+        for _ in range(90):
+            m = 0.5 * (ax + bx)
+            fm = _scalar_iterate(step, m, k) - m
+            if not np.isfinite(fm):
+                break
+            if fm == 0.0:
+                ax = bx = m
+                break
+            if np.sign(fm) == np.sign(fa):
+                ax, fa = m, fm
+            else:
+                bx = m
+        m = 0.5 * (ax + bx)
+        res = _scalar_iterate(step, m, k) - m
+        if np.isfinite(res) and abs(res) <= cert_rtol * (1.0 + abs(m)):
+            hits.append(m)
+    return hits
+
+
+def _scalar_census(N, period, interval, tol=1e-8, initial_brackets=10_000,
+                   max_refinements=6):
+    """The census as one bracket and one orbit at a time: the per-piece
+    scan and the per-orbit loops the array code replaced."""
+    lo, hi = float(interval[0]), float(interval[1])
+    num, den = _real_rational(N)
+    step = _make_step(num, den)
+    cert_rtol = max(10.0 * tol, 1e-9)
+    poles = [q for q in _poles_of_iterate(num, den, period, lo, hi) if lo < q < hi]
+    cuts = [lo] + poles + [hi]
+    base_poles = [q for q in _real_poly_roots(den) if lo < q < hi]
+    base_cuts = np.array([lo] + base_poles + [hi])
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    parent = np.clip(
+        np.searchsorted(base_cuts, [0.5 * (a + b) for a, b in pieces]) - 1,
+        0, len(base_cuts) - 2,
+    )
+    per_parent = np.bincount(parent, minlength=len(base_cuts) - 1)
+    solutions = []
+    for (a, b), par in zip(pieces, parent):
+        if b - a < 1e-13:
+            continue
+        samples = max(64, initial_brackets // max(1, int(per_parent[par])))
+        prev = None
+        for _ in range(max_refinements + 1):
+            found = _dedupe_sorted(
+                _scalar_scan_piece(step, period, a, b, samples, cert_rtol), 0.1 * tol
+            )
+            if prev is not None and len(found) == len(prev):
+                break
+            prev = found
+            samples *= 2
+        solutions.extend(prev)
+    solutions = _dedupe_sorted(solutions, 0.1 * tol)
+    match_rtol = 100.0 * tol
+    records = {}
+    for x0 in solutions:
+        lower = False
+        for m in range(1, period):
+            if period % m == 0:
+                v = _scalar_iterate(step, x0, m)
+                if np.isfinite(v) and abs(v - x0) <= match_rtol * (1.0 + abs(x0)):
+                    lower = True
+                    break
+        if lower:
+            continue
+        orbit = [x0]
+        bad = False
+        for _ in range(period - 1):
+            nxt = step(orbit[-1])
+            if not np.isfinite(nxt):
+                bad = True
+                break
+            orbit.append(float(nxt))
+        if bad:
+            continue
+        back = step(orbit[-1])
+        if not np.isfinite(back) or abs(back - orbit[0]) > match_rtol * (1.0 + abs(orbit[0])):
+            continue
+        key = round(min(orbit), 9)
+        if any(abs(key - k0) <= match_rtol * (1.0 + abs(key)) for k0 in records):
+            continue
+        mult = 1.0
+        for v in orbit:
+            h = 1e-6 * (1.0 + abs(v))
+            d = (step(v + h) - step(v - h)) / (2.0 * h)
+            mult *= d if np.isfinite(d) else np.inf
+        mult = float(abs(mult))
+        if mult < 1.0 - STABILITY_BAND:
+            stability = "attracting"
+        elif mult > 1.0 + STABILITY_BAND:
+            stability = "repelling"
+        else:
+            stability = "neutral"
+        start = orbit.index(min(orbit))
+        orbit = orbit[start:] + orbit[:start]
+        records[key] = CycleRecord(period=period, points=tuple(orbit),
+                                   multiplier=mult, stability=stability)
+    return [records[k] for k in sorted(records)]
+
+
+def _record_bits(records):
+    return [(r.period, [float(v).hex() for v in r.points], float(r.multiplier).hex(),
+             r.stability) for r in records]
+
+
+class TestCensusMatchesScalarReference:
+    # the quartic of the barna config; z^3 - 2z + 2, whose Newton map has an
+    # attracting 2-cycle through 0 and 1; z^4 + z^2 + 1, with no real root;
+    # and z^3 + 0.3z + 1, with one
+    MAPS = {
+        "barna-quartic": [4.0, 0.0, -5.0, 0.0, 1.0],
+        "attracting-2-cycle": [2.0, -2.0, 0.0, 1.0],
+        "no-real-root": [1.0, 0.0, 1.0, 0.0, 1.0],
+        "one-real-root": [1.0, 0.3, 0.0, 1.0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_records_are_bit_identical(self, name):
+        N = build_newton_complex(UniComplexPoly(self.MAPS[name]))
+        cases = [((-10.0, 10.0), {}), ((-2.5, 3.1), {}),
+                 ((-10.0, 10.0), dict(tol=1e-6, initial_brackets=300, max_refinements=2))]
+        found = 0
+        for period in (1, 2, 3, 4):
+            for interval, kw in cases:
+                expected = _record_bits(_scalar_census(N, period, interval, **kw))
+                assert _record_bits(enumerate_cycles_1d(N, period, interval, **kw)) == expected
+                found += len(expected)
+        assert found > 0
 
 
 class TestBarnaCheck:
@@ -390,3 +548,118 @@ class TestProbeGhostAttractor:
         assert a.stay_fraction == b.stay_fraction
         assert a.invariance_defect == b.invariance_defect
         assert a.divergence_rate == b.divergence_rate
+
+
+def _scalar_defect(N, line, span, samples):
+    worst = -1.0
+    for t in np.linspace(-span, span, samples):
+        try:
+            q = N.step(line.point_at(float(t)))
+        except SingularJacobianError:
+            continue
+        if np.isfinite(q[0]) and np.isfinite(q[1]):
+            worst = max(worst, float(line.distance(q[0], q[1])))
+    return worst if worst >= 0 else float("inf")
+
+
+def _scalar_probe(N, line, cfg):
+    """probe_ghost_attractor as one seed and one N.step at a time: the loops
+    the array walk replaced."""
+
+    def track(p, steps, delta):
+        for _ in range(steps):
+            try:
+                p = N.step(p)
+            except ArithmeticError:
+                return False
+            if not (np.isfinite(p[0]) and np.isfinite(p[1])):
+                return False
+            if line.distance(p[0], p[1]) > delta:
+                return False
+        return True
+
+    rng = np.random.default_rng(int(cfg.prng_seed))
+    normal = (-line.direction[1], line.direction[0])
+    stayed = 0
+    for t in rng.uniform(-cfg.span, cfg.span, cfg.seed_count):
+        side = 1.0 if rng.integers(2) else -1.0
+        base = line.point_at(float(t))
+        start = (base[0] + side * cfg.offset * normal[0],
+                 base[1] + side * cfg.offset * normal[1])
+        stayed += track(start, cfg.iterations, cfg.delta)
+    drift = []
+    for t in np.linspace(-cfg.span, cfg.span, cfg.online_samples):
+        p = line.point_at(float(t))
+        worst = 0.0
+        alive = True
+        for _ in range(cfg.online_iterations):
+            try:
+                p = N.step(p)
+            except ArithmeticError:
+                alive = False
+                break
+            if not (np.isfinite(p[0]) and np.isfinite(p[1])):
+                alive = False
+                break
+            worst = max(worst, float(line.distance(p[0], p[1])))
+        if alive:
+            drift.append(worst)
+    rate = float("nan")
+    a = line.point_at(0.1 * cfg.span)
+    b = line.point_at(0.1 * cfg.span + cfg.divergence_offset)
+    logs = []
+    for _ in range(cfg.divergence_steps):
+        try:
+            a = N.step(a)
+            b = N.step(b)
+        except ArithmeticError:
+            break
+        sep = float(np.hypot(a[0] - b[0], a[1] - b[1]))
+        if not np.isfinite(sep) or sep == 0.0:
+            break
+        logs.append(np.log(sep))
+        if sep > 0.5 * cfg.span:
+            break
+    if len(logs) >= 2:
+        rate = float((logs[-1] - logs[0]) / (len(logs) - 1))
+    defect = _scalar_defect(N, line, cfg.span, cfg.invariance_samples)
+    return (defect, stayed / float(cfg.seed_count),
+            max(drift) if drift else float("nan"), rate)
+
+
+class TestProbeMatchesScalarReference:
+    CONFIGS = [GhostProbeConfig(),
+               GhostProbeConfig(delta=0.5, iterations=150, seed_count=25, span=3.0,
+                                offset=1e-2, online_samples=7, online_iterations=40,
+                                divergence_steps=50, divergence_offset=1e-6,
+                                invariance_samples=13, prng_seed=5)]
+
+    @staticmethod
+    def lines():
+        # the invariant line of the parabola-shift map, both ghost lines of
+        # the cubic-parabola map of the ghost config (the seeds of one leave
+        # fast; 6 of 25 of the other stay under the custom config) and a
+        # line through no solution at all
+        box = (-3.0, 3.0, -3.0, 3.0)
+        shift = _parabola_shift_map()
+        x, y = MultiPoly.variable(0), MultiPoly.variable(1)
+        cubic = build_newton_plane(PlaneMap(x * x * x - x * x + y, x + 0.5 - y * y))
+        random = GhostLine(base=(0.3, -0.7), direction=(0.6, 0.8), source_pair=())
+        return ([(shift, ghost_lines(shift.source, box)[0])]
+                + [(cubic, line) for line in ghost_lines(cubic.source, box)]
+                + [(shift, random), (cubic, random)])
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "custom"])
+    def test_report_is_bit_identical(self, cfg):
+        for N, line in self.lines():
+            report = probe_ghost_attractor(N, line, cfg)
+            got = (report.invariance_defect, report.stay_fraction,
+                   report.online_max_drift, report.divergence_rate)
+            assert [float(v).hex() for v in got] == \
+                [float(v).hex() for v in _scalar_probe(N, line, cfg)]
+
+    def test_invariance_defect_is_bit_identical(self):
+        for N, line in self.lines():
+            for span, samples in [(2.0, 50), (4.24, 7), (1.0, 1)]:
+                assert float(measure_invariance_defect(N, line, span, samples)).hex() \
+                    == float(_scalar_defect(N, line, span, samples)).hex()

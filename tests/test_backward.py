@@ -12,7 +12,7 @@ from newtondyn.newton import (
     build_newton_complex,
     build_newton_plane,
 )
-from newtondyn import backward
+from newtondyn import backward, poly
 from newtondyn.poly import PATH_FINITE, MultiPoly, PlaneMap, UniComplexPoly
 from newtondyn.backward import (
     EmptyOrbitError,
@@ -167,11 +167,13 @@ class TestPlanarCounterimages:
                                          Window.from_sequence(QUARTIC_DOMAIN))
         assert len(set(zip(np.round(wx, 6), np.round(wy, 6)))) == len(wx) == 4
 
-    def test_homotopy_endpoints_of_one_target_are_distinct(self, monkeypatch):
-        # nothing in the tracker checks that a target's finite endpoints
-        # differ; a path that jumps onto a neighbour (here near-double
-        # complex roots close to 1 +- 0.05i, as a step cap of 1.0 allows)
-        # repeats one solution and drops another without any count
+    @pytest.mark.parametrize("step_max", [poly._STEP_MAX, 1.0])
+    def test_homotopy_endpoints_of_one_target_are_distinct(self, monkeypatch, step_max):
+        # a path that jumps onto a neighbour (here near-double complex roots
+        # close to 1 +- 0.05i, as a step cap of 1.0 allows; 3 pairs in 2,000
+        # targets) would repeat one solution and drop another without any
+        # count; the tracker fails the later path of such a pair instead
+        monkeypatch.setattr(poly, "_STEP_MAX", step_max)
         ends = []
         track = backward.total_degree_homotopy
 
@@ -185,7 +187,7 @@ class TestPlanarCounterimages:
         (x, y, status), = ends
         assert status.shape == (2000, 9)
         finite = status == PATH_FINITE
-        assert finite.sum() > 9000
+        assert finite.sum() > 17900
         gap = np.hypot(np.abs(x[:, :, None] - x[:, None, :]),
                        np.abs(y[:, :, None] - y[:, None, :]))
         pairs = finite[:, :, None] & finite[:, None, :] & ~np.eye(9, dtype=bool)

@@ -2,7 +2,8 @@
 run_job, must reproduce the SHA-256 of each artifact recorded in
 tests/golden/hashes.json.  Reports are hashed without their wall-clock
 timings_s.  A change that moves an artifact on purpose regenerates the
-file and accounts for the difference:
+file and accounts for the difference; the script prints every artifact
+whose hash moves as its name, old hash (None if new) and new hash:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -52,6 +53,12 @@ def test_every_config_has_hashes():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {c.stem: artifact_hashes(c, Path(tmp) / c.stem) for c in CONFIGS}
+    old = json.loads(HASHES.read_text(encoding="utf-8")) if HASHES.exists() else {}
+    for stem, hashes in table.items():
+        for name, new in sorted(hashes.items()):
+            was = old.get(stem, {}).get(name)
+            if was != new:
+                print(name, was, new, file=sys.stderr)
     HASHES.parent.mkdir(exist_ok=True)
     HASHES.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
