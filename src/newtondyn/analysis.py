@@ -20,6 +20,7 @@ regime of any fixed step.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -349,7 +350,7 @@ def barna_check(p, cfg=None, max_period=5, samples=1_000_000,
         nx = step(x[alive])
         finite = np.isfinite(nx)
         if real_roots.size:
-            dist = np.abs(nx[:, None] - real_roots[None, :]).min(axis=1)
+            dist = reduce(np.minimum, [np.abs(nx - r) for r in real_roots])
             scale = 1.0 + np.abs(nx)
             converged = finite & (dist <= conv_rtol * scale)
         else:

@@ -35,7 +35,6 @@ from scipy import ndimage
 from .grid import OccupancyRaster, Window
 from .newton import (
     NewtonPlaneMap,
-    SingularJacobianError,
     build_newton_complex,
     build_newton_plane,
 )
@@ -177,17 +176,13 @@ def _planar_counterimages(N, z, dom):
     # the solver's own merge radius; collapse them before filtering
     diag = math.hypot(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
     merged = _merge_points(raw, 1e-5 * (1.0 + diag))
-    out = []
+    if not merged:  # common on backward orbits; step_many costs ~0.1 ms even on none
+        return []
+    wx, wy = np.array(merged, dtype=float).T
+    ix, iy, singular = N.step_many(wx, wy)
     scale = 1.0 + math.hypot(zx, zy)
-    for w in merged:
-        try:
-            ix, iy = N.step(w)
-        except SingularJacobianError:
-            continue
-        if math.hypot(ix - zx, iy - zy) <= RESIDUAL_RTOL * scale:
-            out.append((float(w[0]), float(w[1])))
-    out.sort()
-    return out
+    keep = ~singular & (np.hypot(ix - zx, iy - zy) <= RESIDUAL_RTOL * scale)
+    return sorted(zip(wx[keep].tolist(), wy[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------

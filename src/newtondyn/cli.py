@@ -8,8 +8,9 @@ Modes: basins, alpha-tree, alpha-random, ifs, param-scan, barna, ghost,
 compare.  Every job writes a JSON report; raster modes also write binary
 PPM images and alpha-random writes a CSV orbit dump.  All artifacts except
 the wall-clock timings inside the report are deterministic for a fixed
-config and seed.  --threads is accepted and recorded in the report but has
-no effect on computation.
+config and seed.  --threads N sets how many threads solve the tiles of the
+batched root kernel (0, the default, means every usable core); artifacts
+are byte-identical at any value, and the report records it.
 
 Exit codes: 0 success, 1 config or validation error, 2 runtime error.
 """
@@ -31,6 +32,7 @@ from .poly import (
     parse_plane_map,
     univariate_complex_roots,
     system_real_roots,
+    worker_threads,
 )
 from .grid import (
     Window,
@@ -272,6 +274,9 @@ def load_config(path, mode, seed_override=None, threads_override=None):
     height = int(cfg.get("height", 256))
     if width < 1 or height < 1:
         raise ConfigError("width and height must be positive")
+    threads = int(cfg.get("threads", 0))
+    if threads < 0:
+        raise ConfigError("threads must be >= 0 (0 means every usable core)")
 
     job = JobConfig(
         mode=mode,
@@ -283,7 +288,7 @@ def load_config(path, mode, seed_override=None, threads_override=None):
         height=height,
         scan=_scan_config(cfg),
         prng_seed=int(cfg.get("prng_seed", 0)),
-        threads=int(cfg.get("threads", 0)),
+        threads=threads,
         outputs=dict(cfg.get("outputs", {})),
         raw=cfg,
     )
@@ -744,7 +749,8 @@ def run_job(job, out_dir="."):
     timings = {}
     artifacts = {}
     t0 = time.perf_counter()
-    stats = _RUNNERS[job.mode](job, timings, artifacts, out)
+    with worker_threads(job.threads):
+        stats = _RUNNERS[job.mode](job, timings, artifacts, out)
     timings["total"] = time.perf_counter() - t0
 
     report = {
@@ -785,8 +791,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's prng_seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="recorded in the report; has no effect on "
-                             "computation")
+                        help="threads for the batched root solves (default "
+                             "0: every usable core); artifacts are identical "
+                             "at any value")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

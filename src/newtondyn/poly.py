@@ -11,6 +11,9 @@ scalars or numpy arrays (real or complex).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 
@@ -27,6 +30,7 @@ __all__ = [
     "parse_plane_map",
     "univariate_complex_roots",
     "batched_complex_roots",
+    "worker_threads",
     "row_polyval",
     "system_real_roots",
     "total_degree_homotopy",
@@ -524,6 +528,27 @@ def complex_poly_to_plane_map(p):
 _ABERTH_ITERS = 60
 _ABERTH_RTOL = 1e-14  # bound on every correction of a row, relative to 1 + |z|
 _ROOT_POLISH_ROUNDS = 12
+_TILE_ROWS = 4096  # rows per batched_complex_roots tile, sized to stay in cache
+_workers = 1  # threads for the tiles of one batched_complex_roots call
+
+
+@contextmanager
+def worker_threads(n):
+    """Solve batched_complex_roots tiles on n threads inside the block,
+    restoring the previous count on exit; n = 0 means every usable core.
+    The count is process-wide, and outside any block it is 1."""
+    global _workers
+    n = int(n)
+    if n < 0:
+        raise ValueError("thread count must be >= 0")
+    if n == 0:
+        n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    old, _workers = _workers, n
+    try:
+        yield n
+    finally:
+        _workers = old
 
 
 def univariate_complex_roots(p, tol=1e-10):
@@ -614,6 +639,18 @@ def _polish_rows(C, roots):
     return roots
 
 
+def _tile_roots(C):
+    """batched_complex_roots on one tile of rows."""
+    roots, converged = _aberth_rows(C)
+    stuck = ~converged
+    d = C.shape[1] - 1
+    comp = np.zeros((np.count_nonzero(stuck), d, d), complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = -C[stuck, :-1] / C[stuck, -1:]
+    roots[stuck] = np.linalg.eigvals(comp)
+    return np.sort(_polish_rows(C, roots), axis=1, kind="stable")
+
+
 def batched_complex_roots(coeff_rows):
     """Roots of many same-degree polynomials, one ascending coefficient row
     each: Aberth-Ehrlich seeds (companion-matrix eigenvalues for the rows it
@@ -622,18 +659,24 @@ def batched_complex_roots(coeff_rows):
     Every row's leading coefficient must be nonzero (callers group rows by
     effective degree).  Rows of roots come back lexicographically sorted by
     (real, imag); no residual bound is enforced here.
+
+    Rows are solved in tiles of _TILE_ROWS, so the iteration's temporaries
+    stay in cache, and the tiles run on the threads set by worker_threads.
+    Every row is solved on its own, so the result is bit-identical for any
+    number of rows in the call and any number of threads.
     """
     C = np.asarray(coeff_rows, dtype=complex)
-    d = C.shape[1] - 1
-    if d < 1:
+    if C.shape[1] < 2:
         raise ValueError("need degree >= 1 rows")
-    roots, converged = _aberth_rows(C)
-    stuck = ~converged
-    comp = np.zeros((np.count_nonzero(stuck), d, d), complex)
-    comp[:, 1:, :-1] = np.eye(d - 1)
-    comp[:, :, -1] = -C[stuck, :-1] / C[stuck, -1:]
-    roots[stuck] = np.linalg.eigvals(comp)
-    return np.sort(_polish_rows(C, roots), axis=1, kind="stable")
+    if len(C) <= _TILE_ROWS:
+        return _tile_roots(C)
+    tiles = [C[k:k + _TILE_ROWS] for k in range(0, len(C), _TILE_ROWS)]
+    workers = min(_workers, len(tiles))
+    if workers == 1:
+        return np.concatenate([_tile_roots(t) for t in tiles])
+    # numpy releases the interpreter lock inside its loops, so tiles overlap
+    with ThreadPoolExecutor(workers) as pool:
+        return np.concatenate(list(pool.map(_tile_roots, tiles)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 trees, Hutchinson iteration, and raster distances."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from newtondyn.grid import OccupancyRaster, Window
 from newtondyn.newton import (
     ComplexRationalMap,
+    SingularJacobianError,
     build_newton_complex,
     build_newton_plane,
 )
@@ -134,6 +136,45 @@ class TestPlanarCounterimages:
                 assert np.hypot(fx - z[0], fy - z[1]) <= 1e-8 * (
                     1.0 + np.hypot(*z)
                 )
+
+    def test_counterimages_match_the_scalar_step_check(self):
+        # reference: the merged solutions checked one at a time with the
+        # scalar Newton step, as counterimages did before it used step_many
+        def scalar_counterimages(N, z, domain):
+            dom = Window.from_sequence(domain)
+            raw = poly.system_real_roots(backward._cleared_plane_system(N, *z),
+                                         domain, tol=1e-10)
+            diag = math.hypot(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
+            out = []
+            for w in poly._merge_points(raw, 1e-5 * (1.0 + diag)):
+                try:
+                    ix, iy = N.step(w)
+                except SingularJacobianError:
+                    continue
+                if math.hypot(ix - z[0], iy - z[1]) <= 1e-8 * (1.0 + math.hypot(*z)):
+                    out.append((float(w[0]), float(w[1])))
+            return sorted(out)
+
+        # (x^2, y^2): of the cleared solutions {0, 2zx} x {0, 2zy} only
+        # (2zx, 2zy) has a regular Jacobian, so three are rejected
+        x = MultiPoly.variable(0)
+        y = MultiPoly.variable(1)
+        squares = build_newton_plane(PlaneMap(x * x, y * y))
+        rng = np.random.default_rng(17)
+        cases = [(squares, SQUARE_WINDOW, (0.5, -0.7)),
+                 (squares, SQUARE_WINDOW, (-0.6, 0.3)),
+                 (decoupled_newton(), SQUARE_WINDOW, (0.0, 0.0)),
+                 (decoupled_newton(), SQUARE_WINDOW, (-1.0, -1.0)),
+                 (quartic_newton(), QUARTIC_DOMAIN, (0.0, -1.0)),
+                 (quartic_newton(), QUARTIC_DOMAIN, (0.37, 1.21))]
+        cases += [(quartic_newton(), QUARTIC_DOMAIN, tuple(rng.uniform(-3.0, 3.0, 2)))
+                  for _ in range(6)]
+        found = 0
+        for N, domain, z in cases:
+            got = counterimages(N, z, domain)
+            assert got == scalar_counterimages(N, z, domain)
+            found += len(got)
+        assert found > 10
 
     def test_domain_is_required(self):
         N = decoupled_newton()

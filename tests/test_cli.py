@@ -17,6 +17,7 @@ from newtondyn.grid import (
     CODE_SINGULAR,
     CODE_UNDECIDED,
 )
+from newtondyn import poly
 from newtondyn.backward import backward_tree
 from newtondyn.cli import (
     ConfigError,
@@ -367,6 +368,17 @@ class TestMainExitCodes:
         assert "runtime error" in err
         assert "hutchinson_iterate" in err
 
+    def test_negative_threads_is_validation_error(self, tmp_path, capsys):
+        path = cubic_basins_config(tmp_path)
+        out_dir = tmp_path / "never"
+        code = main(["basins", "--config", path, "--out", str(out_dir),
+                     "--threads", "-1"])
+        assert code == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out_dir.exists()
+        with pytest.raises(ConfigError):
+            load_config(cubic_basins_config(tmp_path, threads=-2), "basins")
+
     def test_seed_flag_changes_orbit(self, tmp_path):
         payload = {
             "map": {"kind": "complex", "polynomial": "z^3 - 1"},
@@ -421,6 +433,38 @@ class TestCheckedInConfigs:
             job = load_config(str(cfg_path), mode)
             seen_modes.add(job.mode)
         assert seen_modes == set(MODES)
+
+    def test_tiled_ifs_is_byte_identical_at_any_thread_count(self, tmp_path, monkeypatch):
+        # the first set-map level solves one root row per pixel, 65,536 of
+        # them, so batched_complex_roots splits it into tiles and runs them
+        # on the requested threads
+        cfg_path = CONFIG_DIR / "cubic-roots-of-unity-ifs.json"
+        cfg = json.loads(cfg_path.read_text())
+        assert cfg["width"] * cfg["height"] > 4 * poly._TILE_ROWS
+        pools = []
+
+        class RecordingPool(poly.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(poly, "ThreadPoolExecutor", RecordingPool)
+        reports, images = [], []
+        for threads in (1, 2, 4):
+            pools.clear()
+            out_dir = tmp_path / f"t{threads}"
+            assert main(["ifs", "--config", str(cfg_path), "--out", str(out_dir),
+                         "--threads", str(threads)]) == 0
+            assert pools[:1] == ([threads] if threads > 1 else [])
+            images.append((out_dir / cfg["outputs"]["raster"]).read_bytes())
+            rep = json.loads((out_dir / cfg["outputs"]["report"]).read_text())
+            assert rep["threads"] == rep["config"]["threads"] == threads
+            for doc in (rep, rep["config"]):
+                doc.pop("threads")
+            rep.pop("timings_s")
+            reports.append(rep)
+        assert images[0] == images[1] == images[2]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_console_script_runs(self, tmp_path):
         proc = subprocess.run(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from newtondyn.poly import (
     system_real_roots,
     total_degree_homotopy,
     univariate_complex_roots,
+    worker_threads,
 )
 from newtondyn import poly
 from newtondyn.backward import _cleared_plane_system
@@ -237,6 +240,70 @@ def test_batched_roots_with_tiny_leading_coefficient():
     roots = batched_complex_roots([[1.0, 1.0, 1e-11]])[0]
     assert abs(roots[0] + 1e11) <= 1e-8 * 1e11
     assert abs(roots[1] + 1.0) <= 1e-10
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Records the size of every thread pool that poly starts."""
+    sizes = []
+
+    class RecordingPool(poly.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(poly, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("rows", [poly._TILE_ROWS - 1, poly._TILE_ROWS,
+                                  2 * poly._TILE_ROWS + 1])
+def test_tiled_roots_match_per_tile_calls(monkeypatch, pools, rows):
+    # (z - 1)^3 rows, which Aberth leaves to eigvals, sit in the first,
+    # second and last tile; a tiled call must return the bits of one call
+    # per tile and of one untiled call, on one thread or two
+    tile = poly._TILE_ROWS
+    rng = np.random.default_rng(rows)
+    C = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
+    stuck = [k for k in (3, tile + 5, rows - 2) if k < rows]
+    C[stuck] = [-1, 3, -3, 1]
+    per_tile = np.concatenate([batched_complex_roots(C[k:k + tile])
+                               for k in range(0, rows, tile)])
+    for n in (1, 2):
+        with worker_threads(n):
+            got = batched_complex_roots(C)
+        assert np.array_equal(got.view(np.uint64), per_tile.view(np.uint64))
+    assert pools == ([2] if rows > tile else [])
+    monkeypatch.setattr(poly, "_TILE_ROWS", rows)
+    untiled = batched_complex_roots(C)
+    assert np.array_equal(untiled.view(np.uint64), per_tile.view(np.uint64))
+    assert np.all(np.abs(untiled[stuck] - 1.0) <= 1e-4)
+
+
+def test_tiled_roots_start_no_more_threads_than_tiles(monkeypatch, pools):
+    monkeypatch.setattr(poly, "_TILE_ROWS", 8)
+    C = np.random.default_rng(3).normal(size=(17, 3)).astype(complex)
+    with worker_threads(4):
+        batched_complex_roots(C)
+        batched_complex_roots(C[:9])
+        batched_complex_roots(C[:8])
+    assert pools == [3, 2]
+
+
+def test_worker_threads_zero_means_every_usable_core():
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    assert poly._workers == 1
+    with worker_threads(0) as n:
+        assert n == usable == poly._workers
+        with worker_threads(3):
+            assert poly._workers == 3
+        assert poly._workers == usable
+    assert poly._workers == 1
+    with pytest.raises(ValueError):
+        with worker_threads(-1):
+            pass
+    assert poly._workers == 1
 
 
 def test_system_roots_decoupled_product():
