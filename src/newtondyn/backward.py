@@ -272,9 +272,9 @@ def _padded_cleared_rows(N):
 def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
     """Validated counterimages of every target, concatenated.
 
-    Rows of num - z*den are grouped by effective degree so each group
-    can be solved by one batched_complex_roots call; degenerate rows fall
-    back to the scalar solver.
+    Rows of num - z*den are grouped by effective degree and each group is
+    solved by one batched_complex_roots call; rows below degree 1 have no
+    counterimage.  The forward residual check then filters every root.
     """
     targets = np.asarray(targets, complex).ravel()
     if targets.size == 0:
@@ -289,22 +289,10 @@ def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
 
     pieces = []
     parents = []
-    for d in np.unique(degs):
-        if d < 1:
-            continue
+    for d in np.unique(degs[degs >= 1]):
         sel = degs == d
-        if d == width - 1:
-            kids = batched_complex_roots(rows[sel, : d + 1])
-            pieces.append(kids.ravel())
-            parents.append(np.repeat(targets[sel], d))
-        else:
-            for i in np.nonzero(sel)[0]:
-                try:
-                    r = univariate_complex_roots(UniComplexPoly(rows[i, : d + 1]), tol=1e-10)
-                except ArithmeticError:
-                    continue
-                pieces.append(np.asarray(r, complex))
-                parents.append(np.full(len(r), targets[i]))
+        pieces.append(batched_complex_roots(rows[sel, : d + 1]).ravel())
+        parents.append(np.repeat(targets[sel], d))
     if not pieces:
         return np.empty(0, complex)
     kids = np.concatenate(pieces)

@@ -49,13 +49,7 @@ from .newton import (
     build_newton_plane,
     ghost_lines,
 )
-from .forward import (
-    ScanConfig,
-    _family_coefficients,
-    classify_orbit,
-    parameter_scan,
-    render_basins,
-)
+from .forward import ScanConfig, parameter_scan, render_basins
 from .backward import (
     backward_tree,
     hutchinson_iterate,
@@ -171,6 +165,16 @@ def _as_window(value, key="window"):
     return (xmin, xmax, ymin, ymax)
 
 
+def _as_number(value, kind, key):
+    """value converted by kind (int or float); a ConfigError naming key if
+    it does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"'{key}' must be {'an integer' if kind is int else 'a number'}")
+
+
 def _as_point(value, planar, key="seed_point"):
     try:
         x, y = (float(v) for v in value)
@@ -270,11 +274,11 @@ def load_config(path, mode, seed_override=None, threads_override=None):
         raise ConfigError(str(exc))
 
     window = _as_window(cfg.get("window", (-2.0, 2.0, -2.0, 2.0)))
-    width = int(cfg.get("width", 256))
-    height = int(cfg.get("height", 256))
+    width = _as_number(cfg.get("width", 256), int, "width")
+    height = _as_number(cfg.get("height", 256), int, "height")
     if width < 1 or height < 1:
         raise ConfigError("width and height must be positive")
-    threads = int(cfg.get("threads", 0))
+    threads = _as_number(cfg.get("threads", 0), int, "threads")
     if threads < 0:
         raise ConfigError("threads must be >= 0 (0 means every usable core)")
 
@@ -287,7 +291,7 @@ def load_config(path, mode, seed_override=None, threads_override=None):
         width=width,
         height=height,
         scan=_scan_config(cfg),
-        prng_seed=int(cfg.get("prng_seed", 0)),
+        prng_seed=_as_number(cfg.get("prng_seed", 0), int, "prng_seed"),
         threads=threads,
         outputs=dict(cfg.get("outputs", {})),
         raw=cfg,
@@ -320,11 +324,11 @@ def _validate_mode_fields(job, cfg):
             params["domain"] = None
 
     if mode in ("alpha-tree", "compare"):
-        params["depth"] = int(_require(cfg, "depth", mode))
+        params["depth"] = _as_number(_require(cfg, "depth", mode), int, "depth")
         if params["depth"] < 1:
             raise ConfigError("'depth' must be >= 1")
         if "cap" in cfg:
-            params["cap"] = int(cfg["cap"])
+            params["cap"] = _as_number(cfg["cap"], int, "cap")
             if params["cap"] < 1:
                 raise ConfigError("'cap' must be >= 1")
 
@@ -335,8 +339,9 @@ def _validate_mode_fields(job, cfg):
         params["nonregular_only"] = bool(cfg.get("nonregular_only", False))
 
     if mode == "alpha-random":
-        params["length"] = int(_require(cfg, "length", mode))
-        params["burn_in"] = int(cfg.get("burn_in", 100))
+        params["length"] = _as_number(_require(cfg, "length", mode), int,
+                                       "length")
+        params["burn_in"] = _as_number(cfg.get("burn_in", 100), int, "burn_in")
         if not params["length"] > params["burn_in"] >= 0:
             raise ConfigError("need length > burn_in >= 0")
 
@@ -344,7 +349,7 @@ def _validate_mode_fields(job, cfg):
         disks = _require(cfg, "disks", mode)
         if not isinstance(disks, dict) or "radius" not in disks:
             raise ConfigError("'disks' must be {'radius': r, 'centers': ...}")
-        params["disk_radius"] = float(disks["radius"])
+        params["disk_radius"] = _as_number(disks["radius"], float, "disks.radius")
         if params["disk_radius"] <= 0:
             raise ConfigError("disk radius must be positive")
         centers = disks.get("centers", "roots")
@@ -356,7 +361,7 @@ def _validate_mode_fields(job, cfg):
         else:
             params["disk_centers"] = [
                 (_as_point(c, True, "disks.centers")) for c in centers]
-        params["steps"] = int(cfg.get("steps", 12))
+        params["steps"] = _as_number(cfg.get("steps", 12), int, "steps")
         if params["steps"] < 1:
             raise ConfigError("'steps' must be >= 1")
 
@@ -367,14 +372,16 @@ def _validate_mode_fields(job, cfg):
         if isinstance(seed_value, (list, tuple)):
             params["seed_value"] = _as_point(seed_value, False, "seed_value")
         else:
-            params["seed_value"] = complex(float(seed_value))
-        params["report_cycles"] = int(cfg.get("report_cycles", 20))
+            params["seed_value"] = complex(_as_number(seed_value, float, "seed_value"))
+        params["report_cycles"] = _as_number(cfg.get("report_cycles", 20), int,
+                                             "report_cycles")
 
     if mode == "barna":
         if job.map_kind != "complex":
             raise ConfigError("mode barna needs a real univariate map")
-        params["max_period"] = int(cfg.get("max_period", 5))
-        params["samples"] = int(cfg.get("samples", 1_000_000))
+        params["max_period"] = _as_number(cfg.get("max_period", 5), int, "max_period")
+        params["samples"] = _as_number(cfg.get("samples", 1_000_000), int,
+                                       "samples")
         interval = cfg.get("sample_interval", (-10.0, 10.0))
         try:
             lo, hi = (float(v) for v in interval)
@@ -608,20 +615,13 @@ def _run_param_scan(job, timings, artifacts, out):
     fractions = {str(code): frac for code, frac in raster.fractions().items()}
     cycle_rows, cycle_cols = np.nonzero(raster.codes == CODE_CYCLE)
     xs, ys = Window(*job.window).pixel_centers(job.width, job.height)
-    cycles = []
-    for row, col in list(zip(cycle_rows, cycle_cols))[:p["report_cycles"]]:
-        a = complex(xs[row, col], ys[row, col])
-        member = UniComplexPoly(_family_coefficients(job.source, np.array([a]))[0])
-        member_roots = univariate_complex_roots(member,
-                                                tol=job.scan.root_tol)
-        outcome = _stage(timings, "classify_orbit", classify_orbit,
-                         build_newton_complex(member), p["seed_value"],
-                         member_roots, cfg=job.scan)
-        entry = {"parameter": [a.real, a.imag], "outcome": outcome.kind}
-        if outcome.kind == "cycle":
-            entry["period"] = outcome.period
-            entry["multiplier"] = outcome.multiplier
-        cycles.append(entry)
+    cycles = [
+        {"parameter": [float(xs[row, col]), float(ys[row, col])],
+         "outcome": "cycle",
+         "period": int(raster.period[row, col]),
+         "multiplier": float(raster.multiplier[row, col])}
+        for row, col in list(zip(cycle_rows, cycle_cols))[:p["report_cycles"]]
+    ]
     stats = {
         "fractions": fractions,
         "cycle_pixel_count": int(len(cycle_rows)),

@@ -8,9 +8,10 @@ root hit after two consecutive iterates within root_tol of the same root,
 escaped once its norm exceeds escape_radius, and a singular hit when the
 Newton step degenerates.  Phase 2 re-examines survivors for attracting
 cycles: a trailing window of iterates is searched for the smallest period
-recurring within cycle_tol, the cycle multiplier is estimated by central
-finite differences of the period-fold map, and only multipliers below 1 are
-reported as cycles; everything else stays undecided.
+recurring within cycle_tol, the cycle multiplier is the spectral radius of
+the central-difference Jacobian of the period-fold map, taken through the
+adapter's own vectorized step on all cycle points at once, and only
+multipliers below 1 are reported as cycles; everything else stays undecided.
 
 Iteration counts record the number of Newton steps applied when the
 classification became final, except that root hits record the first step of
@@ -32,14 +33,7 @@ from .grid import (
     BasinRaster,
     Window,
 )
-from .newton import SingularJacobianError, build_newton_complex
-from .poly import (
-    MultiPoly,
-    UniComplexPoly,
-    batched_complex_roots,
-    row_polyval,
-    univariate_complex_roots,
-)
+from .poly import MultiPoly, batched_complex_roots, row_polyval
 
 __all__ = [
     "ScanConfig",
@@ -47,7 +41,6 @@ __all__ = [
     "classify_orbit",
     "render_basins",
     "parameter_scan",
-    "outcome_code",
 ]
 
 
@@ -101,18 +94,6 @@ class OrbitOutcome:
 _UNDECIDED, _ROOT, _ESCAPED, _SINGULAR, _CYCLE = 0, 1, 2, 3, 4
 
 
-def outcome_code(kind_code, root_index):
-    """Raster code for a batch result row: root index, or a sentinel."""
-    if kind_code == _ROOT:
-        return int(root_index)
-    return {
-        _CYCLE: CODE_CYCLE,
-        _ESCAPED: CODE_ESCAPED,
-        _SINGULAR: CODE_SINGULAR,
-        _UNDECIDED: CODE_UNDECIDED,
-    }[kind_code]
-
-
 class _BatchResult:
     __slots__ = ("kind", "root_index", "iterations", "period", "rep", "multiplier")
 
@@ -157,8 +138,7 @@ class _BatchResult:
 # Map adapters.  The kernel works on packed points: a complex value as is,
 # a planar (x, y) as x + iy, so distances and norms are np.abs for both.
 # An adapter provides step(z) -> (w, singular), nearest(z) -> root index or
-# -1, keep(mask) to follow the kernel's active-set compression, and
-# multiplier(z, q, h) -> cycle multiplier per point (nan when unavailable).
+# -1, and keep(mask) to follow the kernel's active-set compression.
 
 
 def _pack(x, y):
@@ -179,44 +159,6 @@ def _nearest(z, roots, tol):
     return np.where(near, h, -1).astype(np.int32)
 
 
-def _complex_multiplier(N, z, q, h):
-    """|d(N^q)/dz| at z by central differences; nan on singular/overflow."""
-    try:
-        a, b = z + h, z - h
-        for _ in range(q):
-            a = N.step(a)
-            b = N.step(b)
-    except SingularJacobianError:
-        return np.nan
-    return abs(a - b) / (2.0 * h)
-
-
-def _planar_multiplier(N, point, q, h):
-    """Spectral radius of the finite-difference Jacobian of N^q at point."""
-
-    def power(p):
-        for _ in range(q):
-            p = N.step(p)
-        return p
-
-    try:
-        xp = power((point[0] + h, point[1]))
-        xm = power((point[0] - h, point[1]))
-        yp = power((point[0], point[1] + h))
-        ym = power((point[0], point[1] - h))
-    except SingularJacobianError:
-        return np.nan
-    J = np.array(
-        [
-            [(xp[0] - xm[0]) / (2 * h), (yp[0] - ym[0]) / (2 * h)],
-            [(xp[1] - xm[1]) / (2 * h), (yp[1] - ym[1]) / (2 * h)],
-        ]
-    )
-    if not np.all(np.isfinite(J)):
-        return np.nan
-    return float(np.max(np.abs(np.linalg.eigvals(J))))
-
-
 class _ComplexPoints:
     """One complex (Newton or rational) map over complex points."""
 
@@ -234,10 +176,6 @@ class _ComplexPoints:
     def keep(self, mask):
         pass
 
-    def multiplier(self, z, q, h):
-        return np.array([_complex_multiplier(self.N, complex(p), int(k), h)
-                         for p, k in zip(z, q)], float)
-
 
 class _PlanarPoints(_ComplexPoints):
     """One planar Newton map over points packed as x + iy."""
@@ -248,10 +186,6 @@ class _PlanarPoints(_ComplexPoints):
     def step(self, z):
         nx, ny, singular = self.N.step_many(z.real, z.imag)
         return _pack(nx, ny), singular
-
-    def multiplier(self, z, q, h):
-        return np.array([_planar_multiplier(self.N, (p.real, p.imag), int(k), h)
-                         for p, k in zip(z, q)], float)
 
 
 def _point_map(N, roots, cfg):
@@ -286,14 +220,6 @@ class _FamilyRows:
     def keep(self, mask):
         self.C, self.D, self.roots, self.dscale = (
             self.C[mask], self.D[mask], self.roots[mask], self.dscale[mask])
-
-    def multiplier(self, z, q, h):
-        # each member's exact rational Newton map, as classify_orbit uses
-        return np.array([
-            _complex_multiplier(build_newton_complex(UniComplexPoly(c)),
-                                complex(p), int(k), h)
-            for c, p, k in zip(self.C, z, q)
-        ], float)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +272,37 @@ def _cycle_phase(M, z, idx, res, cfg):
     found = found_q > 0
     M.keep(found)
     last, q, idx = last[found], found_q[found], idx[found]
-    m = M.multiplier(last, q, cfg.multiplier_step)
+    m = _multipliers(M, last, q, cfg.multiplier_step)
     attracting = m < 1.0
     sel = idx[attracting]
     res.kind[sel] = _CYCLE
     res.period[sel] = q[attracting]
     res.rep[sel] = last[attracting]
     res.multiplier[sel] = m[attracting]
+
+
+def _multipliers(M, z, q, h):
+    """Spectral radius of the central-difference Jacobian of M^q[i] at each
+    packed point z[i], nan where a step was singular or the Jacobian is not
+    finite.  All four shifts of all points step together through M.step, a
+    point freezing after its own q[i] steps.  The shifts +-h and +-ih move
+    the x and y of a planar point; for a holomorphic map the Jacobian's
+    eigenvalues are a +- ib, so this is |(M^q)'|."""
+    shifted = [z + h, z - h, z + 1j * h, z - 1j * h]
+    bad = np.zeros(z.size, bool)
+    for k in range(q.max(initial=0)):
+        live = k < q
+        for j, w in enumerate(shifted):
+            nw, sing = M.step(w)
+            bad |= live & sing
+            shifted[j] = np.where(live, nw, w)
+    dx, dy = shifted[0] - shifted[1], shifted[2] - shifted[3]
+    J = np.stack([dx.real, dy.real, dx.imag, dy.imag], 1).reshape(-1, 2, 2) / (2 * h)
+    ok = ~bad & np.isfinite(J).all(axis=(1, 2))
+    m = np.full(z.size, np.nan)
+    if ok.any():
+        m[ok] = np.abs(np.linalg.eigvals(J[ok])).max(axis=1)
+    return m
 
 
 def classify_orbit(N, x0, roots, cfg=None):
@@ -388,14 +338,14 @@ def render_basins(N, roots, window, width, height, cfg=None):
     X, Y = window.pixel_centers(width, height)
     z = _pack(X, Y) if N.kind == "planar" else (X + 1j * Y).ravel()
     res = _classify(_point_map(N, roots, cfg), z, cfg)
-    return BasinRaster(
-        window=window,
-        width=width,
-        height=height,
-        codes=res.codes().reshape(height, width),
-        iterations=res.iterations.reshape(height, width).copy(),
-        legend=_legend(roots, N.kind == "complex"),
-    )
+    return _raster(window, width, height, res, _legend(roots, N.kind == "complex"))
+
+
+def _raster(window, width, height, res, legend):
+    shape = (height, width)
+    return BasinRaster(window, width, height, res.codes().reshape(shape),
+                       res.iterations.reshape(shape), legend,
+                       res.period.reshape(shape), res.multiplier.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -430,53 +380,26 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
 
     Root codes index into each parameter's own lexicographically sorted root
     list; parameters whose polynomial degenerates below degree 1 are marked
-    undecided.
+    undecided.  Members are solved and iterated in one batch per degree.
     """
     cfg = cfg or ScanConfig()
     window = Window.from_sequence(window)
     X, Y = window.pixel_centers(width, height)
-    a_values = (X + 1j * Y).ravel()
-    n_pix = a_values.size
-    C = _family_coefficients(family, a_values)
+    C = _family_coefficients(family, (X + 1j * Y).ravel())
     deg_full = C.shape[1] - 1
-
     # trim per-row trailing zeros to find each member's true degree
     nz = np.abs(C) > 0
     degrees = np.where(nz.any(axis=1), deg_full - np.argmax(nz[:, ::-1], axis=1), -1)
-    codes = np.full(n_pix, CODE_UNDECIDED, np.int32)
-    iters = np.full(n_pix, -1, np.int32)
-
-    main = degrees == deg_full
-    degenerate = degrees < 1
-    odd = ~main & ~degenerate
-    for i in np.nonzero(odd)[0]:
-        codes[i], iters[i] = _scan_single(UniComplexPoly(C[i, : degrees[i] + 1]), seed, cfg)
-    if np.any(main) and deg_full >= 1:
-        codes[main], iters[main] = _scan_main_batch(C[main], seed, cfg)
+    res = _BatchResult(C.shape[0])
+    for d in np.unique(degrees[degrees >= 1]):
+        rows = np.nonzero(degrees == d)[0]
+        part = _classify(_FamilyRows(C[rows, : d + 1], cfg.root_tol),
+                         np.full(rows.size, complex(seed)), cfg)
+        for name in _BatchResult.__slots__:
+            getattr(res, name)[rows] = getattr(part, name)
 
     legend = {CODE_CYCLE: "attracting cycle", CODE_ESCAPED: "escaped beyond radius",
               CODE_SINGULAR: "singular derivative hit", CODE_UNDECIDED: "undecided"}
     for i in range(deg_full):
         legend[i] = f"converged to root #{i} of that parameter's polynomial"
-    return BasinRaster(
-        window=window,
-        width=width,
-        height=height,
-        codes=codes.reshape(height, width),
-        iterations=iters.reshape(height, width),
-        legend=legend,
-    )
-
-
-def _scan_single(p, seed, cfg):
-    """(code, iterations) for one explicit family member of degree >= 1."""
-    roots = univariate_complex_roots(p, tol=1e-10)
-    M = _ComplexPoints(build_newton_complex(p), roots, cfg.root_tol)
-    res = _classify(M, np.array([complex(seed)]), cfg)
-    return outcome_code(int(res.kind[0]), int(res.root_index[0])), int(res.iterations[0])
-
-
-def _scan_main_batch(C, seed, cfg):
-    """Vectorized scan over rows sharing the full degree."""
-    res = _classify(_FamilyRows(C, cfg.root_tol), np.full(C.shape[0], complex(seed)), cfg)
-    return res.codes(), res.iterations
+    return _raster(window, width, height, res, legend)

@@ -79,7 +79,9 @@ class BasinRaster:
 
     codes holds root indices >= 0 or the CODE_* sentinels; iterations holds
     the per-pixel iteration count at decision time; legend maps each code
-    present to a short description.
+    present to a short description.  period and multiplier, when the
+    classifier recorded them, hold each cycle pixel's period and multiplier
+    (-1 and nan on every other pixel).
     """
 
     window: Window
@@ -88,6 +90,8 @@ class BasinRaster:
     codes: np.ndarray
     iterations: np.ndarray
     legend: dict = field(default_factory=dict)
+    period: np.ndarray | None = None
+    multiplier: np.ndarray | None = None
 
     def fractions(self):
         """Fraction of pixels per code, keyed like legend."""

@@ -548,3 +548,18 @@ class TestAlphaLimitAgreement:
             pts.real, pts.imag, Window(*SQUARE_WINDOW), 256, 256
         )
         assert directed_pixel_distance(cloud, tree) <= 3.0
+
+
+class TestComplexPreimageBatch:
+    def test_rows_that_lose_degree_match_counterimages(self, monkeypatch):
+        # num - 2 den = -2z: at the target 2 the cleared cubic drops to degree 1
+        N = ComplexRationalMap(UniComplexPoly([1, 0, 0, 2]),
+                               UniComplexPoly([0.5, 1, 0, 1]))
+        targets = np.array([2.0, 0.3 + 0.1j, 2.0, -1.5j])
+        expected = [counterimages(N, t) for t in targets]
+        assert [len(e) for e in expected] == [1, 3, 1, 3]
+        monkeypatch.setattr(backward, "univariate_complex_roots", None)
+        kids = backward._complex_preimages_batch(N, targets)
+        want = np.sort(np.concatenate([np.asarray(e, complex) for e in expected]))
+        assert kids.size == 8
+        assert np.allclose(np.sort(kids), want, rtol=0, atol=1e-12)

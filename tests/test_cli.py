@@ -19,6 +19,9 @@ from newtondyn.grid import (
 )
 from newtondyn import poly
 from newtondyn.backward import backward_tree
+from newtondyn.forward import _family_coefficients, classify_orbit
+from newtondyn.newton import build_newton_complex
+from newtondyn.poly import UniComplexPoly
 from newtondyn.cli import (
     ConfigError,
     MODES,
@@ -475,3 +478,43 @@ class TestCheckedInConfigs:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "cubic-roots-of-unity-basins.ppm").exists()
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize("field,value", [("width", "wide"), ("prng_seed", [1]),
+                                             ("threads", "x")])
+    def test_bad_top_level_number_is_config_error(self, tmp_path, capsys, field, value):
+        path = cubic_basins_config(tmp_path, **{field: value})
+        assert main(["basins", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: '{field}' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_mode_number_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "tree.json", {
+            "map": {"kind": "complex", "polynomial": "z^3 - 1"},
+            "seed_point": [5.0, 1.0], "depth": "deep"})
+        assert main(["alpha-tree", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "config error: 'depth' must be an integer" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="'disks.radius' must be a number"):
+            load_config(write_config(tmp_path, "ifs.json", {
+                "map": {"kind": "complex", "polynomial": "z^3 - 1"},
+                "disks": {"radius": "big"}}), "ifs")
+
+
+class TestParamScanReport:
+    def test_reported_cycles_match_classify_orbit(self, tmp_path):
+        job = load_config(str(CONFIG_DIR / "cubic-family-param-scan.json"), "param-scan")
+        report, _ = run_job(job, out_dir=tmp_path)
+        stats = report["statistics"]
+        cycles = stats["cycles"]
+        assert len(cycles) == min(stats["cycle_pixel_count"], job.params["report_cycles"])
+        assert cycles
+        for entry in cycles:
+            a = complex(*entry["parameter"])
+            member = UniComplexPoly(_family_coefficients(job.source, np.array([a]))[0])
+            roots = poly.univariate_complex_roots(member, tol=job.scan.root_tol)
+            out = classify_orbit(build_newton_complex(member), job.params["seed_value"],
+                                 roots, cfg=job.scan)
+            assert entry["outcome"] == out.kind == "cycle"
+            assert entry["period"] == out.period
+            assert entry["multiplier"] == pytest.approx(out.multiplier, rel=1e-6)

@@ -13,6 +13,7 @@ from newtondyn.grid import (
 )
 from newtondyn.newton import (
     ComplexRationalMap,
+    SingularJacobianError,
     build_newton_complex,
     build_newton_plane,
 )
@@ -30,6 +31,7 @@ from newtondyn.forward import (
     parameter_scan,
     render_basins,
 )
+from newtondyn.forward import _multipliers, _point_map
 
 CUBIC = UniComplexPoly([-1, 0, 0, 1])  # z^3 - 1
 ISLAND = UniComplexPoly([2, -2, 0, 1])  # z^3 - 2z + 2, superattracting 2-cycle
@@ -232,3 +234,113 @@ class TestParameterScan:
             out = classify_orbit(N, 0.0, roots)
             assert out.kind == "cycle"
             assert out.multiplier < 1.0
+
+
+# The scalar multiplier helpers the cycle phase used before it took central
+# differences through the map adapters' vectorized step; kept as references.
+def _reference_complex_multiplier(N, z, q, h):
+    try:
+        a, b = z + h, z - h
+        for _ in range(q):
+            a = N.step(a)
+            b = N.step(b)
+    except SingularJacobianError:
+        return np.nan
+    return abs(a - b) / (2.0 * h)
+
+
+def _reference_planar_multiplier(N, point, q, h):
+    def power(p):
+        for _ in range(q):
+            p = N.step(p)
+        return p
+
+    try:
+        xp = power((point[0] + h, point[1]))
+        xm = power((point[0] - h, point[1]))
+        yp = power((point[0], point[1] + h))
+        ym = power((point[0], point[1] - h))
+    except SingularJacobianError:
+        return np.nan
+    J = np.array(
+        [
+            [(xp[0] - xm[0]) / (2 * h), (yp[0] - ym[0]) / (2 * h)],
+            [(xp[1] - xm[1]) / (2 * h), (yp[1] - ym[1]) / (2 * h)],
+        ]
+    )
+    if not np.all(np.isfinite(J)):
+        return np.nan
+    return float(np.max(np.abs(np.linalg.eigvals(J))))
+
+
+class TestMultipliers:
+    H = 1e-6
+    # z^3 - 2z + 2 as a map of the plane: (Re p(x + iy), Im p(x + iy))
+    ISLAND_PLANE = parse_plane_map("x^3 - 3*x*y^2 - 2*x + 2", "3*x^2*y - y^3 - 2*y")
+
+    def starts(self):
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400)
+        q = rng.integers(1, 5, 400).astype(np.int32)
+        # z + h lands on the critical point sqrt(2/3) of z^3 - 2z + 2, where
+        # both the complex and the planar Newton step are singular
+        c = np.sqrt(2.0 / 3.0)
+        return (np.append(z, [c - self.H, c - self.H]),
+                np.append(q, [1, 3]).astype(np.int32))
+
+    def test_complex_matches_scalar_reference(self):
+        N = build_newton_complex(ISLAND)
+        z, q = self.starts()
+        got = _multipliers(_point_map(N, [], ScanConfig()), z, q, self.H)
+        ref = np.array([_reference_complex_multiplier(N, complex(p), int(k), self.H)
+                        for p, k in zip(z, q)])
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.isnan(ref[-2:]).all()
+        ok = ~np.isnan(ref)
+        assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-7 * (1.0 + np.abs(ref[ok])))
+
+    def test_planar_matches_scalar_reference(self):
+        N = build_newton_plane(self.ISLAND_PLANE)
+        z, q = self.starts()
+        got = _multipliers(_point_map(N, [], ScanConfig()), z, q, self.H)
+        ref = np.array([_reference_planar_multiplier(N, (p.real, p.imag), int(k), self.H)
+                        for p, k in zip(z, q)])
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.isnan(ref[-2:]).all()
+        ok = ~np.isnan(ref)
+        assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-12 * np.abs(ref[ok]))
+
+    def test_no_points(self):
+        N = build_newton_complex(ISLAND)
+        got = _multipliers(_point_map(N, [], ScanConfig()), np.empty(0, complex),
+                           np.empty(0, np.int32), self.H)
+        assert got.shape == (0,)
+
+
+class TestLowerDegreeScanRows:
+    SEED = 0.5 + 0.25j
+
+    @staticmethod
+    def member(a):
+        # degree 3, except 2 at Re A = -1 and 1 at Re A = 0
+        x = a.real
+        return UniComplexPoly([-1.0 + 0.5j, 1.0 + 1j * a.imag, x, x * (x + 1.0)])
+
+    def test_lower_degree_pixels_match_classify_orbit(self):
+        window = (-2.5, 2.5, -1.25, 1.25)  # pixel centers Re A = -2..2, Im A = 1..-1
+        ras = parameter_scan(self.member, self.SEED, window, 5, 5)
+        X, Y = Window.from_sequence(window).pixel_centers(5, 5)
+        degrees = set()
+        for i, j in zip(*np.nonzero(np.isin(X, (-1.0, 0.0)))):
+            p = self.member(complex(X[i, j], Y[i, j]))
+            degrees.add(p.degree)
+            out = classify_orbit(build_newton_complex(p), self.SEED,
+                                 univariate_complex_roots(p, tol=1e-10))
+            code = out.root_index if out.is_root else {
+                "cycle": CODE_CYCLE, "escaped": CODE_ESCAPED,
+                "singular": CODE_SINGULAR, "undecided": CODE_UNDECIDED}[out.kind]
+            assert ras.codes[i, j] == code
+            want = -1 if out.iterations is None else out.iterations
+            assert ras.iterations[i, j] == want
+            assert ras.period[i, j] == (out.period if out.is_cycle else -1)
+        assert degrees == {1, 2}
