@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import ndimage
@@ -44,8 +45,9 @@ from .poly import (
     PlaneMap,
     UniComplexPoly,
     _merge_points,
-    _plane_system,
+    _plane_polys,
     batched_complex_roots,
+    eval_many,
     system_real_roots,
     total_degree_homotopy,
     univariate_complex_roots,
@@ -282,10 +284,12 @@ def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
     if ncp is None or dcp is None:
         ncp, dcp = _padded_cleared_rows(N)
     rows = ncp[None, :] - targets[:, None] * dcp[None, :]
-    scale = np.max(np.abs(rows), axis=1)
-    signif = np.abs(rows) > 1e-12 * scale[:, None]
-    width = rows.shape[1]
-    degs = np.where(signif.any(axis=1), width - 1 - np.argmax(signif[:, ::-1], axis=1), -1)
+    # passes over the few columns, not reductions along short rows; NaN rows get -1
+    cols = np.abs(rows).T
+    tol = 1e-12 * reduce(np.maximum, cols)
+    degs = np.full(len(rows), -1)
+    for k, col in enumerate(cols):
+        degs[col > tol] = k
 
     pieces = []
     parents = []
@@ -316,13 +320,14 @@ def _planar_preimages_batch(N, zx, zy, dom):
     f = N.source
     (fx, fy), (gx, gy) = N.jacobian
     u, v = MultiPoly.variable(0), MultiPoly.variable(1)
-    # Df(w)(w - z) - f(w) is affine in z: P(w) - zx Df(w)e1 - zy Df(w)e2
-    parts = (_plane_system(fx * u + fy * v - f.first, gx * u + gy * v - f.second),
-             _plane_system(fx, gx), _plane_system(fy, gy))
+    # Df(w)(w - z) - f(w) is affine in z: P(w) - zx Df(w)e1 - zy Df(w)e2,
+    # and all three parts share one table of powers
+    parts = ((fx * u + fy * v - f.first, gx * u + gy * v - f.second), (fx, gx), (fy, gy))
+    values = eval_many([h for part in parts for h in _plane_polys(*part)])
 
     def cleared(x, y, rows):
-        p, q, r = (part(x, y) for part in parts)
-        return tuple(pk - zx[rows] * qk - zy[rows] * rk for pk, qk, rk in zip(p, q, r))
+        v = values(x, y)
+        return tuple(v[k] - zx[rows] * v[k + 6] - zy[rows] * v[k + 12] for k in range(6))
 
     wx, wy, status = total_degree_homotopy(
         cleared, (f.first.degree, f.second.degree), zx.size)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .poly import (PATH_FINITE, MultiPoly, PlaneMap, UniComplexPoly, _plane_system,
-                   system_real_roots, total_degree_homotopy)
+                   eval_many, system_real_roots, total_degree_homotopy)
 
 __all__ = [
     "SingularJacobianError",
@@ -115,6 +115,8 @@ class NewtonPlaneMap:
         self.source = source
         self.jacobian = jacobian
         self.det = det
+        (fx, fy), (gx, gy) = jacobian
+        self._values = eval_many((fx, fy, gx, gy, source.first, source.second))
 
     def step(self, point):
         """One Newton step at a point; partial-pivot 2x2 elimination."""
@@ -137,15 +139,13 @@ class NewtonPlaneMap:
 
     def step_many(self, x, y):
         """Vectorized step with the same pivoting; returns (nx, ny, singular)."""
-        (fx, fy), (gx, gy) = self.jacobian
-        a, b = fx.eval(x, y), fy.eval(x, y)
-        c, d = gx.eval(x, y), gy.eval(x, y)
+        a, b, c, d, r1, r2 = self._values(x, y)
         a, b, c, d = (np.asarray(v, dtype=float) + np.zeros_like(x) for v in (a, b, c, d))
         det = a * d - b * c
         norm_inf = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
         singular = np.abs(det) < SINGULAR_RTOL * (1.0 + norm_inf)
-        r1 = self.source.first.eval(x, y) + np.zeros_like(x)
-        r2 = self.source.second.eval(x, y) + np.zeros_like(x)
+        r1 = r1 + np.zeros_like(x)
+        r2 = r2 + np.zeros_like(x)
         swap = np.abs(c) > np.abs(a)
         a2 = np.where(swap, c, a)
         b2 = np.where(swap, d, b)

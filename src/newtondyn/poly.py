@@ -15,7 +15,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -25,6 +24,7 @@ __all__ = [
     "UniComplexPoly",
     "PolyParseError",
     "poly_eval",
+    "eval_many",
     "poly_diff",
     "parse_poly",
     "parse_plane_map",
@@ -106,17 +106,7 @@ class MultiPoly:
 
     def eval(self, x, y):
         """Evaluate at scalars or numpy arrays (real or complex)."""
-        if not self.terms:
-            if np.isscalar(x) and np.isscalar(y):
-                return 0.0
-            return np.zeros(np.broadcast(x, y).shape)
-        xp = _power_table(x, max(ex for (ex, _), _ in self.terms))
-        yp = _power_table(y, max(ey for (_, ey), _ in self.terms))
-        out = None
-        for (ex, ey), c in self.terms:
-            t = c * xp[ex] * yp[ey]
-            out = t if out is None else out + t
-        return out
+        return eval_many((self,))(x, y)[0]
 
     def diff(self, var):
         """Partial derivative with respect to variable 0 (x) or 1 (y)."""
@@ -214,6 +204,32 @@ def _power_table(v, n):
     for _ in range(n):
         table.append(table[-1] * v)
     return table
+
+
+def eval_many(polys):
+    """(x, y, rows=None) -> tuple of every p in polys at (x, y), from one
+    table of powers of x and one of y (rows is unused, as in the systems of
+    total_degree_homotopy).  Each value has the bits of tables sized for p
+    alone, as cumulative powers do not depend on the length of the table."""
+    terms = [p.terms for p in polys]
+    top_x = max((ex for t in terms for (ex, _), _ in t), default=0)
+    top_y = max((ey for t in terms for (_, ey), _ in t), default=0)
+
+    def evaluate(x, y, rows=None):
+        xp, yp = _power_table(x, top_x), _power_table(y, top_y)
+        out = []
+        for t in terms:
+            acc = None
+            for (ex, ey), c in t:
+                v = c * xp[ex] * yp[ey]
+                acc = v if acc is None else acc + v
+            if acc is None:  # the zero polynomial
+                scalar = np.isscalar(x) and np.isscalar(y)
+                acc = 0.0 if scalar else np.zeros(np.broadcast(x, y).shape)
+            out.append(acc)
+        return tuple(out)
+
+    return evaluate
 
 
 def _poly_power_table(p, n):
@@ -587,55 +603,84 @@ def row_polyval(coeff_rows, z):
     return out
 
 
+def _horner_columns(CT, z):
+    """row_polyval on a transposed tile: column k of CT at the roots in z[:, k]."""
+    out = np.broadcast_to(CT[-1], z.shape).copy()
+    for c in CT[-2::-1]:
+        out *= z
+        out += c
+    return out
+
+
 def _aberth_rows(C):
     """Aberth-Ehrlich iteration on all rows of C (ascending, nonzero leading
     coefficients) at once, from circles of radius max_k |a_k/a_d|^(1/(d-k)).
     Returns (roots, converged): a row converges once every correction is
     <= 1e-14 (1 + |z|); a multiple root, as in (z - 1)^3, prevents that.
-    A row stops, unconverged, at its first non-finite iterate."""
+    A row stops, unconverged, at its first non-finite iterate.  Column-major:
+    one row of C per column, so each numpy pass runs over contiguous rows."""
     m, n = C.shape
     d = n - 1
     radius = np.max(np.abs(C[:, :-1] / C[:, -1:]) ** (1.0 / np.arange(d, 0, -1)), axis=1)
     # the angular offset keeps the start off the symmetry axes of real rows
-    roots = radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.4))
-    active, z, Ca, Da = np.arange(m), roots, C, C[:, 1:] * np.arange(1, n)
+    roots = radius * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.4))[:, None]
+    active, z = np.arange(m), roots.copy()
+    CT, DT = C.T.copy(), (C[:, 1:] * np.arange(1, n)).T.copy()
     converged = np.zeros(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ABERTH_ITERS):
-            w = row_polyval(Ca, z) / row_polyval(Da, z)
-            # sum over j != i of 1 / (z_i - z_j), one roll per shift
-            s = sum(1.0 / (z - np.roll(z, k, axis=1)) for k in range(1, d))
+            w = _horner_columns(CT, z) / _horner_columns(DT, z)
+            # s_i = sum over k = 1..d-1 of 1 / (z_i - z_(i-k mod d)), in that order;
+            # each pair is inverted once, as 1 / (z_j - z_i) == -(1 / (z_i - z_j))
+            inv = {(i, j): 1.0 / (z[i] - z[j]) for i in range(d) for j in range(i)}
+            s = np.zeros_like(z)
+            for i in range(d):
+                for j in ((i - k) % d for k in range(1, d)):
+                    if j < i:
+                        s[i] += inv[i, j]
+                    else:
+                        s[i] -= inv[j, i]
             corr = w / (1.0 - w * s)
-            z = z - corr
-            roots[active] = z
-            # row-wise all() as an & over columns: np.all(axis=1) is several
-            # times slower on rows this short
-            done = reduce(np.logical_and, (np.abs(corr) <= _ABERTH_RTOL * (1.0 + np.abs(z))).T)
+            z -= corr
+            small = np.abs(corr) <= _ABERTH_RTOL * (1.0 + np.abs(z))
+            done = np.logical_and.reduce(small, axis=0)
             converged[active[done]] = True
-            left = ~done & reduce(np.logical_and, np.isfinite(z).T)
-            active, z, Ca, Da = active[left], z[left], Ca[left], Da[left]
+            left = ~done & np.logical_and.reduce(np.isfinite(z), axis=0)
+            if not left.all():
+                roots[:, active[~left]] = z[:, ~left]
+                active, z = active[left], z.compress(left, axis=1)
+                CT, DT = CT.compress(left, axis=1), DT.compress(left, axis=1)
             if active.size == 0:
                 break
-    return roots, converged
+        roots[:, active] = z
+    return roots.T.copy(), converged
 
 
 def _polish_rows(C, roots):
     """Newton polish of roots[k] on row C[k], in place: at most 12 rounds,
     keeping a step only if |p| does not grow.  A row that one round leaves
-    bit-for-bit unchanged is at a fixed point and stops."""
-    D = C[:, 1:] * np.arange(1, C.shape[1])
-    active = np.arange(C.shape[0])
+    bit-for-bit unchanged is at a fixed point and stops.  Column-major, as
+    in _aberth_rows."""
+    CT, DT = C.T.copy(), (C[:, 1:] * np.arange(1, C.shape[1])).T.copy()
+    out = roots.T.copy()
+    active, z = np.arange(C.shape[0]), out.copy()
     for _ in range(_ROOT_POLISH_ROUNDS):
-        Ca, z = C[active], roots[active]
-        pv = row_polyval(Ca, z)
-        dv = row_polyval(D[active], z)
+        pv = _horner_columns(CT, z)
+        dv = _horner_columns(DT, z)
         step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
         moved = z - step
-        polished = np.where(np.abs(row_polyval(Ca, moved)) <= np.abs(pv), moved, z)
-        roots[active] = polished
-        active = active[np.any(polished.view(np.uint64) != z.view(np.uint64), axis=1)]
+        polished = np.where(np.abs(_horner_columns(CT, moved)) <= np.abs(pv), moved, z)
+        bits = (polished.view(np.uint64) != z.view(np.uint64)).reshape(z.shape + (2,))
+        moving = np.logical_or.reduce(bits, axis=(0, 2))
+        if not moving.all():
+            out[:, active[~moving]] = polished[:, ~moving]
+            active, polished = active[moving], polished.compress(moving, axis=1)
+            CT, DT = CT.compress(moving, axis=1), DT.compress(moving, axis=1)
+        z = polished
         if active.size == 0:
             break
+    out[:, active] = z
+    roots[...] = out.T
     return roots
 
 
@@ -734,16 +779,15 @@ def _solve_2x2(a, b, c, d, f1, f2):
     return (d * f1 - b * f2) / det, (a * f2 - c * f1) / det, bad
 
 
+def _plane_polys(f, g):
+    """(f, g) and its Jacobian [[a, b], [c, d]] as six polynomials."""
+    return (f, g, f.diff(0), f.diff(1), g.diff(0), g.diff(1))
+
+
 def _plane_system(f, g):
     """(f, g) and its Jacobian [[a, b], [c, d]] as (x, y, rows) -> (f, g,
     a, b, c, d), the form total_degree_homotopy takes (rows is unused)."""
-    fx, fy, gx, gy = f.diff(0), f.diff(1), g.diff(0), g.diff(1)
-
-    def system(x, y, rows=None):
-        return (f.eval(x, y), g.eval(x, y),
-                fx.eval(x, y), fy.eval(x, y), gx.eval(x, y), gy.eval(x, y))
-
-    return system
+    return eval_many(_plane_polys(f, g))
 
 
 def _newton_polish_batch(system, x, y, max_step, iters=60):

@@ -235,6 +235,138 @@ def test_polish_exit_matches_all_twelve_rounds():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _row_major_aberth(C):
+    """Reference: the row-major Aberth-Ehrlich iteration that the
+    column-major _aberth_rows replaced, kept verbatim."""
+    from functools import reduce
+
+    m, n = C.shape
+    d = n - 1
+    radius = np.max(np.abs(C[:, :-1] / C[:, -1:]) ** (1.0 / np.arange(d, 0, -1)), axis=1)
+    roots = radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.4))
+    active, z, Ca, Da = np.arange(m), roots, C, C[:, 1:] * np.arange(1, n)
+    converged = np.zeros(m, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(poly._ABERTH_ITERS):
+            w = row_polyval(Ca, z) / row_polyval(Da, z)
+            s = sum(1.0 / (z - np.roll(z, k, axis=1)) for k in range(1, d))
+            corr = w / (1.0 - w * s)
+            z = z - corr
+            roots[active] = z
+            done = reduce(np.logical_and,
+                          (np.abs(corr) <= poly._ABERTH_RTOL * (1.0 + np.abs(z))).T)
+            converged[active[done]] = True
+            left = ~done & reduce(np.logical_and, np.isfinite(z).T)
+            active, z, Ca, Da = active[left], z[left], Ca[left], Da[left]
+            if active.size == 0:
+                break
+    return roots, converged
+
+
+def _row_major_polish(C, roots):
+    """Reference: the row-major Newton polish that the column-major
+    _polish_rows replaced, kept verbatim."""
+    D = C[:, 1:] * np.arange(1, C.shape[1])
+    active = np.arange(C.shape[0])
+    for _ in range(poly._ROOT_POLISH_ROUNDS):
+        Ca, z = C[active], roots[active]
+        pv = row_polyval(Ca, z)
+        dv = row_polyval(D[active], z)
+        step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
+        moved = z - step
+        polished = np.where(np.abs(row_polyval(Ca, moved)) <= np.abs(pv), moved, z)
+        roots[active] = polished
+        active = active[np.any(polished.view(np.uint64) != z.view(np.uint64), axis=1)]
+        if active.size == 0:
+            break
+    return roots
+
+
+def _row_major_tile_roots(C):
+    roots, converged = _row_major_aberth(C)
+    stuck = ~converged
+    d = C.shape[1] - 1
+    comp = np.zeros((np.count_nonzero(stuck), d, d), complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = -C[stuck, :-1] / C[stuck, -1:]
+    roots[stuck] = np.linalg.eigvals(comp)
+    return np.sort(_row_major_polish(C, roots), axis=1, kind="stable")
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_column_major_kernel_matches_row_major_reference(threads):
+    rng = np.random.default_rng(101)
+    batches = [rng.normal(size=(300, d + 1)) + 1j * rng.normal(size=(300, d + 1))
+               for d in range(1, 7)]
+    batches[2][:100] = rng.normal(size=(100, 4))  # real rows
+    batches += [np.tile(np.array(c, complex), (5, 1))
+                for c in ([0, 0, 0, 1], [-1, 3, -3, 1], [1.0, 1.0, 1e-11])]
+    with worker_threads(threads):
+        for C in batches:
+            want, want_conv = _row_major_aberth(C)
+            got, got_conv = _aberth_rows(C)
+            assert _same_bits(got, want)
+            assert np.array_equal(got_conv, want_conv)
+            seeds = np.where(np.isfinite(want), want, 0.5) + 1e-3 * rng.normal(size=want.shape)
+            assert _same_bits(_polish_rows(C, seeds.copy()), _row_major_polish(C, seeds.copy()))
+            assert _same_bits(batched_complex_roots(C), _row_major_tile_roots(C))
+        # a mixed quartic batch across the tile boundary, with rows that
+        # go non-finite at once and rows that never converge
+        tile = poly._TILE_ROWS
+        C = rng.normal(size=(tile + 50, 5)) + 1j * rng.normal(size=(tile + 50, 5))
+        C[tile - 3:tile + 3] = [0, 0, 0, 0, 1]
+        C[::997] = [1, -4, 6, -4, 1]
+        want = np.concatenate([_row_major_tile_roots(C[:tile]), _row_major_tile_roots(C[tile:])])
+        assert _same_bits(batched_complex_roots(C), want)
+
+
+def test_column_major_aberth_drops_nonfinite_rows_at_once(monkeypatch):
+    # every start of z^3 sits at 0, so the first iterate is already
+    # non-finite; the rows leave after one round of column Horner passes
+    calls = []
+    real_horner = poly._horner_columns
+
+    def counting_horner(CT, z):
+        calls.append(CT.shape[1])
+        return real_horner(CT, z)
+
+    monkeypatch.setattr(poly, "_horner_columns", counting_horner)
+    _, converged = _aberth_rows(np.tile(np.array([0, 0, 0, 1], complex), (100, 1)))
+    assert 1 <= len(calls) <= 4
+    assert not converged.any()
+
+
+def test_eval_many_matches_eval_bit_for_bit():
+    rng = np.random.default_rng(7)
+    polys = [MultiPoly(), MultiPoly.constant(-2.5), parse_poly("2.7*x^2*y^3 - 0.3*x*y^4 + x"),
+             parse_poly("y^2 - 1.7"), parse_poly("0.1*x^5 - x*y^2 + 3")]
+    values = poly.eval_many(polys)
+    x, y = rng.normal(size=40), rng.normal(size=40)
+    inputs = [(x, y), (x + 1j * rng.normal(size=40), y - 0.5j * rng.normal(size=40)),
+              (x.reshape(5, 8), 0.25), (1.5, -0.75), (2, 3)]
+    for a, b in inputs:
+        got = values(a, b, rows=None)
+        assert len(got) == len(polys)
+        for p, v in zip(polys, got):
+            want = p.eval(a, b)
+            assert type(v) is type(want)
+            assert _same_bits(np.atleast_1d(np.asarray(v, complex)),
+                              np.atleast_1d(np.asarray(want, complex)))
+    assert poly.eval_many([])(x, y) == ()
+    # the same bits as each polynomial evaluated on its own power table
+    for p, v in zip(polys[2:], values(x, y)[2:]):
+        xp, yp = [x ** 0], [y ** 0]
+        for _ in range(6):
+            xp.append(xp[-1] * x)
+            yp.append(yp[-1] * y)
+        want = sum(c * xp[ex] * yp[ey] for (ex, ey), c in p.terms)
+        assert _same_bits(v, want)
+
+
 def test_batched_roots_with_tiny_leading_coefficient():
     # 1e-11 w^2 + w + 1: one root near -1, the other near -1e11
     roots = batched_complex_roots([[1.0, 1.0, 1e-11]])[0]
