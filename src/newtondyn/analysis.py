@@ -28,7 +28,7 @@ from scipy import ndimage
 
 from .grid import CODE_CYCLE, OccupancyRaster
 from .newton import build_newton_complex, measure_invariance_defect
-from .poly import UniComplexPoly, univariate_complex_roots
+from .poly import UniComplexPoly, map_tiles, univariate_complex_roots
 from .backward import directed_pixel_distance
 
 __all__ = [
@@ -338,27 +338,27 @@ def barna_check(p, cfg=None, max_period=5, samples=1_000_000,
 
     # Monte-Carlo nonconvergence estimate with an active-set loop: points
     # either land within conv_rtol of a real root, go non-finite, or burn
-    # the whole budget; only the first count as converged
+    # the whole budget; only the first count as converged.  All samples are
+    # drawn first, so the tiles of the loop keep the RNG order
     rng = np.random.default_rng(int(prng_seed))
     x = rng.uniform(float(sample_interval[0]), float(sample_interval[1]), int(samples))
     step = _make_step(*_real_rational(N))
-    alive = np.arange(x.size)
-    nonfinite = 0
-    for _ in range(budget):
-        if alive.size == 0:
-            break
-        nx = step(x[alive])
-        finite = np.isfinite(nx)
-        if real_roots.size:
-            dist = reduce(np.minimum, [np.abs(nx - r) for r in real_roots])
-            scale = 1.0 + np.abs(nx)
-            converged = finite & (dist <= conv_rtol * scale)
-        else:
-            converged = np.zeros(nx.shape, dtype=bool)
-        nonfinite += int(np.count_nonzero(~finite))
-        x[alive] = nx
-        alive = alive[finite & ~converged]
-    nonconvergent = float(alive.size + nonfinite) / float(samples)
+
+    def lost(x):
+        nonfinite = 0
+        for _ in range(budget):
+            if x.size == 0:
+                break
+            nx = step(x)
+            keep = np.isfinite(nx)
+            nonfinite += int(np.count_nonzero(~keep))
+            if real_roots.size:
+                dist = reduce(np.minimum, [np.abs(nx - r) for r in real_roots])
+                keep &= dist > conv_rtol * (1.0 + np.abs(nx))
+            x = nx[keep]
+        return x.size + nonfinite
+
+    nonconvergent = float(sum(map_tiles(lost, x))) / float(samples)
 
     return BarnaReport(
         description=_format_poly(p),

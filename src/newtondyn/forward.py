@@ -13,6 +13,9 @@ the central-difference Jacobian of the period-fold map, taken through the
 adapter's own vectorized step on all cycle points at once, and only
 multipliers below 1 are reported as cycles; everything else stays undecided.
 
+render_basins and parameter_scan run in map_tiles tiles of 65,536 points on
+the calling thread; each point is classified on its own, so no bit moves.
+
 Iteration counts record the number of Newton steps applied when the
 classification became final, except that root hits record the first step of
 the confirming consecutive pair and singular hits record the steps completed
@@ -33,7 +36,7 @@ from .grid import (
     BasinRaster,
     Window,
 )
-from .poly import MultiPoly, batched_complex_roots, row_polyval
+from .poly import MultiPoly, batched_complex_roots, map_tiles, row_polyval
 
 __all__ = [
     "ScanConfig",
@@ -126,12 +129,8 @@ class _BatchResult:
         return OrbitOutcome("undecided")
 
     def codes(self):
-        codes = np.full(self.kind.shape, CODE_UNDECIDED, np.int32)
-        codes[self.kind == _ROOT] = self.root_index[self.kind == _ROOT]
-        codes[self.kind == _CYCLE] = CODE_CYCLE
-        codes[self.kind == _ESCAPED] = CODE_ESCAPED
-        codes[self.kind == _SINGULAR] = CODE_SINGULAR
-        return codes
+        by_kind = np.array([CODE_UNDECIDED, 0, CODE_ESCAPED, CODE_SINGULAR, CODE_CYCLE], np.int32)
+        return np.where(self.kind == _ROOT, self.root_index, by_kind[self.kind])
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +148,17 @@ def _pack(x, y):
 
 
 def _nearest(z, roots, tol):
-    """Index of the root within tol of each point, else -1.  roots has one
-    row shared by all points or one row per point."""
+    """Index of the root within tol of each point (the first on ties), else
+    -1.  roots has one row shared by all points or one row per point."""
     if roots.shape[1] == 0:
         return np.full(z.size, -1, np.int32)
-    d = np.abs(z[:, None] - roots)
-    h = np.argmin(d, axis=1).astype(np.int32)
-    near = d[np.arange(z.size), h] <= tol
-    return np.where(near, h, -1).astype(np.int32)
+    best, h = np.abs(z - roots[:, 0]), np.zeros(z.size, np.int32)
+    for j in range(1, roots.shape[1]):
+        d = np.abs(z - roots[:, j])
+        closer = d < best
+        best = np.where(closer, d, best)
+        h[closer] = j
+    return np.where(best <= tol, h, -1).astype(np.int32)
 
 
 class _ComplexPoints:
@@ -250,6 +252,15 @@ def _classify(M, z, cfg):
     return res
 
 
+def _classify_tiles(fn, a):
+    """One _BatchResult from fn(tile) on every map_tiles tile of a."""
+    parts = map_tiles(fn, a)
+    res = _BatchResult(0)
+    for name in _BatchResult.__slots__:
+        setattr(res, name, np.concatenate([getattr(p, name) for p in parts]))
+    return res
+
+
 def _cycle_phase(M, z, idx, res, cfg):
     W = cfg.cycle_window
     trail = np.empty((W + 1, z.size), complex)
@@ -337,7 +348,8 @@ def render_basins(N, roots, window, width, height, cfg=None):
     window = Window.from_sequence(window)
     X, Y = window.pixel_centers(width, height)
     z = _pack(X, Y) if N.kind == "planar" else (X + 1j * Y).ravel()
-    res = _classify(_point_map(N, roots, cfg), z, cfg)
+    M = _point_map(N, roots, cfg)
+    res = _classify_tiles(lambda t: _classify(M, t, cfg), z)
     return _raster(window, width, height, res, _legend(roots, N.kind == "complex"))
 
 
@@ -393,8 +405,9 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
     res = _BatchResult(C.shape[0])
     for d in np.unique(degrees[degrees >= 1]):
         rows = np.nonzero(degrees == d)[0]
-        part = _classify(_FamilyRows(C[rows, : d + 1], cfg.root_tol),
-                         np.full(rows.size, complex(seed)), cfg)
+        part = _classify_tiles(
+            lambda c: _classify(_FamilyRows(c, cfg.root_tol),
+                                np.full(len(c), complex(seed)), cfg), C[rows, : d + 1])
         for name in _BatchResult.__slots__:
             getattr(res, name)[rows] = getattr(part, name)
 

@@ -31,6 +31,7 @@ __all__ = [
     "univariate_complex_roots",
     "batched_complex_roots",
     "worker_threads",
+    "map_tiles",
     "row_polyval",
     "system_real_roots",
     "total_degree_homotopy",
@@ -545,14 +546,15 @@ _ABERTH_ITERS = 60
 _ABERTH_RTOL = 1e-14  # bound on every correction of a row, relative to 1 + |z|
 _ROOT_POLISH_ROUNDS = 12
 _TILE_ROWS = 4096  # rows per batched_complex_roots tile, sized to stay in cache
-_workers = 1  # threads for the tiles of one batched_complex_roots call
+_TILE_POINTS = 1 << 16  # points per forward-orbit tile (pixels, samples)
+_workers = 1  # threads for the tiles of one threaded map_tiles call
 
 
 @contextmanager
 def worker_threads(n):
-    """Solve batched_complex_roots tiles on n threads inside the block,
-    restoring the previous count on exit; n = 0 means every usable core.
-    The count is process-wide, and outside any block it is 1."""
+    """Run threaded map_tiles tiles on n threads inside the block, restoring
+    the previous count on exit; n = 0 means every usable core.  The count
+    is process-wide, and outside any block it is 1."""
     global _workers
     n = int(n)
     if n < 0:
@@ -565,6 +567,21 @@ def worker_threads(n):
         yield n
     finally:
         _workers = old
+
+
+def map_tiles(fn, a, rows=None, threads=False):
+    """[fn(tile) for each tile] in order, a tile being a run of rows of a
+    along axis 0 (_TILE_POINTS unless given).  With threads, tiles run on up
+    to worker_threads threads, never more than there are tiles, and the
+    count is 1 while they run, so a call made inside a tile nests no pool."""
+    rows = rows or _TILE_POINTS
+    tiles = [a[k:k + rows] for k in range(0, max(len(a), 1), rows)]
+    workers = min(_workers, len(tiles)) if threads else 1
+    if workers == 1:
+        return [fn(t) for t in tiles]
+    # numpy releases the interpreter lock inside its loops, so tiles overlap
+    with ThreadPoolExecutor(workers) as pool, worker_threads(1):
+        return list(pool.map(fn, tiles))
 
 
 def univariate_complex_roots(p, tol=1e-10):
@@ -706,22 +723,15 @@ def batched_complex_roots(coeff_rows):
     (real, imag); no residual bound is enforced here.
 
     Rows are solved in tiles of _TILE_ROWS, so the iteration's temporaries
-    stay in cache, and the tiles run on the threads set by worker_threads.
+    stay in cache, and map_tiles runs the tiles on worker_threads' threads.
     Every row is solved on its own, so the result is bit-identical for any
     number of rows in the call and any number of threads.
     """
     C = np.asarray(coeff_rows, dtype=complex)
     if C.shape[1] < 2:
         raise ValueError("need degree >= 1 rows")
-    if len(C) <= _TILE_ROWS:
-        return _tile_roots(C)
-    tiles = [C[k:k + _TILE_ROWS] for k in range(0, len(C), _TILE_ROWS)]
-    workers = min(_workers, len(tiles))
-    if workers == 1:
-        return np.concatenate([_tile_roots(t) for t in tiles])
-    # numpy releases the interpreter lock inside its loops, so tiles overlap
-    with ThreadPoolExecutor(workers) as pool:
-        return np.concatenate(list(pool.map(_tile_roots, tiles)))
+    parts = map_tiles(_tile_roots, C, rows=_TILE_ROWS, threads=True)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ extraction, and ghost-line probing."""
 import numpy as np
 import pytest
 
-from newtondyn.poly import UniComplexPoly, MultiPoly, PlaneMap
+from newtondyn import poly
+from newtondyn.poly import UniComplexPoly, MultiPoly, PlaneMap, worker_threads
 from newtondyn.newton import (
     GhostLine,
     SingularJacobianError,
@@ -359,6 +360,21 @@ class TestBarnaCheck:
         report = barna_check(QUARTIC, max_period=1, samples=1000,
                              sample_interval=(1e200, 1e201))
         assert report.nonconvergent_fraction == 1.0
+
+    def test_tiled_estimate_matches_untiled(self, monkeypatch):
+        # starts beyond about 4.5e102 overflow at once, the rest shrink by
+        # about 2/3 a step into the root or the 2-cycle basin of
+        # z^3 - 2z + 2; the count per tile is exact, so the fraction has
+        # the bits of one untiled loop at any thread count
+        q = UniComplexPoly([2.0, -2.0, 0.0, 1.0])
+        run = lambda: barna_check(q, cfg=ScanConfig(max_iter=1000), max_period=1,
+                                  samples=20_000, sample_interval=(-1e103, 1e103))
+        untiled = run().nonconvergent_fraction
+        assert 0.5 < untiled < 0.7
+        monkeypatch.setattr(poly, "_TILE_POINTS", 3_000)
+        for threads in (1, 2):
+            with worker_threads(threads):
+                assert run().nonconvergent_fraction == untiled
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

@@ -469,6 +469,29 @@ class TestCheckedInConfigs:
         assert images[0] == images[1] == images[2]
         assert reports[0] == reports[1] == reports[2]
 
+    def test_tiled_basins_are_byte_identical_at_any_thread_count(self, tmp_path, pools):
+        # 512 x 512 pixels make four forward tiles of 65,536 points, which
+        # run on the calling thread whatever --threads says
+        cfg_path = CONFIG_DIR / "planar-two-parabolas-basins.json"
+        cfg = json.loads(cfg_path.read_text())
+        assert cfg["width"] * cfg["height"] == 4 * poly._TILE_POINTS
+        reports, images = [], []
+        for threads in (1, 2, 4):
+            pools.clear()
+            out_dir = tmp_path / f"t{threads}"
+            assert main(["basins", "--config", str(cfg_path), "--out", str(out_dir),
+                         "--threads", str(threads)]) == 0
+            assert pools == []
+            images.append((out_dir / cfg["outputs"]["raster"]).read_bytes())
+            rep = json.loads((out_dir / cfg["outputs"]["report"]).read_text())
+            assert rep["threads"] == threads
+            for doc in (rep, rep["config"]):
+                doc.pop("threads")
+            rep.pop("timings_s")
+            reports.append(rep)
+        assert images[0] == images[1] == images[2]
+        assert reports[0] == reports[1] == reports[2]
+
     def test_console_script_runs(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "newtondyn.cli", "basins",
@@ -499,6 +522,18 @@ class TestNumericFields:
             load_config(write_config(tmp_path, "ifs.json", {
                 "map": {"kind": "complex", "polynomial": "z^3 - 1"},
                 "disks": {"radius": "big"}}), "ifs")
+
+
+    @pytest.mark.parametrize("field,value", [("samples", 0), ("samples", -5),
+                                             ("max_period", 0), ("max_period", -1)])
+    def test_barna_counts_below_one_are_config_errors(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, "barna.json", {
+            "map": {"kind": "complex", "polynomial": "z^4 - 5*z^2 + 4"},
+            "max_period": 2, "samples": 100, field: value})
+        out_dir = tmp_path / "never"
+        assert main(["barna", "--config", path, "--out", str(out_dir)]) == 1
+        assert f"config error: '{field}' must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestParamScanReport:

@@ -17,12 +17,14 @@ from newtondyn.newton import (
     build_newton_complex,
     build_newton_plane,
 )
+from newtondyn import poly
 from newtondyn.poly import (
     UniComplexPoly,
     parse_plane_map,
     parse_poly,
     system_real_roots,
     univariate_complex_roots,
+    worker_threads,
 )
 from newtondyn.forward import (
     OrbitOutcome,
@@ -31,7 +33,7 @@ from newtondyn.forward import (
     parameter_scan,
     render_basins,
 )
-from newtondyn.forward import _multipliers, _point_map
+from newtondyn.forward import _multipliers, _nearest, _point_map
 
 CUBIC = UniComplexPoly([-1, 0, 0, 1])  # z^3 - 1
 ISLAND = UniComplexPoly([2, -2, 0, 1])  # z^3 - 2z + 2, superattracting 2-cycle
@@ -344,3 +346,92 @@ class TestLowerDegreeScanRows:
             assert ras.iterations[i, j] == want
             assert ras.period[i, j] == (out.period if out.is_cycle else -1)
         assert degrees == {1, 2}
+
+
+def _argmin_nearest(z, roots, tol):
+    """The broadcast argmin formula _nearest replaced, kept as a reference."""
+    if roots.shape[1] == 0:
+        return np.full(z.size, -1, np.int32)
+    d = np.abs(z[:, None] - roots)
+    h = np.argmin(d, axis=1).astype(np.int32)
+    near = d[np.arange(z.size), h] <= tol
+    return np.where(near, h, -1).astype(np.int32)
+
+
+class TestNearest:
+    def test_column_pass_matches_argmin(self):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+        # exact ties: the imaginary axis is equidistant from 1 and -1, and
+        # a repeated root ties with itself everywhere
+        z[:200] = 1j * rng.normal(size=200)
+        z[200:210] = [0.0, 1.0, -1.0, 1.0 + 1e-9, np.inf, -np.inf, np.nan,
+                      complex(np.nan, 1.0), complex(1.0, np.inf), 1e300]
+        shared = np.array([[1.0, -1.0, 0.5j, -1.0, 2.0 + 1j]])
+        per_point = rng.normal(size=(z.size, 3)) + 1j * rng.normal(size=(z.size, 3))
+        per_point[:300, 2] = per_point[:300, 0]
+        for roots in (shared, per_point, shared[:, :1], shared[:, :0]):
+            for tol in (1e-8, 0.5, 3.0):
+                want = _argmin_nearest(z, roots, tol)
+                got = _nearest(z, roots, tol)
+                assert got.dtype == want.dtype == np.int32
+                assert np.array_equal(got, want)
+        ties = np.array([[1.0, -1.0, -1.0]], complex)
+        assert _nearest(np.array([0.0, -1.0, 2j]), ties, 3.0).tolist() == [0, 1, 0]
+
+
+def _raster_bits(ras):
+    return [ras.codes, ras.iterations, ras.period, ras.multiplier.view(np.uint64)]
+
+
+class TestTiles:
+    """Tiles of forward points classify every point on its own, so tiled
+    runs at any thread count give the bits of one untiled run."""
+
+    @staticmethod
+    def _tiled_matches_untiled(monkeypatch, run, tile):
+        untiled = _raster_bits(run())
+        monkeypatch.setattr(poly, "_TILE_POINTS", tile)
+        for threads in (1, 2):
+            with worker_threads(threads):
+                got = _raster_bits(run())
+            for a, b in zip(got, untiled):
+                assert np.array_equal(a, b)
+
+    def test_cycle_basins(self, monkeypatch):
+        # the 2-cycle basin of z^3 - 2z + 2 puts cycles, and multipliers,
+        # into most tiles
+        N = build_newton_complex(ISLAND)
+        roots = univariate_complex_roots(ISLAND, tol=1e-10)
+        run = lambda: render_basins(N, roots, (-1.5, 1.5, -1.5, 1.5), 60, 60)
+        cycle_tiles = np.flatnonzero(run().codes == CODE_CYCLE) // 700
+        assert np.unique(cycle_tiles).size >= 3
+        self._tiled_matches_untiled(monkeypatch, run, 700)
+
+    def test_planar_basins(self, monkeypatch):
+        f = parse_plane_map("y - x^2", "x - 2 + 4*y - y^2")
+        N = build_newton_plane(f)
+        roots = system_real_roots(f, (-4, 4, -2, 6), tol=1e-10)
+        run = lambda: render_basins(N, roots, (-4, 4, -2, 6), 48, 48)
+        self._tiled_matches_untiled(monkeypatch, run, 500)
+
+    def test_parameter_scan_across_degrees(self, monkeypatch):
+        member = TestLowerDegreeScanRows.member
+        window = (-2.5, 2.5, -1.25, 1.25)  # Re A = -2..2 as in that class
+        run = lambda: parameter_scan(member, TestLowerDegreeScanRows.SEED, window, 5, 40)
+        self._tiled_matches_untiled(monkeypatch, run, 16)
+
+    def test_scan_tiles_run_on_the_calling_thread(self, monkeypatch, pools):
+        # each of the two scan tiles runs on the calling thread and solves
+        # its 128 family rows in 16 root tiles, which start one pool each
+        family = TestParameterScan.FAMILY
+        run = lambda: parameter_scan(family, 0.0, (-2.3, 1.7, -2, 2), 16, 16)
+        untiled = _raster_bits(run())
+        monkeypatch.setattr(poly, "_TILE_POINTS", 128)
+        monkeypatch.setattr(poly, "_TILE_ROWS", 8)
+        pools.clear()
+        with worker_threads(2):
+            got = _raster_bits(run())
+        assert pools == [2, 2]
+        for a, b in zip(got, untiled):
+            assert np.array_equal(a, b)

@@ -374,20 +374,6 @@ def test_batched_roots_with_tiny_leading_coefficient():
     assert abs(roots[1] + 1.0) <= 1e-10
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Records the size of every thread pool that poly starts."""
-    sizes = []
-
-    class RecordingPool(poly.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(poly, "ThreadPoolExecutor", RecordingPool)
-    return sizes
-
-
 @pytest.mark.parametrize("rows", [poly._TILE_ROWS - 1, poly._TILE_ROWS,
                                   2 * poly._TILE_ROWS + 1])
 def test_tiled_roots_match_per_tile_calls(monkeypatch, pools, rows):
@@ -420,6 +406,18 @@ def test_tiled_roots_start_no_more_threads_than_tiles(monkeypatch, pools):
         batched_complex_roots(C[:9])
         batched_complex_roots(C[:8])
     assert pools == [3, 2]
+
+
+def test_tiles_inside_pooled_tiles_start_no_pool(monkeypatch, pools):
+    # root solves called from inside a pooled tile run their own tiles on
+    # that tile's thread, so two threads never start a second pool
+    monkeypatch.setattr(poly, "_TILE_ROWS", 8)
+    C = np.random.default_rng(4).normal(size=(64, 4)).astype(complex)
+    with worker_threads(2):
+        got = poly.map_tiles(batched_complex_roots, C, rows=32, threads=True)
+        assert poly._workers == 2
+    assert pools == [2]
+    assert _same_bits(np.concatenate(got), batched_complex_roots(C))
 
 
 def test_worker_threads_zero_means_every_usable_core():
