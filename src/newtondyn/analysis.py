@@ -24,7 +24,6 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import CODE_CYCLE, OccupancyRaster
 from .newton import build_newton_complex, measure_invariance_defect
@@ -407,10 +406,14 @@ def extract_boundary(basins):
     attractors = [int(c) for c in present if c >= 0 or c == CODE_CYCLE]
     if len(attractors) < 2:
         raise ValueError("boundary extraction needs at least two attractor codes")
+    h, w = codes.shape
     diversity = np.zeros(codes.shape, dtype=np.int16)
-    box = np.ones((3, 3), dtype=bool)
+    padded = np.zeros((h + 2, w + 2), dtype=bool)  # outside the raster holds no code
     for c in attractors:
-        diversity += ndimage.binary_dilation(codes == c, structure=box).astype(np.int16)
+        padded[1:-1, 1:-1] = codes == c
+        # 3x3 dilation: OR of the three column shifts, then of three row shifts
+        across = padded[:, :-2] | padded[:, 1:-1] | padded[:, 2:]
+        diversity += across[:-2] | across[1:-1] | across[2:]
     return BoundaryRaster(
         window=basins.window, width=basins.width, height=basins.height,
         bits=diversity >= 2, diversity=diversity,

@@ -19,7 +19,10 @@ from newtondyn.grid import (
     Window,
     BasinRaster,
     OccupancyRaster,
+    CODE_CYCLE,
     CODE_ESCAPED,
+    CODE_SINGULAR,
+    CODE_UNDECIDED,
 )
 from newtondyn.backward import backward_tree
 from newtondyn.analysis import (
@@ -402,6 +405,26 @@ class TestExtractBoundary:
         assert boundary.diversity.max() == 2
         assert boundary.nonregular_fraction == 0.0
         assert boundary.nonregular_raster().count == 0
+
+    def test_matches_scipy_box_dilation(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(8)
+        pool = [0, 1, 2, CODE_CYCLE, CODE_ESCAPED, CODE_SINGULAR, CODE_UNDECIDED]
+        box = np.ones((3, 3), dtype=bool)
+        for _ in range(200):
+            h, w = rng.integers(6, 41, size=2)
+            codes = rng.choice(pool, size=(h, w)).astype(np.int32)
+            # every attractor sits on all four borders
+            for i, c in enumerate([0, 1, CODE_CYCLE]):
+                codes[0, i] = codes[-1, -1 - i] = codes[-1 - i, 0] = codes[i, -1] = c
+            raster = BasinRaster(Window(-1, 1, -1, 1), int(w), int(h), codes,
+                                 np.ones_like(codes), {0: 0j, 1: 1j, 2: -1j})
+            diversity = np.zeros(codes.shape, dtype=np.int16)
+            for c in [0, 1, 2, CODE_CYCLE]:
+                diversity += ndimage.binary_dilation(codes == c, structure=box)
+            boundary = extract_boundary(raster)
+            assert np.array_equal(boundary.diversity, diversity)
+            assert np.array_equal(boundary.bits, diversity >= 2)
 
     def test_checkerboard_is_entirely_boundary(self):
         codes = np.indices((16, 16)).sum(axis=0) % 2

@@ -504,11 +504,21 @@ class TestPixelDistances:
         B = self.raster([(10, 15)])
         assert hausdorff_pixel_distance(A, B) == 5.0
 
-    def test_dilation_by_one(self):
-        from scipy import ndimage
+    def test_three_four_five(self):
+        # hand-computed: the diagonal 3-4-5 neighbor beats the one 6 rows
+        # down in A's own column
+        A = self.raster([(10, 10)])
+        B = self.raster([(13, 14), (16, 10)])
+        assert directed_pixel_distance(A, B) == 5.0
+        assert directed_pixel_distance(B, A) == 6.0
 
+    def test_dilation_by_one(self):
         A = self.raster([(10, 10), (10, 11), (15, 20)])
-        grown = ndimage.binary_dilation(A.bits)
+        grown = A.bits.copy()  # each pixel and its four edge neighbors
+        grown[1:] |= A.bits[:-1]
+        grown[:-1] |= A.bits[1:]
+        grown[:, 1:] |= A.bits[:, :-1]
+        grown[:, :-1] |= A.bits[:, 1:]
         B = OccupancyRaster(A.window, A.width, A.height, grown)
         assert hausdorff_pixel_distance(A, B) == 1.0
 
@@ -532,6 +542,76 @@ class TestPixelDistances:
         empty = OccupancyRaster.empty(A.window, 32, 32)
         with pytest.raises(ValueError):
             hausdorff_pixel_distance(A, empty)
+
+
+def _occupancy(bits):
+    height, width = bits.shape
+    return OccupancyRaster(Window(0.0, 1.0, 0.0, 1.0), width, height, bits)
+
+
+def _edt_directed(a, b):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    return float(ndimage.distance_transform_edt(~b)[a].max())
+
+
+def _edge_case(name):
+    rng = np.random.default_rng(11)
+    if name == "a_inside_b":
+        b = rng.random((24, 31)) < 0.4
+        return b & (rng.random(b.shape) < 0.5), b
+    if name == "corner_pixel":
+        b = np.zeros((20, 30), dtype=bool)
+        b[0, 0] = True
+        return np.ones_like(b), b
+    if name == "empty_rows_and_columns":
+        b = np.zeros((25, 25), dtype=bool)
+        b[np.ix_([3, 17], [5, 22])] = True
+        return ~b, b
+    if name == "one_row":
+        b = np.zeros((1, 40), dtype=bool)
+        b[0, 7] = True
+        return ~b, b
+    if name == "one_column":
+        b = np.zeros((40, 1), dtype=bool)
+        b[33, 0] = True
+        return ~b, b
+    if name == "non_square":
+        return rng.random((13, 37)) < 0.3, rng.random((13, 37)) < 0.05
+    # B only in the top row: A's bottom row lies 79 px from it, more than
+    # ten times the raster width
+    b = np.zeros((80, 6), dtype=bool)
+    b[0, 2] = True
+    a = np.zeros_like(b)
+    a[79] = True
+    return a, b
+
+
+class TestPixelDistanceAgainstScipy:
+    """scipy's exact EDT is the oracle; equality is bit for bit."""
+
+    def test_random_rasters(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            shape = tuple(rng.integers(1, 51, size=2))
+            a = rng.random(shape) < rng.uniform(0.001, 0.6)
+            b = rng.random(shape) < rng.uniform(0.001, 0.6)
+            a.flat[rng.integers(a.size)] = True
+            b.flat[rng.integers(b.size)] = True
+            got = directed_pixel_distance(_occupancy(a), _occupancy(b))
+            assert got == _edt_directed(a, b), shape
+
+    @pytest.mark.parametrize("name", [
+        "a_inside_b", "corner_pixel", "empty_rows_and_columns", "one_row",
+        "one_column", "non_square", "farther_than_width_along_a_row",
+    ])
+    def test_edge_cases(self, name):
+        a, b = _edge_case(name)
+        got = directed_pixel_distance(_occupancy(a), _occupancy(b))
+        assert got == _edt_directed(a, b)
+        if name == "a_inside_b":
+            assert got == 0.0
+        if name == "farther_than_width_along_a_row":
+            assert got > 10 * b.shape[1]
 
 
 class TestAlphaLimitAgreement:

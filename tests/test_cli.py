@@ -1,6 +1,7 @@
 """Tests for the config-driven command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -553,3 +554,16 @@ class TestParamScanReport:
             assert entry["outcome"] == out.kind == "cycle"
             assert entry["period"] == out.period
             assert entry["multiplier"] == pytest.approx(out.multiplier, rel=1e-6)
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.ndimage once cost most of the CLI's start-up
+    code = ("import newtondyn.cli, sys; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
