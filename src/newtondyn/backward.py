@@ -32,6 +32,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import poly
 from .grid import OccupancyRaster, Window
 from .newton import (
     NewtonPlaneMap,
@@ -47,6 +48,7 @@ from .poly import (
     _plane_polys,
     batched_complex_roots,
     eval_many,
+    map_tiles,
     system_real_roots,
     total_degree_homotopy,
     univariate_complex_roots,
@@ -271,39 +273,43 @@ def _padded_cleared_rows(N):
 
 
 def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
-    """Validated counterimages of every target, concatenated.
+    """Validated counterimages of every target, concatenated, and the index
+    of each one's target.
 
-    Rows of num - z*den are grouped by effective degree and each group is
-    solved by one batched_complex_roots call; rows below degree 1 have no
-    counterimage.  The forward residual check then filters every root.
+    map_tiles runs the targets in tiles of _TILE_ROWS on worker_threads'
+    threads.  A tile clears its rows num - z*den, groups them by effective
+    degree, solves each group with one batched_complex_roots call (serial in
+    a pooled tile) and filters the roots by their forward residual; rows
+    below degree 1 have no counterimage.  Every row is solved on its own, so
+    the tiling moves only the order of counterimages, within a level that
+    mixes degrees.
     """
     targets = np.asarray(targets, complex).ravel()
-    if targets.size == 0:
-        return np.empty(0, complex)
     if ncp is None or dcp is None:
         ncp, dcp = _padded_cleared_rows(N)
-    rows = ncp[None, :] - targets[:, None] * dcp[None, :]
-    # passes over the few columns, not reductions along short rows; NaN rows get -1
-    cols = np.abs(rows).T
-    tol = 1e-12 * reduce(np.maximum, cols)
-    degs = np.full(len(rows), -1)
-    for k, col in enumerate(cols):
-        degs[col > tol] = k
 
-    pieces = []
-    parents = []
-    for d in np.unique(degs[degs >= 1]):
-        sel = degs == d
-        pieces.append(batched_complex_roots(rows[sel, : d + 1]).ravel())
-        parents.append(np.repeat(targets[sel], d))
-    if not pieces:
-        return np.empty(0, complex)
-    kids = np.concatenate(pieces)
-    par = np.concatenate(parents)
-    good = np.isfinite(kids.real) & np.isfinite(kids.imag)
-    vals, sing = N.step_many(np.where(good, kids, 0.0))
-    good &= ~sing & (np.abs(vals - par) <= 1e-6 * (1.0 + np.abs(par)))
-    return kids[good]
+    def tile(ix):
+        z = targets[ix]
+        rows = ncp[None, :] - z[:, None] * dcp[None, :]
+        # passes over the few columns, not reductions along short rows; NaN rows get -1
+        cols = np.abs(rows).T
+        tol = 1e-12 * reduce(np.maximum, cols)
+        degs = np.full(len(rows), -1)
+        for k, col in enumerate(cols):
+            degs[col > tol] = k
+        kids, par = [np.empty(0, complex)], [np.empty(0, int)]
+        for d in np.unique(degs[degs >= 1]):
+            sel = np.flatnonzero(degs == d)
+            kids.append(batched_complex_roots(rows[sel, : d + 1]).ravel())
+            par.append(np.repeat(sel, d))
+        kids, par = np.concatenate(kids), np.concatenate(par)
+        good = np.isfinite(kids.real) & np.isfinite(kids.imag)
+        vals, sing = N.step_many(np.where(good, kids, 0.0))
+        good &= ~sing & (np.abs(vals - z[par]) <= 1e-6 * (1.0 + np.abs(z[par])))
+        return kids[good], ix[par[good]]
+
+    parts = map_tiles(tile, np.arange(targets.size), rows=poly._TILE_ROWS, threads=True)
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _planar_preimages_batch(N, zx, zy, dom):
@@ -311,8 +317,9 @@ def _planar_preimages_batch(N, zx, zy, dom):
 
     A total-degree homotopy solves every target's cleared system over C^2;
     endpoints that are real (|Im| <= 1e-9 (1 + |.|)) and in the domain are
-    kept if the forward map sends them back onto their target.  Each
-    regular counterimage comes back once, unless its path failed.
+    kept if the forward map sends them back onto their target, and come back
+    with the index of that target.  Each regular counterimage comes back
+    once, unless its path failed.
     """
     zx = np.asarray(zx, float).ravel()
     zy = np.asarray(zy, float).ravel()
@@ -338,7 +345,7 @@ def _planar_preimages_batch(N, zx, zy, dom):
     nx, ny, sing = N.step_many(wx, wy)
     good = (wx >= dom.xmin) & (wx <= dom.xmax) & (wy >= dom.ymin) & (wy <= dom.ymax) \
         & ~sing & (np.hypot(nx - rx, ny - ry) <= RESIDUAL_RTOL * (1.0 + np.hypot(rx, ry)))
-    return wx[good], wy[good]
+    return wx[good], wy[good], rows[good]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +390,7 @@ def _complex_tree(N, z0, depth, cap, dom, win, width, height):
     for k in range(1, depth + 1):
         if total + level.size * branch > cap:
             break
-        kids = _complex_preimages_batch(N, level, ncp, dcp)
+        kids, _ = _complex_preimages_batch(N, level, ncp, dcp)
         if dom is not None:
             inside = (
                 (kids.real >= dom.xmin) & (kids.real <= dom.xmax)
@@ -414,7 +421,7 @@ def _planar_tree(N, z0, depth, cap, dom, win, width, height):
     for k in range(1, depth + 1):
         if total + px.size * branch > cap:
             break
-        wx, wy = _planar_preimages_batch(N, px, py, dom)
+        wx, wy, _ = _planar_preimages_batch(N, px, py, dom)
         if wx.size == 0:
             break
         occ = OccupancyRaster.from_points(wx, wy, dom, ddw, ddh)
@@ -434,6 +441,13 @@ def hutchinson_iterate(N, initial, excluded, steps):
     land inside the excluded disks, and report the Hausdorff gap between
     consecutive iterates.
 
+    Each pixel is solved once, the first time it is set: its center's
+    counterimages outside the disks and inside the window become (source,
+    destination) pixel pairs, and the next iterate marks the destinations of
+    the current set's pairs.  A pixel's counterimages do not depend on the
+    other pixels of its batch, so this is the raster of solving every set
+    pixel at every step.
+
     Returns (rasters, gaps) with one raster per step and gaps[k] the
     pixel distance between step k and its predecessor.
     """
@@ -443,7 +457,7 @@ def hutchinson_iterate(N, initial, excluded, steps):
     if initial.count == 0:
         raise ValueError("initial raster is empty")
     disks = [(float(cx), float(cy), float(r)) for cx, cy, r in excluded]
-    win = initial.window
+    win, w, h = initial.window, initial.width, initial.height
     ncp = dcp = None
     if N.kind == "complex":
         ncp, dcp = _padded_cleared_rows(N)
@@ -451,17 +465,27 @@ def hutchinson_iterate(N, initial, excluded, steps):
     rasters = []
     gaps = []
     current = initial
+    solved = np.zeros((h, w), bool)
+    src = dst = np.empty(0, np.int64)  # flat (source, destination) pixel pairs
     for _ in range(int(steps)):
-        xs, ys = current.set_pixel_centers()
+        new = current.bits & ~solved
+        solved |= new
+        xs, ys = OccupancyRaster(win, w, h, new).set_pixel_centers()
         if N.kind == "complex":
-            kids = _complex_preimages_batch(N, xs + 1j * ys, ncp, dcp)
+            kids, parent = _complex_preimages_batch(N, xs + 1j * ys, ncp, dcp)
             px, py = kids.real, kids.imag
         else:
-            px, py = _planar_preimages_batch(N, xs, ys, win)
+            px, py, parent = _planar_preimages_batch(N, xs, ys, win)
+        keep = np.ones(px.size, bool)
         for cx, cy, r in disks:
-            keep = (px - cx) ** 2 + (py - cy) ** 2 >= r * r
-            px, py = px[keep], py[keep]
-        nxt = OccupancyRaster.from_points(px, py, win, initial.width, initial.height)
+            keep &= (px - cx) ** 2 + (py - cy) ** 2 >= r * r
+        row, col = win.pixel_of(px, py, w, h)
+        keep &= row >= 0
+        src = np.concatenate([src, np.flatnonzero(new)[parent[keep]]])
+        dst = np.concatenate([dst, row[keep] * w + col[keep]])
+        bits = np.zeros((h, w), bool)
+        bits.flat[dst[current.bits.flat[src]]] = True
+        nxt = OccupancyRaster(win, w, h, bits)
         if nxt.count == 0:
             raise EmptySetError("iterate lost every pixel; excluded disks cover the image")
         gaps.append(hausdorff_pixel_distance(nxt, current))

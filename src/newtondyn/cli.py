@@ -8,11 +8,11 @@ Modes: basins, alpha-tree, alpha-random, ifs, param-scan, barna, ghost,
 compare.  Every job writes a JSON report; raster modes also write binary
 PPM images and alpha-random writes a CSV orbit dump.  All artifacts except
 the wall-clock timings inside the report are deterministic for a fixed
-config and seed.  --threads N sets how many threads solve the 4,096-row
-tiles of the batched root kernel (0, the default, means every usable core);
-forward classification and barna's Monte-Carlo loop run in tiles of 65,536
-points on the calling thread.  Artifacts are byte-identical at any value,
-and the report records it.
+config and seed.  --threads N sets how many threads solve the 8,192-row
+tiles of counterimage batches and of the batched root kernel (0, the
+default, means every usable core); forward classification and barna's
+Monte-Carlo loop run in tiles of 65,536 points on the calling thread.
+Artifacts are byte-identical at any value, and the report records it.
 
 Exit codes: 0 success, 1 config or validation error, 2 runtime error.
 """
@@ -796,10 +796,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's prng_seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads for the 4,096-row tiles of root solves "
-                             "(default 0: every usable core); the 65,536-point "
-                             "forward and barna tiles run on one thread; "
-                             "artifacts are identical at any value")
+                        help="threads for the 8,192-row tiles of counterimage "
+                             "and root solves (default 0: every usable core); "
+                             "the 65,536-point forward and barna tiles run on "
+                             "one thread; artifacts are identical at any value")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

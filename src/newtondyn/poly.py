@@ -545,7 +545,7 @@ def complex_poly_to_plane_map(p):
 _ABERTH_ITERS = 60
 _ABERTH_RTOL = 1e-14  # bound on every correction of a row, relative to 1 + |z|
 _ROOT_POLISH_ROUNDS = 12
-_TILE_ROWS = 4096  # rows per batched_complex_roots tile, sized to stay in cache
+_TILE_ROWS = 8192  # rows per root or counterimage tile, sized to stay in cache
 _TILE_POINTS = 1 << 16  # points per forward-orbit tile (pixels, samples)
 _workers = 1  # threads for the tiles of one threaded map_tiles call
 

@@ -3,6 +3,7 @@ trees, Hutchinson iteration, and raster distances."""
 
 import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestPlanarCounterimages:
         xmin, xmax, ymin, ymax = QUARTIC_DOMAIN
         zx = rng.uniform(xmin, xmax, 50)
         zy = rng.uniform(ymin, ymax, 50)
-        wx, wy = _planar_preimages_batch(N, zx, zy, Window.from_sequence(QUARTIC_DOMAIN))
+        wx, wy, _ = _planar_preimages_batch(N, zx, zy, Window.from_sequence(QUARTIC_DOMAIN))
         want = np.array([w for z in zip(zx, zy) for w in counterimages(N, z, QUARTIC_DOMAIN)])
         got = np.column_stack([wx, wy])
         assert len(want) > 50
@@ -204,8 +205,8 @@ class TestPlanarCounterimages:
         assert np.all(gaps.min(axis=0) <= 1e-8)
         assert np.all(gaps.min(axis=1) <= 1e-8)
         # the seed target of the two-parabolas tree has 4 distinct preimages
-        wx, wy = _planar_preimages_batch(N, [0.0], [-1.0],
-                                         Window.from_sequence(QUARTIC_DOMAIN))
+        wx, wy, _ = _planar_preimages_batch(N, [0.0], [-1.0],
+                                            Window.from_sequence(QUARTIC_DOMAIN))
         assert len(set(zip(np.round(wx, 6), np.round(wy, 6)))) == len(wx) == 4
 
     @pytest.mark.parametrize("step_max", [poly._STEP_MAX, 1.0])
@@ -639,7 +640,175 @@ class TestComplexPreimageBatch:
         expected = [counterimages(N, t) for t in targets]
         assert [len(e) for e in expected] == [1, 3, 1, 3]
         monkeypatch.setattr(backward, "univariate_complex_roots", None)
-        kids = backward._complex_preimages_batch(N, targets)
+        kids, _ = backward._complex_preimages_batch(N, targets)
         want = np.sort(np.concatenate([np.asarray(e, complex) for e in expected]))
         assert kids.size == 8
         assert np.allclose(np.sort(kids), want, rtol=0, atol=1e-12)
+
+
+def _untiled_complex_preimages(N, targets):
+    """The counterimage batch before tiling, kept as the reference: one
+    array of rows for the whole level, grouped by degree across it."""
+    targets = np.asarray(targets, complex).ravel()
+    if targets.size == 0:
+        return np.empty(0, complex)
+    ncp, dcp = backward._padded_cleared_rows(N)
+    rows = ncp[None, :] - targets[:, None] * dcp[None, :]
+    cols = np.abs(rows).T
+    tol = 1e-12 * reduce(np.maximum, cols)
+    degs = np.full(len(rows), -1)
+    for k, col in enumerate(cols):
+        degs[col > tol] = k
+
+    pieces = []
+    parents = []
+    for d in np.unique(degs[degs >= 1]):
+        sel = degs == d
+        pieces.append(poly.batched_complex_roots(rows[sel, : d + 1]).ravel())
+        parents.append(np.repeat(targets[sel], d))
+    if not pieces:
+        return np.empty(0, complex)
+    kids = np.concatenate(pieces)
+    par = np.concatenate(parents)
+    good = np.isfinite(kids.real) & np.isfinite(kids.imag)
+    vals, sing = N.step_many(np.where(good, kids, 0.0))
+    good &= ~sing & (np.abs(vals - par) <= 1e-6 * (1.0 + np.abs(par)))
+    return kids[good]
+
+
+def _reference_set_map(N, initial, excluded, steps):
+    """The set map that solves every set pixel at every step, kept as the
+    reference for the one that solves each pixel once."""
+    disks = [(float(cx), float(cy), float(r)) for cx, cy, r in excluded]
+    win = initial.window
+    rasters, gaps = [], []
+    current = initial
+    for _ in range(int(steps)):
+        xs, ys = current.set_pixel_centers()
+        if N.kind == "complex":
+            kids = _untiled_complex_preimages(N, xs + 1j * ys)
+            px, py = kids.real, kids.imag
+        else:
+            px, py, _ = _planar_preimages_batch(N, xs, ys, win)
+        for cx, cy, r in disks:
+            keep = (px - cx) ** 2 + (py - cy) ** 2 >= r * r
+            px, py = px[keep], py[keep]
+        nxt = OccupancyRaster.from_points(px, py, win, initial.width, initial.height)
+        gaps.append(hausdorff_pixel_distance(nxt, current))
+        rasters.append(nxt)
+        current = nxt
+    return rasters, gaps
+
+
+def _sorted_bits(z):
+    return np.sort(np.asarray(z, complex)).view(np.uint64)
+
+
+class TestTiledPreimageBatch:
+    def rational_map(self):
+        # num - 2 den = -2z: rows of the target 2 drop to degree 1
+        return ComplexRationalMap(UniComplexPoly([1, 0, 0, 2]),
+                                  UniComplexPoly([0.5, 1, 0, 1]))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_untiled_batch(self, pools, threads):
+        # three tiles and a bit, with degree-1 rows and NaN rows in each
+        N = self.rational_map()
+        tile = poly._TILE_ROWS
+        rng = np.random.default_rng(11)
+        n = 3 * tile + 17
+        targets = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+        lost = [0, 5, tile - 1, tile, 2 * tile + 3, n - 1]
+        nan = [1, tile + 1, 3 * tile + 2]
+        targets[lost] = 2.0
+        targets[nan] = complex(np.nan, 0.0)
+        want = _untiled_complex_preimages(N, targets)
+        with poly.worker_threads(threads):
+            kids, parent = backward._complex_preimages_batch(N, targets)
+        assert pools == ([threads] if threads > 1 else [])
+        assert np.array_equal(_sorted_bits(kids), _sorted_bits(want))
+        counts = np.bincount(parent, minlength=n)
+        assert np.all(counts[lost] == 1) and np.all(counts[nan] == 0)
+        assert kids.size == want.size == 3 * (n - len(lost) - len(nan)) + len(lost)
+        vals, _ = N.step_many(kids)
+        assert np.all(np.abs(vals - targets[parent]) <= 1e-6 * (1.0 + np.abs(targets[parent])))
+
+    def test_small_tiles_match_untiled_batch(self, monkeypatch):
+        N = self.rational_map()
+        targets = np.array([2.0, 0.3 + 0.1j, np.nan, 2.0, -1.5j, 1.0 + 1.0j, 2.0])
+        monkeypatch.setattr(poly, "_TILE_ROWS", 2)
+        with poly.worker_threads(2):
+            kids, parent = backward._complex_preimages_batch(N, targets)
+        assert np.array_equal(_sorted_bits(kids),
+                              _sorted_bits(_untiled_complex_preimages(N, targets)))
+        assert np.bincount(parent, minlength=7).tolist() == [1, 3, 0, 1, 3, 3, 1]
+
+    def test_no_targets(self):
+        kids, parent = backward._complex_preimages_batch(self.rational_map(), [])
+        assert kids.size == parent.size == 0
+
+
+class TestSolveOnceSetMap:
+    def disks(self):
+        return TestHutchinson().disks()
+
+    def solve_once(self, monkeypatch, N, initial, disks, steps):
+        """The set map's rasters and gaps, next to the reference's, and the
+        count of rows (complex) or targets (planar) that reached a solver."""
+        want = _reference_set_map(N, initial, disks, steps)
+        rows = []
+        roots = backward.batched_complex_roots
+        homotopy = backward.total_degree_homotopy
+
+        def counting_roots(C):
+            rows.append(len(C))
+            return roots(C)
+
+        def counting_homotopy(system, degrees, targets):
+            rows.append(targets)
+            return homotopy(system, degrees, targets)
+
+        monkeypatch.setattr(backward, "batched_complex_roots", counting_roots)
+        monkeypatch.setattr(backward, "total_degree_homotopy", counting_homotopy)
+        with poly.worker_threads(2):
+            got = hutchinson_iterate(N, initial, disks, steps)
+        for a, b in zip(got[0], want[0]):
+            assert np.array_equal(a.bits, b.bits)
+        assert len(got[0]) == len(want[0]) == steps
+        assert got[1] == want[1]
+        return got[0], sum(rows)
+
+    @staticmethod
+    def ever_solved(initial, rasters):
+        return np.count_nonzero(reduce(np.logical_or, [r.bits for r in rasters[:-1]],
+                                       initial.bits))
+
+    def test_full_window(self, monkeypatch):
+        initial = TestHutchinson().full_window()
+        rasters, rows = self.solve_once(monkeypatch, cubic_newton(), initial,
+                                        self.disks(), 12)
+        assert rows == self.ever_solved(initial, rasters) == 256 * 256
+
+    def test_growing_blob(self, monkeypatch):
+        # a 3x3 blob on the Julia set's edge: every step reaches pixels
+        # that no earlier iterate had, so every step solves new pixels
+        bits = np.zeros((128, 128), dtype=bool)
+        bits[40:43, 60:63] = True
+        initial = OccupancyRaster(Window(*SQUARE_WINDOW), 128, 128, bits)
+        rasters, rows = self.solve_once(monkeypatch, cubic_newton(), initial,
+                                        self.disks(), 6)
+        seen = initial.bits.copy()
+        for r in rasters[:-1]:
+            assert np.any(r.bits & ~seen)
+            seen |= r.bits
+        assert rows == self.ever_solved(initial, rasters) == np.count_nonzero(seen)
+        assert rows > 10 * initial.count
+
+    def test_planar(self, monkeypatch):
+        N = decoupled_newton()
+        roots = [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
+        disks = [(a, b, 0.15) for a, b in roots]
+        initial = TestHutchinson().full_window(48)
+        rasters, targets = self.solve_once(monkeypatch, N, initial, disks, 4)
+        assert targets == self.ever_solved(initial, rasters) == 48 * 48
+        assert 0 < rasters[-1].count < initial.count

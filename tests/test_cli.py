@@ -440,8 +440,8 @@ class TestCheckedInConfigs:
 
     def test_tiled_ifs_is_byte_identical_at_any_thread_count(self, tmp_path, monkeypatch):
         # the first set-map level solves one root row per pixel, 65,536 of
-        # them, so batched_complex_roots splits it into tiles and runs them
-        # on the requested threads
+        # them, so _complex_preimages_batch splits it into tiles and runs
+        # them on the requested threads
         cfg_path = CONFIG_DIR / "cubic-roots-of-unity-ifs.json"
         cfg = json.loads(cfg_path.read_text())
         assert cfg["width"] * cfg["height"] > 4 * poly._TILE_ROWS
