@@ -179,7 +179,7 @@ def _planar_counterimages(N, z, dom):
     # the solver's own merge radius; collapse them before filtering
     diag = math.hypot(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
     merged = _merge_points(raw, 1e-5 * (1.0 + diag))
-    if not merged:  # common on backward orbits; step_many costs ~0.1 ms even on none
+    if not merged:  # common on backward orbits; step_many costs ~70 us on none, as on two
         return []
     wx, wy = np.array(merged, dtype=float).T
     ix, iy, singular = N.step_many(wx, wy)

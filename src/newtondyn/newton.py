@@ -396,12 +396,8 @@ def indeterminacy_points(P, tol=1e-8):
             continue
         for u, v in candidates:
             if all(abs(c.eval(u, v)) <= tol * scale for c in charts):
-                if axis == 0:
-                    pt = (1.0, u, v)
-                elif axis == 1:
-                    pt = (u, 1.0, v)
-                else:
-                    pt = (u, v, 1.0)
+                pt = [u, v]
+                pt.insert(axis, 1.0)  # the chart's own coordinate
                 points.append(_normalize_projective(pt))
     return _dedupe_tuples(points, 1e-8)
 

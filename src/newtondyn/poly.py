@@ -594,10 +594,9 @@ def univariate_complex_roots(p, tol=1e-10):
         raise ValueError("root solver needs degree >= 1")
     C = np.array(p.coefficients, dtype=complex)
     roots = _polish_rows(C[None], np.roots(C[::-1]).astype(complex)[None])[0]
-    scale = p.max_abs_coeff()
-    bound = tol * (1.0 + np.abs(roots)) ** p.degree * scale
+    bound = tol * (1.0 + np.abs(roots)) ** p.degree * p.max_abs_coeff()
     resid = np.abs(p.eval(roots))
-    if np.any(resid > bound):
+    if (resid > bound).any():
         worst = float(np.max(resid / np.maximum(bound, 1e-300)))
         raise ArithmeticError(
             f"root polishing failed residual bound (worst ratio {worst:.3g})"
@@ -622,7 +621,8 @@ def row_polyval(coeff_rows, z):
 
 def _horner_columns(CT, z):
     """row_polyval on a transposed tile: column k of CT at the roots in z[:, k]."""
-    out = np.broadcast_to(CT[-1], z.shape).copy()
+    out = np.empty_like(z)
+    out[...] = CT[-1]
     for c in CT[-2::-1]:
         out *= z
         out += c
@@ -677,27 +677,28 @@ def _polish_rows(C, roots):
     """Newton polish of roots[k] on row C[k], in place: at most 12 rounds,
     keeping a step only if |p| does not grow.  A row that one round leaves
     bit-for-bit unchanged is at a fixed point and stops.  Column-major, as
-    in _aberth_rows."""
+    in _aberth_rows; a round starts from the values of p that the last one
+    kept."""
     CT, DT = C.T.copy(), (C[:, 1:] * np.arange(1, C.shape[1])).T.copy()
-    out = roots.T.copy()
-    active, z = np.arange(C.shape[0]), out.copy()
+    active, z = np.arange(C.shape[0]), roots.T.copy()
+    pv = _horner_columns(CT, z)
     for _ in range(_ROOT_POLISH_ROUNDS):
-        pv = _horner_columns(CT, z)
         dv = _horner_columns(DT, z)
-        step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
-        moved = z - step
-        polished = np.where(np.abs(_horner_columns(CT, moved)) <= np.abs(pv), moved, z)
-        bits = (polished.view(np.uint64) != z.view(np.uint64)).reshape(z.shape + (2,))
-        moving = np.logical_or.reduce(bits, axis=(0, 2))
+        moved = z - np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
+        pm = _horner_columns(CT, moved)
+        take = np.abs(pm) <= np.abs(pv)
+        polished = np.where(take, moved, z)
+        pv = np.where(take, pm, pv)
+        bits = np.logical_or.reduce(polished.view(np.uint64) != z.view(np.uint64))
+        moving = bits[0::2] | bits[1::2]  # either half of a root's bits moved
         if not moving.all():
-            out[:, active[~moving]] = polished[:, ~moving]
-            active, polished = active[moving], polished.compress(moving, axis=1)
-            CT, DT = CT.compress(moving, axis=1), DT.compress(moving, axis=1)
+            roots[active[~moving]] = polished.compress(~moving, axis=1).T
+            if not moving.any():
+                return roots
+            active = active[moving]
+            polished, pv, CT, DT = (a.compress(moving, axis=1) for a in (polished, pv, CT, DT))
         z = polished
-        if active.size == 0:
-            break
-    out[:, active] = z
-    roots[...] = out.T
+    roots[active] = z.T
     return roots
 
 
@@ -738,46 +739,69 @@ def batched_complex_roots(coeff_rows):
 # Real solutions of bivariate systems: box subdivision with interval
 # exclusion, leaf centers polished by damped Newton, merged and sorted.
 
-
-def _interval_pow(lo, hi, k):
-    """Elementwise interval power for arrays of box bounds (x^0 is 1.0)."""
-    if k == 0:
-        return 1.0, 1.0
-    if k == 1:
-        return lo, hi
-    if k % 2 == 1:
-        return lo**k, hi**k
-    abs_lo, abs_hi = np.abs(lo), np.abs(hi)
-    big = np.maximum(abs_lo, abs_hi) ** k
-    small = np.minimum(abs_lo, abs_hi) ** k
-    contains_zero = (lo <= 0.0) & (hi >= 0.0)
-    return np.where(contains_zero, 0.0, small), big
+_X_THEN_Y = np.array([[True], [False]])
 
 
-def _interval_eval(polys, xlo, xhi, ylo, yhi):
-    """Interval enclosures (lo, hi) of each polynomial in polys over
-    axis-aligned boxes (vectorized), sharing the powers of x and y and the
-    hull of each monomial; x^0 and y^0 multiply nothing (1.0 * v is v)."""
-    exps = {e for p in polys for e, _ in p.terms}
-    xp = {k: _interval_pow(xlo, xhi, k) for k in {ex for ex, _ in exps}}
-    yp = {k: _interval_pow(ylo, yhi, k) for k in {ey for _, ey in exps}}
-    hull = {}
-    for ex, ey in exps:
-        (xl, xh), (yl, yh) = xp[ex], yp[ey]
-        if ex == 0 or ey == 0:
-            hull[ex, ey] = (yl, yh) if ex == 0 else (xl, xh)
-        else:
-            a, b, c, d = xl * yl, xl * yh, xh * yl, xh * yh
-            hull[ex, ey] = (np.minimum(np.minimum(a, b), np.minimum(c, d)),
-                            np.maximum(np.maximum(a, b), np.maximum(c, d)))
-    out = []
-    for p in polys:
-        lo = hi = np.zeros_like(xlo)
-        for e, c in p.terms:
-            mn, mx = hull[e] if c >= 0 else hull[e][::-1]
-            lo, hi = lo + c * mn, hi + c * mx
-        out.append((lo, hi))
-    return out
+def _enclosure(polys):
+    """Interval enclosures of polys over boxes, planned once per system:
+    enclose(B) takes the bounds of n boxes stacked as the rows [xlo; xhi;
+    ylo; yhi] of B and returns each polynomial's [lo; hi], shaped
+    (len(polys), 2, n).  It fills one table of bound rows and sums each
+    side down a term axis, in term order, after leading zero rows: the
+    operations, and their order, of the term-by-term natural interval
+    extension, so every bound keeps its bits."""
+    exps = sorted({e for p in polys for e, _ in p.terms})
+    powers = sorted({k for e in exps for k in e if k >= 2})
+    mixed = [(ex, ey) for ex, ey in exps if ex and ey]
+    # table rows: 0, then [xlo; xhi; ylo; yhi] of x^k, y^k for k = 0, 1 and
+    # each power, then [lo; hi] of each monomial in both variables
+    at = {k: 1 + 4 * i for i, k in enumerate([0, 1] + powers)}
+    top = 1 + 4 * len(at)
+
+    def rows(ex, ey):  # the (lo, hi) rows of x^ex * y^ey
+        r = top + 2 * mixed.index((ex, ey)) if ex and ey else at[ex] if ex else at[ey] + 2
+        return r, r + 1
+
+    corner = np.array([[rows(ex, 0) for ex, _ in mixed], [rows(0, ey) for _, ey in mixed]])
+    width = 1 + max(len(p.terms) for p in polys)
+    pick = np.zeros((width, len(polys), 2), np.intp)  # row 0 is zero, times 1.0
+    coef = np.ones((width, len(polys), 2, 1))
+    for j, p in enumerate(polys):
+        for t, (e, c) in enumerate(p.terms, width - len(p.terms)):
+            pick[t, j] = rows(*e)[::1 if c >= 0 else -1]
+            coef[t, j] = c
+    even = any(k % 2 == 0 for k in powers)
+
+    def enclose(B):
+        n = B.shape[1]
+        table = np.zeros((top + 2 * len(mixed), n))
+        table[1:5] = 1.0
+        table[5:9] = B
+        if even:  # v ** 2 is np.square(v); lo is 0 where the box holds 0
+            a = np.abs(B)
+            ordered = np.empty_like(B)  # [min |x|; max |x|; min |y|; max |y|]
+            np.minimum(a[0::2], a[1::2], out=ordered[0::2])
+            np.maximum(a[0::2], a[1::2], out=ordered[1::2])
+            zero = (B[0::2] <= 0.0) & (B[1::2] >= 0.0)
+        for k in powers:
+            out = table[at[k]:at[k] + 4]
+            if k % 2:
+                np.power(B, k, out=out)
+            else:
+                np.square(ordered, out=out) if k == 2 else np.power(ordered, k, out=out)
+                np.copyto(out[0::2], 0.0, where=zero)
+        if mixed:  # corners [[a, b], [c, d]]; lo is min(min(a, b), min(c, d))
+            x, y = table[corner]
+            prod = x[:, :, None] * y[:, None]
+            out = table[top:].reshape(len(mixed), 2, n)
+            np.minimum(*np.minimum(prod[:, :, 0], prod[:, :, 1]).transpose(1, 0, 2), out=out[:, 0])
+            np.maximum(*np.maximum(prod[:, :, 0], prod[:, :, 1]).transpose(1, 0, 2), out=out[:, 1])
+        terms = table[pick]
+        terms *= coef
+        # the term axis is outermost, so the sum runs down it one row at a time
+        return np.add.reduce(terms, axis=0)
+
+    return enclose
 
 
 def _solve_2x2(a, b, c, d, f1, f2):
@@ -815,12 +839,12 @@ def _newton_polish_batch(system, x, y, max_step, iters=60):
         lim = np.where(norm > max_step, max_step / np.maximum(norm, 1e-300), 1.0)
         new = np.where(bad, p, p - np.array([sx, sy]) * lim)
         bits = new.view(np.uint64)
-        fixed = np.all(bits == p.view(np.uint64), axis=0)
-        cycle = np.all(bits == prev.view(np.uint64), axis=0)
+        fixed = (bits == p.view(np.uint64)).all(0)
+        cycle = (bits == prev.view(np.uint64)).all(0)
         # from a 2-cycle, an odd number of rounds left ends on p, not new
         out[:, active] = np.where(cycle & (left % 2 == 1), p, new)
         go = ~(fixed | cycle)
-        active, prev, p = active[go], p[:, go], new[:, go]
+        active, prev, p = active[go], p.compress(go, axis=1), new.compress(go, axis=1)
         if active.size == 0:
             break
     return out[0], out[1]
@@ -830,15 +854,13 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     """All regular real solutions of f = 0 in a rectangle, sorted
     lexicographically.
 
-    box is (xmin, xmax, ymin, ymax).  Recursive bisection with an interval
-    exclusion test isolates candidate boxes; leaf centers are polished by
-    60 rounds of damped Newton to residual <= tol; points closer than 10*tol
-    are merged.  The polish stops a point early only at an exact fixed point
-    or 2-cycle, and the enclosures share their monomials between the two
-    components, so neither moves a bit of the result.  Leaf boxes that
-    survive exclusion but yield no converged point are collected as
-    unresolved (returned when return_unresolved is set) rather than
-    treated as fatal.
+    box is (xmin, xmax, ymin, ymax).  Bisection with an interval exclusion
+    test (_enclosure, on all live boxes of a level at once) isolates
+    candidate boxes; leaf centers are polished by 60 rounds of damped Newton
+    to residual <= tol, stopping early only at an exact fixed point or
+    2-cycle; points closer than 10*tol are merged.  Leaf boxes that survive
+    exclusion but yield no converged point are collected as unresolved
+    (returned when return_unresolved is set) rather than treated as fatal.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in box)
     if not (xmax > xmin and ymax > ymin):
@@ -847,63 +869,45 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     leaf_side = max(diag0 / 4096.0, 1e3 * tol)
     system = _plane_system(f.first, f.second)
 
-    boxes = np.array([[xmin, xmax, ymin, ymax]])
+    enclose = _enclosure((f.first, f.second))
+    boxes = np.array([[xmin], [xmax], [ymin], [ymax]])  # one box per column
     leaves = []
-    unresolved = []
     for _ in range(max_depth):
-        if boxes.shape[0] == 0:
+        f_lo, f_hi = enclose(boxes).transpose(1, 0, 2)  # (component, box) each
+        boxes = boxes.compress(np.logical_and.reduce((f_lo <= 0.0) & (f_hi >= 0.0)), axis=1)
+        if boxes.shape[1] == 0:
             break
-        xlo, xhi, ylo, yhi = boxes.T
-        keep = np.ones(boxes.shape[0], dtype=bool)
-        for lo, hi in _interval_eval((f.first, f.second), xlo, xhi, ylo, yhi):
-            keep &= (lo <= 0.0) & (hi >= 0.0)
-        boxes = boxes[keep]
-        if boxes.shape[0] == 0:
-            break
-        xlo, xhi, ylo, yhi = boxes.T
-        small = np.maximum(xhi - xlo, yhi - ylo) <= leaf_side
-        if np.any(small):
-            leaves.append(boxes[small])
-            boxes = boxes[~small]
-        if boxes.shape[0] == 0:
-            break
+        side = boxes[1::2] - boxes[0::2]  # [width; height]
+        small = np.maximum(side[0], side[1]) <= leaf_side
+        if small.any():
+            leaves.append(boxes.compress(small, axis=1))
+            boxes, side = boxes.compress(~small, axis=1), side.compress(~small, axis=1)
+            if boxes.shape[1] == 0:
+                break
         # halve across the longer side (x on ties): left halves, then right
-        xlo, xhi, ylo, yhi = boxes.T
-        rows = np.arange(boxes.shape[0])
-        col = np.where((xhi - xlo) >= (yhi - ylo), 0, 2)
-        mid = 0.5 * (boxes[rows, col] + boxes[rows, col + 1])
-        boxes = np.concatenate([boxes, boxes])
-        boxes[rows, col + 1] = mid
-        boxes[rows + rows.size, col] = mid
-    if boxes.shape[0]:
+        mid = 0.5 * (boxes[0::2] + boxes[1::2])
+        cut = (side[0] >= side[1]) == _X_THEN_Y  # [cut x; cut y]
+        n = boxes.shape[1]
+        boxes = np.concatenate((boxes, boxes), axis=1)
+        np.copyto(boxes[1::2, :n], mid, where=cut)
+        np.copyto(boxes[0::2, n:], mid, where=cut)
+    if boxes.shape[1]:
         # depth exhausted before reaching leaf size
         leaves.append(boxes)
 
-    points = []
+    points, unresolved = [], []
     if leaves:
-        leaves = np.vstack(leaves)
-        cx = 0.5 * (leaves[:, 0] + leaves[:, 1])
-        cy = 0.5 * (leaves[:, 2] + leaves[:, 3])
-        px, py = _newton_polish_batch(system, cx, cy, max_step=4.0 * leaf_side)
-        r1 = np.abs(f.first.eval(px, py))
-        r2 = np.abs(f.second.eval(px, py))
-        side_x = leaves[:, 1] - leaves[:, 0]
-        side_y = leaves[:, 3] - leaves[:, 2]
-        inside_leaf = (
-            (px >= leaves[:, 0] - 2.0 * side_x)
-            & (px <= leaves[:, 1] + 2.0 * side_x)
-            & (py >= leaves[:, 2] - 2.0 * side_y)
-            & (py <= leaves[:, 3] + 2.0 * side_y)
-        )
-        margin = 100.0 * tol
-        inside_box = (
-            (px >= xmin - margin) & (px <= xmax + margin)
-            & (py >= ymin - margin) & (py <= ymax + margin)
-        )
-        good = (np.maximum(r1, r2) <= tol) & inside_leaf & inside_box
+        leaves = np.hstack(leaves)
+        lo, hi = leaves[0::2], leaves[1::2]  # [xlo; ylo] and [xhi; yhi]
+        px, py = _newton_polish_batch(system, *(0.5 * (lo + hi)), max_step=4.0 * leaf_side)
+        pts, margin = np.array([px, py]), 100.0 * tol
+        # a kept point is within two leaf sides of its leaf and in the box
+        good = ((np.maximum(np.abs(f.first.eval(px, py)), np.abs(f.second.eval(px, py))) <= tol)
+                & ((pts >= lo - 2.0 * (hi - lo)) & (pts <= hi + 2.0 * (hi - lo))).all(0)
+                & (pts >= [[xmin - margin], [ymin - margin]]).all(0)
+                & (pts <= [[xmax + margin], [ymax + margin]]).all(0))
         points = list(zip(px[good], py[good]))
-        for row in leaves[~good]:
-            unresolved.append(tuple(row))
+        unresolved = [tuple(row) for row in leaves[:, ~good].T]
 
     merged = _merge_points(points, 10.0 * tol)
     merged.sort()

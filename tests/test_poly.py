@@ -27,7 +27,8 @@ from newtondyn.backward import _cleared_plane_system
 from newtondyn.newton import build_newton_plane
 from newtondyn.poly import (
     _aberth_rows,
-    _interval_eval,
+    _enclosure,
+    _merge_points,
     _newton_polish_batch,
     _plane_system,
     _polish_rows,
@@ -567,6 +568,10 @@ def test_interval_eval_matches_term_by_term_enclosure():
         n = int(rng.integers(1, 8))
         exps = [tuple(e) for e in rng.integers(0, 5, size=(n, 2))]
         polys.append(MultiPoly(zip(exps, rng.normal(size=n) * 10.0 ** rng.integers(-2, 3, n))))
+    # every monomial of degree <= 4: enough terms for numpy's pairwise
+    # summation to differ from the term-by-term sum, had the sum used it
+    dense = [(i, j) for i in range(5) for j in range(5 - i)]
+    polys.append(MultiPoly(zip(dense, rng.normal(size=15) * 10.0 ** rng.integers(-3, 4, 15))))
     # centers in [-3, 3] and half-widths up to 3 make many boxes straddle 0
     center = rng.uniform(-3, 3, size=(2, 400))
     half = 10.0 ** rng.uniform(-6, 0.5, size=(2, 400))
@@ -574,7 +579,7 @@ def test_interval_eval_matches_term_by_term_enclosure():
     xhi, yhi = center + half
     t = rng.uniform(0.1, 0.9, size=(2, 16, 1))
     xs, ys = xlo + t[0] * (xhi - xlo), ylo + t[1] * (yhi - ylo)
-    got = _interval_eval(polys, xlo, xhi, ylo, yhi)
+    got = _enclosure(polys)(np.array([xlo, xhi, ylo, yhi]))
     for p, (lo, hi) in zip(polys, got):
         want_lo, want_hi = _interval_eval_by_terms(p, xlo, xhi, ylo, yhi)
         # == compares values, so +0.0 and -0.0 count as equal
@@ -583,6 +588,221 @@ def test_interval_eval_matches_term_by_term_enclosure():
         assert np.array_equal(keep, (want_lo <= 0.0) & (want_hi >= 0.0))
         v = p.eval(xs, ys)
         assert np.all((lo <= v) & (v <= hi))
+    # one box at a time, as at the first bisection level
+    enclose = _enclosure(polys)
+    for k in range(40):
+        one = enclose(np.array([xlo, xhi, ylo, yhi])[:, k:k + 1])
+        assert np.array_equal(one.view(np.uint64), got[:, :, k:k + 1].view(np.uint64))
+
+
+def _reference_interval_pow(lo, hi, k):
+    """Elementwise interval power for arrays of box bounds (x^0 is 1.0)."""
+    if k == 0:
+        return 1.0, 1.0
+    if k == 1:
+        return lo, hi
+    if k % 2 == 1:
+        return lo**k, hi**k
+    abs_lo, abs_hi = np.abs(lo), np.abs(hi)
+    big = np.maximum(abs_lo, abs_hi) ** k
+    small = np.minimum(abs_lo, abs_hi) ** k
+    contains_zero = (lo <= 0.0) & (hi >= 0.0)
+    return np.where(contains_zero, 0.0, small), big
+
+
+def _reference_interval_eval(polys, xlo, xhi, ylo, yhi):
+    """The per-array enclosure that _enclosure replaced, kept verbatim."""
+    exps = {e for p in polys for e, _ in p.terms}
+    xp = {k: _reference_interval_pow(xlo, xhi, k) for k in {ex for ex, _ in exps}}
+    yp = {k: _reference_interval_pow(ylo, yhi, k) for k in {ey for _, ey in exps}}
+    hull = {}
+    for ex, ey in exps:
+        (xl, xh), (yl, yh) = xp[ex], yp[ey]
+        if ex == 0 or ey == 0:
+            hull[ex, ey] = (yl, yh) if ex == 0 else (xl, xh)
+        else:
+            a, b, c, d = xl * yl, xl * yh, xh * yl, xh * yh
+            hull[ex, ey] = (np.minimum(np.minimum(a, b), np.minimum(c, d)),
+                            np.maximum(np.maximum(a, b), np.maximum(c, d)))
+    out = []
+    for p in polys:
+        lo = hi = np.zeros_like(xlo)
+        for e, c in p.terms:
+            mn, mx = hull[e] if c >= 0 else hull[e][::-1]
+            lo, hi = lo + c * mn, hi + c * mx
+        out.append((lo, hi))
+    return out
+
+
+def _reference_system_real_roots(f, box, tol=1e-10, max_depth=60):
+    """Reference: system_real_roots as it was before the stacked-bound
+    subdivision, one box per row, kept verbatim; returns (roots, unresolved)."""
+    xmin, xmax, ymin, ymax = (float(v) for v in box)
+    diag0 = np.hypot(xmax - xmin, ymax - ymin)
+    leaf_side = max(diag0 / 4096.0, 1e3 * tol)
+    system = _plane_system(f.first, f.second)
+
+    boxes = np.array([[xmin, xmax, ymin, ymax]])
+    leaves = []
+    unresolved = []
+    for _ in range(max_depth):
+        if boxes.shape[0] == 0:
+            break
+        xlo, xhi, ylo, yhi = boxes.T
+        keep = np.ones(boxes.shape[0], dtype=bool)
+        for lo, hi in _reference_interval_eval((f.first, f.second), xlo, xhi, ylo, yhi):
+            keep &= (lo <= 0.0) & (hi >= 0.0)
+        boxes = boxes[keep]
+        if boxes.shape[0] == 0:
+            break
+        xlo, xhi, ylo, yhi = boxes.T
+        small = np.maximum(xhi - xlo, yhi - ylo) <= leaf_side
+        if np.any(small):
+            leaves.append(boxes[small])
+            boxes = boxes[~small]
+        if boxes.shape[0] == 0:
+            break
+        # halve across the longer side (x on ties): left halves, then right
+        xlo, xhi, ylo, yhi = boxes.T
+        rows = np.arange(boxes.shape[0])
+        col = np.where((xhi - xlo) >= (yhi - ylo), 0, 2)
+        mid = 0.5 * (boxes[rows, col] + boxes[rows, col + 1])
+        boxes = np.concatenate([boxes, boxes])
+        boxes[rows, col + 1] = mid
+        boxes[rows + rows.size, col] = mid
+    if boxes.shape[0]:
+        # depth exhausted before reaching leaf size
+        leaves.append(boxes)
+
+    points = []
+    if leaves:
+        leaves = np.vstack(leaves)
+        cx = 0.5 * (leaves[:, 0] + leaves[:, 1])
+        cy = 0.5 * (leaves[:, 2] + leaves[:, 3])
+        px, py = _newton_polish_batch(system, cx, cy, max_step=4.0 * leaf_side)
+        r1 = np.abs(f.first.eval(px, py))
+        r2 = np.abs(f.second.eval(px, py))
+        side_x = leaves[:, 1] - leaves[:, 0]
+        side_y = leaves[:, 3] - leaves[:, 2]
+        inside_leaf = (
+            (px >= leaves[:, 0] - 2.0 * side_x)
+            & (px <= leaves[:, 1] + 2.0 * side_x)
+            & (py >= leaves[:, 2] - 2.0 * side_y)
+            & (py <= leaves[:, 3] + 2.0 * side_y)
+        )
+        margin = 100.0 * tol
+        inside_box = (
+            (px >= xmin - margin) & (px <= xmax + margin)
+            & (py >= ymin - margin) & (py <= ymax + margin)
+        )
+        good = (np.maximum(r1, r2) <= tol) & inside_leaf & inside_box
+        points = list(zip(px[good], py[good]))
+        for row in leaves[~good]:
+            unresolved.append(tuple(row))
+
+    merged = _merge_points(points, 10.0 * tol)
+    merged.sort()
+    return [(float(x), float(y)) for x, y in merged], unresolved
+
+
+def _bits(rows, width):
+    return np.array(rows, dtype=float).reshape(-1, width).view(np.uint64)
+
+
+def test_stacked_subdivision_matches_reference_bit_for_bit():
+    # cleared Newton-preimage systems of three maps: even powers only (two
+    # parabolas), odd powers (cubic and parabola) and monomials in both
+    # variables (z^3 - 1 as a plane map), at random targets
+    rng = np.random.default_rng(23)
+    maps = [(parse_plane_map("y - x^2", "x - 2 + 4*y - y^2"), (-20.0, 20.0, -24.0, 10.0), 100),
+            (parse_plane_map("x^3 - x^2 + y", "x + 0.5 - y^2"), (-3.0, 3.0, -3.0, 3.0), 50),
+            (complex_poly_to_plane_map(UniComplexPoly([-1, 0, 0, 1])), (-2.0, 2.0, -2.0, 2.0), 50)]
+    cases = []
+    for f, box, count in maps:
+        N = build_newton_plane(f)
+        cases += [(_cleared_plane_system(N, *z), box, 60)
+                  for z in rng.uniform(-3.0, 3.0, size=(count, 2))]
+    # depth runs out long before leaf size, and a near miss leaves many
+    # unresolved leaves, whose order must hold too
+    cases += [(cases[0][0], cases[0][1], 7),
+              (parse_plane_map("y - x^2", "x^2 + 1e-7 - y"), (-2.0, 2.0, -2.0, 2.0), 60)]
+    unresolved_leaves = 0
+    for g, box, depth in cases:
+        want, want_left = _reference_system_real_roots(g, box, max_depth=depth)
+        got, got_left = system_real_roots(g, box, max_depth=depth, return_unresolved=True)
+        assert np.array_equal(_bits(got, 2), _bits(want, 2))
+        assert np.array_equal(_bits(got_left, 4), _bits(want_left, 4))
+        unresolved_leaves += len(got_left)
+    assert unresolved_leaves > 0
+
+
+def _reference_polish_rows(C, roots):
+    """Reference: the column-major polish as it was before it reused the
+    values of p from the round before, kept verbatim with its Horner loop.
+    On one row it can differ from _row_major_polish in the last bit."""
+    def horner_columns(CT, z):
+        out = np.broadcast_to(CT[-1], z.shape).copy()
+        for c in CT[-2::-1]:
+            out *= z
+            out += c
+        return out
+
+    CT, DT = C.T.copy(), (C[:, 1:] * np.arange(1, C.shape[1])).T.copy()
+    out = roots.T.copy()
+    active, z = np.arange(C.shape[0]), out.copy()
+    for _ in range(poly._ROOT_POLISH_ROUNDS):
+        pv = horner_columns(CT, z)
+        dv = horner_columns(DT, z)
+        step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
+        moved = z - step
+        polished = np.where(np.abs(horner_columns(CT, moved)) <= np.abs(pv), moved, z)
+        bits = (polished.view(np.uint64) != z.view(np.uint64)).reshape(z.shape + (2,))
+        moving = np.logical_or.reduce(bits, axis=(0, 2))
+        if not moving.all():
+            out[:, active[~moving]] = polished[:, ~moving]
+            active, polished = active[moving], polished.compress(moving, axis=1)
+            CT, DT = CT.compress(moving, axis=1), DT.compress(moving, axis=1)
+        z = polished
+        if active.size == 0:
+            break
+    out[:, active] = z
+    roots[...] = out.T
+    return roots
+
+
+def _np_roots_then_polish(p):
+    """Reference: univariate_complex_roots' roots as np.roots seeds and the
+    polish on a one-row tile (residual bound left out)."""
+    C = np.array(p.coefficients, dtype=complex)
+    roots = _reference_polish_rows(C[None], np.roots(C[::-1]).astype(complex)[None])[0]
+    return [complex(r) for r in np.sort(roots, kind="stable")]
+
+
+def test_univariate_roots_match_np_roots_path_bit_for_bit():
+    rng = np.random.default_rng(29)
+    rows = []
+    for d in range(1, 7):
+        rows += list(rng.normal(size=(120, d + 1)) + 1j * rng.normal(size=(120, d + 1)))
+        rows += list(rng.normal(size=(30, d + 1)))  # real rows
+    rows += [[0.0, 2.0, -1.0, 1.0], [0.0, 0.0, 1.0 + 1.0j, 3.0]]  # zero constant term
+    rows += [[0.0] * k + [c] for k, c in ((1, 2.5), (3, -1.0j), (6, 0.5))]  # c * w^k
+    rows += [[-1.0, 3.0, -3.0, 1.0]]  # (z - 1)^3
+    for row in rows:
+        p = UniComplexPoly(row)
+        got = univariate_complex_roots(p)
+        want = _np_roots_then_polish(p)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_polish_matches_reference_on_every_batch_size():
+    # rows stop at different rounds, so batches shrink by different counts
+    rng = np.random.default_rng(37)
+    for m in range(1, 41):
+        d = 1 + m % 6
+        C = rng.normal(size=(m, d + 1)) + 1j * rng.normal(size=(m, d + 1))
+        seeds, _ = _aberth_rows(C)
+        seeds += 10.0 ** rng.uniform(-12, -1, size=(m, 1)) * rng.normal(size=seeds.shape)
+        assert _same_bits(_polish_rows(C, seeds.copy()), _reference_polish_rows(C, seeds.copy()))
 
 
 def _counting_system(f, calls):
