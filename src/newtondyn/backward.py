@@ -273,8 +273,8 @@ def _padded_cleared_rows(N):
 
 
 def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
-    """Validated counterimages of every target, concatenated, and the index
-    of each one's target.
+    """Validated counterimages of every target, in target order, and the
+    index (int32) of each one's target.
 
     map_tiles runs the targets in tiles of _TILE_ROWS on worker_threads'
     threads.  A tile clears its rows num - z*den, groups them by effective
@@ -282,11 +282,16 @@ def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
     a pooled tile) and filters the roots by their forward residual; rows
     below degree 1 have no counterimage.  Every row is solved on its own, so
     the tiling moves only the order of counterimages, within a level that
-    mixes degrees.
+    mixes degrees.  Tiles write into their own spans of one buffer with
+    deg N slots per target, compacted in tile order afterwards, so the
+    level is never copied whole.
     """
     targets = np.asarray(targets, complex).ravel()
     if ncp is None or dcp is None:
         ncp, dcp = _padded_cleared_rows(N)
+    span = ncp.size - 1
+    kids = np.empty(targets.size * span, complex)
+    parent = np.empty(kids.size, np.int32)
 
     def tile(ix):
         z = targets[ix]
@@ -297,19 +302,27 @@ def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
         degs = np.full(len(rows), -1)
         for k, col in enumerate(cols):
             degs[col > tol] = k
-        kids, par = [np.empty(0, complex)], [np.empty(0, int)]
+        found, par = [np.empty(0, complex)], [np.empty(0, int)]
         for d in np.unique(degs[degs >= 1]):
             sel = np.flatnonzero(degs == d)
-            kids.append(batched_complex_roots(rows[sel, : d + 1]).ravel())
+            found.append(batched_complex_roots(rows[sel, : d + 1]).ravel())
             par.append(np.repeat(sel, d))
-        kids, par = np.concatenate(kids), np.concatenate(par)
-        good = np.isfinite(kids.real) & np.isfinite(kids.imag)
-        vals, sing = N.step_many(np.where(good, kids, 0.0))
+        found, par = np.concatenate(found), np.concatenate(par)
+        good = np.isfinite(found.real) & np.isfinite(found.imag)
+        vals, sing = N.step_many(np.where(good, found, 0.0))
         good &= ~sing & (np.abs(vals - z[par]) <= 1e-6 * (1.0 + np.abs(z[par])))
-        return kids[good], ix[par[good]]
+        lo = span * int(ix[0]) if ix.size else 0
+        n = int(np.count_nonzero(good))
+        kids[lo:lo + n] = found[good]
+        parent[lo:lo + n] = ix[par[good]]
+        return lo, n
 
-    parts = map_tiles(tile, np.arange(targets.size), rows=poly._TILE_ROWS, threads=True)
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    end = 0
+    for lo, n in map_tiles(tile, np.arange(targets.size), rows=poly._TILE_ROWS, threads=True):
+        kids[end:end + n] = kids[lo:lo + n]  # end <= lo: an overlapping copy is safe
+        parent[end:end + n] = parent[lo:lo + n]
+        end += n
+    return kids[:end], parent[:end]
 
 
 def _planar_preimages_batch(N, zx, zy, dom):
@@ -333,7 +346,8 @@ def _planar_preimages_batch(N, zx, zy, dom):
 
     def cleared(x, y, rows):
         v = values(x, y)
-        return tuple(v[k] - zx[rows] * v[k + 6] - zy[rows] * v[k + 12] for k in range(6))
+        ax, ay = zx[rows], zy[rows]
+        return tuple(v[k] - ax * v[k + 6] - ay * v[k + 12] for k in range(6))
 
     wx, wy, status = total_degree_homotopy(
         cleared, (f.first.degree, f.second.degree), zx.size)
@@ -390,7 +404,7 @@ def _complex_tree(N, z0, depth, cap, dom, win, width, height):
     for k in range(1, depth + 1):
         if total + level.size * branch > cap:
             break
-        kids, _ = _complex_preimages_batch(N, level, ncp, dcp)
+        kids = _complex_preimages_batch(N, level, ncp, dcp)[0]
         if dom is not None:
             inside = (
                 (kids.real >= dom.xmin) & (kids.real <= dom.xmax)
@@ -424,8 +438,10 @@ def _planar_tree(N, z0, depth, cap, dom, win, width, height):
         wx, wy, _ = _planar_preimages_batch(N, px, py, dom)
         if wx.size == 0:
             break
-        occ = OccupancyRaster.from_points(wx, wy, dom, ddw, ddh)
-        px, py = occ.set_pixel_centers()
+        row, col = dom.pixel_of(wx, wy, ddw, ddh)
+        keep = row >= 0
+        flat = np.unique(row[keep] * ddw + col[keep])  # sorted: np.nonzero's row-major order
+        px, py = dom.center_of(flat // ddw, flat % ddw, ddw, ddh)
         total += px.size
         completed = k
     return OccupancyRaster.from_points(px, py, win, width, height,

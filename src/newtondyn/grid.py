@@ -28,6 +28,8 @@ CODE_ESCAPED = -2
 CODE_SINGULAR = -3
 CODE_UNDECIDED = -4
 
+_CHUNK_POINTS = 1 << 15  # points per OccupancyRaster.from_points pass
+
 
 @dataclass(frozen=True)
 class Window:
@@ -54,11 +56,14 @@ class Window:
 
     def pixel_centers(self, width, height):
         """Meshgrid of pixel centers, shape (height, width), row 0 on top."""
+        xs, ys = self.center_of(np.arange(height), np.arange(width), width, height)
+        return np.meshgrid(xs, ys)
+
+    def center_of(self, row, col, width, height):
+        """(x, y) centers of the pixels at integer (row, col) arrays."""
         dx = (self.xmax - self.xmin) / width
         dy = (self.ymax - self.ymin) / height
-        xs = self.xmin + (np.arange(width) + 0.5) * dx
-        ys = self.ymax - (np.arange(height) + 0.5) * dy
-        return np.meshgrid(xs, ys)
+        return self.xmin + (col + 0.5) * dx, self.ymax - (row + 0.5) * dy
 
     def pixel_of(self, x, y, width, height):
         """Integer (row, col) arrays; points outside get index -1."""
@@ -123,18 +128,19 @@ class OccupancyRaster:
 
     @classmethod
     def from_points(cls, points_x, points_y, window, width, height, partial=False):
-        """Rasterize points; those outside the window are dropped."""
+        """Rasterize points; those outside the window are dropped.  Works
+        through views of _CHUNK_POINTS points, so no temporary is as large
+        as the input."""
         bits = np.zeros((height, width), dtype=bool)
-        row, col = window.pixel_of(np.asarray(points_x), np.asarray(points_y),
-                                   width, height)
-        keep = row >= 0
-        bits[row[keep], col[keep]] = True
+        x, y = (v.reshape(-1) for v in np.broadcast_arrays(points_x, points_y))
+        for k in range(0, x.size, _CHUNK_POINTS):
+            row, col = window.pixel_of(x[k:k + _CHUNK_POINTS], y[k:k + _CHUNK_POINTS],
+                                       width, height)
+            keep = row >= 0
+            bits[row[keep], col[keep]] = True
         return cls(window, width, height, bits, partial=partial)
 
     def set_pixel_centers(self):
-        """Centers of the set pixels, as (x_array, y_array)."""
+        """Centers of the set pixels, as (x_array, y_array), row-major."""
         rows, cols = np.nonzero(self.bits)
-        dx = (self.window.xmax - self.window.xmin) / self.width
-        dy = (self.window.ymax - self.window.ymin) / self.height
-        return (self.window.xmin + (cols + 0.5) * dx,
-                self.window.ymax - (rows + 0.5) * dy)
+        return self.window.center_of(rows, cols, self.width, self.height)

@@ -140,12 +140,11 @@ class NewtonPlaneMap:
     def step_many(self, x, y):
         """Vectorized step with the same pivoting; returns (nx, ny, singular)."""
         a, b, c, d, r1, r2 = self._values(x, y)
-        a, b, c, d = (np.asarray(v, dtype=float) + np.zeros_like(x) for v in (a, b, c, d))
+        # eval_many's values are arrays already; + 0.0 turns -0 into +0
+        a, b, c, d, r1, r2 = (v + 0.0 for v in (a, b, c, d, r1, r2))
         det = a * d - b * c
         norm_inf = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
         singular = np.abs(det) < SINGULAR_RTOL * (1.0 + norm_inf)
-        r1 = r1 + np.zeros_like(x)
-        r2 = r2 + np.zeros_like(x)
         swap = np.abs(c) > np.abs(a)
         a2 = np.where(swap, c, a)
         b2 = np.where(swap, d, b)

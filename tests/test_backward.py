@@ -3,6 +3,7 @@ trees, Hutchinson iteration, and raster distances."""
 
 import hashlib
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -812,3 +813,127 @@ class TestSolveOnceSetMap:
         rasters, targets = self.solve_once(monkeypatch, N, initial, disks, 4)
         assert targets == self.ever_solved(initial, rasters) == 48 * 48
         assert 0 < rasters[-1].count < initial.count
+
+
+def _concatenating_complex_preimages(N, targets, ncp=None, dcp=None):
+    """The tiled counterimage batch whose tiles each returned their own
+    arrays, joined by np.concatenate, kept verbatim as the reference for the
+    one that writes every tile into one level buffer."""
+    targets = np.asarray(targets, complex).ravel()
+    if ncp is None or dcp is None:
+        ncp, dcp = backward._padded_cleared_rows(N)
+
+    def tile(ix):
+        z = targets[ix]
+        rows = ncp[None, :] - z[:, None] * dcp[None, :]
+        # passes over the few columns, not reductions along short rows; NaN rows get -1
+        cols = np.abs(rows).T
+        tol = 1e-12 * reduce(np.maximum, cols)
+        degs = np.full(len(rows), -1)
+        for k, col in enumerate(cols):
+            degs[col > tol] = k
+        kids, par = [np.empty(0, complex)], [np.empty(0, int)]
+        for d in np.unique(degs[degs >= 1]):
+            sel = np.flatnonzero(degs == d)
+            kids.append(poly.batched_complex_roots(rows[sel, : d + 1]).ravel())
+            par.append(np.repeat(sel, d))
+        kids, par = np.concatenate(kids), np.concatenate(par)
+        good = np.isfinite(kids.real) & np.isfinite(kids.imag)
+        vals, sing = N.step_many(np.where(good, kids, 0.0))
+        good &= ~sing & (np.abs(vals - z[par]) <= 1e-6 * (1.0 + np.abs(z[par])))
+        return kids[good], ix[par[good]]
+
+    parts = poly.map_tiles(tile, np.arange(targets.size), rows=poly._TILE_ROWS, threads=True)
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+class TestLevelBuffer:
+    def rational_map(self):
+        return TestTiledPreimageBatch().rational_map()
+
+    def targets(self):
+        # three tiles and a bit; the target 2 gives degree-1 rows among the cubic ones
+        tile = poly._TILE_ROWS
+        rng = np.random.default_rng(23)
+        n = 3 * tile + 101
+        targets = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+        targets[[0, 7, tile, 2 * tile - 1, n - 1]] = 2.0
+        targets[[2, tile + 5, 3 * tile + 50]] = complex(np.nan, 0.0)
+        return targets
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_concatenating_batch_in_order(self, threads):
+        N = self.rational_map()
+        targets = self.targets()
+        with poly.worker_threads(threads):
+            want_kids, want_parent = _concatenating_complex_preimages(N, targets)
+            kids, parent = backward._complex_preimages_batch(N, targets)
+        assert kids.size == 3 * (targets.size - 8) + 5
+        assert np.array_equal(kids.view(np.uint64), want_kids.view(np.uint64))
+        assert parent.dtype == np.int32
+        assert np.array_equal(parent, want_parent)
+
+    def test_small_tiles_match_in_order(self, monkeypatch):
+        N = self.rational_map()
+        targets = np.array([2.0, 0.3 + 0.1j, np.nan, 2.0, -1.5j, 1.0 + 1.0j, 2.0])
+        monkeypatch.setattr(poly, "_TILE_ROWS", 2)
+        with poly.worker_threads(2):
+            want_kids, want_parent = _concatenating_complex_preimages(N, targets)
+            kids, parent = backward._complex_preimages_batch(N, targets)
+        assert np.array_equal(kids.view(np.uint64), want_kids.view(np.uint64))
+        assert parent.tolist() == want_parent.tolist() == [0, 1, 1, 1, 3, 4, 4, 4, 5, 5, 5, 6]
+
+    def test_no_targets(self):
+        kids, parent = backward._complex_preimages_batch(self.rational_map(), [])
+        want_kids, want_parent = _concatenating_complex_preimages(self.rational_map(), [])
+        assert kids.size == parent.size == want_kids.size == want_parent.size == 0
+        assert kids.dtype == complex and parent.dtype == np.int32
+
+    def test_peak_memory_near_returned_bytes(self):
+        # z^3 - 1 at 262,144 targets: one tile's temporaries on top of the
+        # level buffer come to 1.53x the returned bytes; concatenating the
+        # tiles' own arrays peaked at 2.0x
+        N = cubic_newton()
+        rng = np.random.default_rng(5)
+        targets = rng.uniform(-3, 3, 1 << 18) + 1j * rng.uniform(-3, 3, 1 << 18)
+        with poly.worker_threads(1):
+            tracemalloc.start()
+            try:
+                kids, parent = backward._complex_preimages_batch(N, targets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert kids.size == 3 * targets.size
+        assert peak < 1.6 * (kids.nbytes + parent.nbytes)
+
+
+class TestPlanarTreeDedup:
+    def test_level_is_the_raster_of_its_pixel_centers(self, monkeypatch):
+        # the first level holds duplicates, points off the domain and NaN;
+        # the second batch must be asked for the pixel centers a raster of
+        # the first level gives, in the same row-major order
+        N = quartic_newton()
+        dom = Window(*QUARTIC_DOMAIN)
+        rng = np.random.default_rng(8)
+        wx = rng.uniform(-25.0, 25.0, 3000)
+        wy = rng.uniform(-30.0, 15.0, 3000)
+        wx[100:400], wy[100:400] = wx[:300], wy[:300]
+        wx[::50] = np.nan
+        wy[7::60] = np.inf
+        wx[9::70] = dom.xmax  # half-open edge: off the raster
+        asked = []
+
+        def batch(N_, px, py, dom_):
+            asked.append((px, py))
+            if len(asked) == 1:
+                return wx, wy, np.zeros(wx.size, int)
+            return np.empty(0), np.empty(0), np.empty(0, int)
+
+        monkeypatch.setattr(backward, "_planar_preimages_batch", batch)
+        backward_tree(N, (0.0, -1.0), 3, domain=QUARTIC_DOMAIN,
+                      window=QUARTIC_WINDOW, width=256, height=256)
+        # pixel size 8/256 over the 40 x 34 domain: a 1280 x 1088 dedup grid
+        want = OccupancyRaster.from_points(wx, wy, dom, 1280, 1088).set_pixel_centers()
+        assert len(asked) == 2 and 0 < want[0].size < 3000
+        for got, ref in zip(asked[1], want):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

@@ -16,6 +16,7 @@ from newtondyn.poly import (
     system_real_roots,
 )
 from newtondyn.newton import (
+    SINGULAR_RTOL,
     GhostLine,
     SingularJacobianError,
     TriPoly,
@@ -49,6 +50,36 @@ TWO_REAL = parse_plane_map("y - x^2", "x - 3 + 4*y - y^2")
 DECOUPLED = parse_plane_map("x^3 - x", "y^3 - y")
 # real form of z^2 - 1
 Z2M1_REAL = parse_plane_map("x^2 - y^2 - 1", "2*x*y")
+
+
+def _broadcasting_step_many(N, x, y):
+    """NewtonPlaneMap.step_many as it was when it broadcast every partial and
+    residual onto np.zeros_like(x), kept verbatim as the bitwise reference."""
+    a, b, c, d, r1, r2 = N._values(x, y)
+    a, b, c, d = (np.asarray(v, dtype=float) + np.zeros_like(x) for v in (a, b, c, d))
+    det = a * d - b * c
+    norm_inf = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
+    singular = np.abs(det) < SINGULAR_RTOL * (1.0 + norm_inf)
+    r1 = r1 + np.zeros_like(x)
+    r2 = r2 + np.zeros_like(x)
+    swap = np.abs(c) > np.abs(a)
+    a2 = np.where(swap, c, a)
+    b2 = np.where(swap, d, b)
+    t1 = np.where(swap, r2, r1)
+    c2 = np.where(swap, a, c)
+    d2 = np.where(swap, b, d)
+    t2 = np.where(swap, r1, r2)
+    safe_a = np.where(singular | (a2 == 0.0), 1.0, a2)
+    m = c2 / safe_a
+    denom = d2 - m * b2
+    safe_denom = np.where(singular | (denom == 0.0), 1.0, denom)
+    s2 = (t2 - m * t1) / safe_denom
+    s1 = (t1 - b2 * s2) / safe_a
+    nx = x - s1
+    ny = y - s2
+    bad = ~(np.isfinite(nx) & np.isfinite(ny))
+    singular = singular | bad
+    return (np.where(singular, x, nx), np.where(singular, y, ny), singular)
 
 
 class TestComplexNewton:
@@ -176,6 +207,19 @@ class TestPlaneNewton:
                 assert not singular[i, j]
                 assert nx[i, j] == pytest.approx(sx, rel=1e-13, abs=1e-13)
                 assert ny[i, j] == pytest.approx(sy, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("f", [FOUR_REAL, DECOUPLED, Z2M1_REAL])
+    def test_step_many_matches_broadcasting_reference_bitwise(self, f):
+        # two parabolas: fy and gx are constants; signed zeros give -0 partials
+        N = build_newton_plane(f)
+        rng = np.random.default_rng(9)
+        x = np.concatenate([[0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 2.0], rng.uniform(-3, 3, 200)])
+        y = np.concatenate([[0.0, 0.0, -0.0, -0.0, -0.0, 1.0, 2.0], rng.uniform(-3, 3, 200)])
+        for xs, ys in ((x, y), (x[:2], y[:2]), (x[:0], y[:0]), (x.reshape(3, -1), y.reshape(3, -1))):
+            got, want = N.step_many(xs, ys), _broadcasting_step_many(N, xs, ys)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
 
     def test_holomorphic_form_jacobian_commutes_with_rotation(self):
         # real forms of complex polynomials have Newton maps whose derivative

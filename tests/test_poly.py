@@ -250,7 +250,10 @@ def _row_major_aberth(C):
 
 def _row_major_polish(C, roots):
     """Reference: the row-major Newton polish that the column-major
-    _polish_rows replaced, kept verbatim."""
+    _polish_rows replaced, kept verbatim.  It matches _polish_rows bit for
+    bit on batches of rows, not on one-row calls: there row_polyval's
+    out-of-place products and _horner_columns' in-place ones can round
+    differently in the last bit (59 of 1,500 random rows)."""
     D = C[:, 1:] * np.arange(1, C.shape[1])
     active = np.arange(C.shape[0])
     for _ in range(poly._ROOT_POLISH_ROUNDS):
