@@ -19,9 +19,11 @@ first and rasterize the deepest fully expanded level; planar trees
 additionally deduplicate each level at pixel resolution to keep growth
 bounded by the raster, trading exact node identity for set accuracy.
 
-Every returned preimage w is validated by running the map forward:
-N(w) must land back on the target within a small residual and away
-from the singular locus.
+Points are packed as in the forward kernel (a planar (x, y) as x + iy),
+so trees and set maps run one level loop over one batch entry for both
+kinds.  Every path, batched or not, accepts a counterimage w of z by one
+rule, _accept: w is finite, off the singular locus and inside the search
+domain if one is given, and |N(w) - z| <= RESIDUAL_RTOL (1 + |z|).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import reduce
 import numpy as np
 
 from . import poly
-from .grid import OccupancyRaster, Window
+from .grid import OccupancyRaster, Window, _pack
 from .newton import (
     NewtonPlaneMap,
     build_newton_complex,
@@ -120,6 +122,18 @@ def _window_or_none(domain):
     return None if domain is None else Window.from_sequence(domain)
 
 
+def _accept(N, w, z, dom):
+    """Mask of the packed candidates w that are counterimages of their
+    packed targets z: finite, off the singular locus, N(w) within
+    RESIDUAL_RTOL (1 + |z|) of z, and inside dom (closed) unless it is None."""
+    ok = np.isfinite(w)
+    image, sing = N.step_packed(np.where(ok, w, 0.0))
+    ok &= ~sing & (np.abs(image - z) <= RESIDUAL_RTOL * (1.0 + np.abs(z)))
+    if dom is not None:
+        ok &= dom.contains(w.real, w.imag)
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # Counterimages
 
@@ -149,14 +163,7 @@ def _complex_counterimages(N, z, dom):
     if q.degree < 1:
         return []
     roots = np.array(univariate_complex_roots(q, tol=1e-10))
-    vals, sing = N.step_many(roots)
-    keep = ~sing & (np.abs(vals - z) <= RESIDUAL_RTOL * (1.0 + abs(z)))
-    if dom is not None:
-        keep &= (
-            (roots.real >= dom.xmin) & (roots.real <= dom.xmax)
-            & (roots.imag >= dom.ymin) & (roots.imag <= dom.ymax)
-        )
-    return [complex(w) for w in roots[keep]]
+    return [complex(w) for w in roots[_accept(N, roots, z, dom)]]
 
 
 def _cleared_plane_system(N, zx, zy):
@@ -182,9 +189,7 @@ def _planar_counterimages(N, z, dom):
     if not merged:  # common on backward orbits; step_many costs ~70 us on none, as on two
         return []
     wx, wy = np.array(merged, dtype=float).T
-    ix, iy, singular = N.step_many(wx, wy)
-    scale = 1.0 + math.hypot(zx, zy)
-    keep = ~singular & (np.hypot(ix - zx, iy - zy) <= RESIDUAL_RTOL * scale)
+    keep = _accept(N, _pack(wx, wy), complex(zx, zy), dom)
     return sorted(zip(wx[keep].tolist(), wy[keep].tolist()))
 
 
@@ -272,23 +277,31 @@ def _padded_cleared_rows(N):
     return ncp, dcp
 
 
-def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
-    """Validated counterimages of every target, in target order, and the
+def _preimages_batch(N, targets, dom):
+    """Accepted counterimages of the packed targets, packed, and the index
+    of each one's target: the one batch entry of trees and set maps."""
+    if N.kind == "complex":
+        return _complex_preimages_batch(N, targets, dom)
+    return _planar_preimages_batch(N, targets, dom)
+
+
+def _complex_preimages_batch(N, targets, dom=None):
+    """Accepted counterimages of every target, in target order, and the
     index (int32) of each one's target.
 
     map_tiles runs the targets in tiles of _TILE_ROWS on worker_threads'
     threads.  A tile clears its rows num - z*den, groups them by effective
     degree, solves each group with one batched_complex_roots call (serial in
-    a pooled tile) and filters the roots by their forward residual; rows
-    below degree 1 have no counterimage.  Every row is solved on its own, so
-    the tiling moves only the order of counterimages, within a level that
-    mixes degrees.  Tiles write into their own spans of one buffer with
-    deg N slots per target, compacted in tile order afterwards, so the
-    level is never copied whole.
+    a pooled tile) and keeps the roots that _accept passes, so the domain
+    filter runs per tile too; rows below degree 1 have no counterimage.
+    Every row is solved on its own, so the tiling moves only the order of
+    counterimages, within a level that mixes degrees.  Tiles write into
+    their own spans of one buffer with deg N slots per target, compacted in
+    tile order afterwards, so the level is never copied whole: the results
+    are views of that buffer, whose slots a domain may have mostly emptied.
     """
     targets = np.asarray(targets, complex).ravel()
-    if ncp is None or dcp is None:
-        ncp, dcp = _padded_cleared_rows(N)
+    ncp, dcp = _padded_cleared_rows(N)
     span = ncp.size - 1
     kids = np.empty(targets.size * span, complex)
     parent = np.empty(kids.size, np.int32)
@@ -308,9 +321,7 @@ def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
             found.append(batched_complex_roots(rows[sel, : d + 1]).ravel())
             par.append(np.repeat(sel, d))
         found, par = np.concatenate(found), np.concatenate(par)
-        good = np.isfinite(found.real) & np.isfinite(found.imag)
-        vals, sing = N.step_many(np.where(good, found, 0.0))
-        good &= ~sing & (np.abs(vals - z[par]) <= 1e-6 * (1.0 + np.abs(z[par])))
+        good = _accept(N, found, z[par], dom)
         lo = span * int(ix[0]) if ix.size else 0
         n = int(np.count_nonzero(good))
         kids[lo:lo + n] = found[good]
@@ -325,17 +336,17 @@ def _complex_preimages_batch(N, targets, ncp=None, dcp=None):
     return kids[:end], parent[:end]
 
 
-def _planar_preimages_batch(N, zx, zy, dom):
-    """Validated real counterimages of many targets, concatenated.
+def _planar_preimages_batch(N, targets, dom):
+    """Accepted real counterimages of many packed targets, packed and
+    concatenated, and the index of each one's target.
 
     A total-degree homotopy solves every target's cleared system over C^2;
-    endpoints that are real (|Im| <= 1e-9 (1 + |.|)) and in the domain are
-    kept if the forward map sends them back onto their target, and come back
-    with the index of that target.  Each regular counterimage comes back
-    once, unless its path failed.
+    endpoints that are real (|Im| <= 1e-9 (1 + |.|)) are kept if _accept
+    passes them.  Each regular counterimage comes back once, unless its
+    path failed.
     """
-    zx = np.asarray(zx, float).ravel()
-    zy = np.asarray(zy, float).ravel()
+    targets = np.asarray(targets, complex).ravel()
+    zx, zy = targets.real, targets.imag
     f = N.source
     (fx, fy), (gx, gy) = N.jacobian
     u, v = MultiPoly.variable(0), MultiPoly.variable(1)
@@ -350,16 +361,14 @@ def _planar_preimages_batch(N, zx, zy, dom):
         return tuple(v[k] - ax * v[k + 6] - ay * v[k + 12] for k in range(6))
 
     wx, wy, status = total_degree_homotopy(
-        cleared, (f.first.degree, f.second.degree), zx.size)
+        cleared, (f.first.degree, f.second.degree), targets.size)
     good = (status == PATH_FINITE) \
         & (np.abs(wx.imag) <= 1e-9 * (1.0 + np.abs(wx))) \
         & (np.abs(wy.imag) <= 1e-9 * (1.0 + np.abs(wy)))
     rows = np.nonzero(good)[0]
-    rx, ry, wx, wy = zx[rows], zy[rows], wx.real[good], wy.real[good]
-    nx, ny, sing = N.step_many(wx, wy)
-    good = (wx >= dom.xmin) & (wx <= dom.xmax) & (wy >= dom.ymin) & (wy <= dom.ymax) \
-        & ~sing & (np.hypot(nx - rx, ny - ry) <= RESIDUAL_RTOL * (1.0 + np.hypot(rx, ry)))
-    return wx[good], wy[good], rows[good]
+    w = _pack(wx.real[good], wy.real[good])
+    good = _accept(N, w, targets[rows], dom)
+    return w[good], rows[good]
 
 
 # ---------------------------------------------------------------------------
@@ -388,63 +397,38 @@ def backward_tree(N, z0, depth, cap=DEFAULT_NODE_CAP, domain=None,
         win = dom
     if win is None:
         raise ValueError("need a window (or domain) to rasterize the tree")
-    if N.kind == "complex":
-        return _complex_tree(N, complex(z0), depth, cap, dom, win, width, height)
-    if dom is None:
-        raise ValueError("planar backward tree needs a bounded search domain")
-    return _planar_tree(N, (float(z0[0]), float(z0[1])), depth, cap, dom, win, width, height)
-
-
-def _complex_tree(N, z0, depth, cap, dom, win, width, height):
-    ncp, dcp = _padded_cleared_rows(N)
-    branch = max(int(N.degree), 1)
-    level = np.array([z0])
-    total = 1
-    completed = 0
+    planar = N.kind == "planar"
+    if planar:
+        if dom is None:
+            raise ValueError("planar backward tree needs a bounded search domain")
+        level = np.array([complex(float(z0[0]), float(z0[1]))])
+        branch = max(N.source.first.degree, 1) * max(N.source.second.degree, 1)
+        # dedup grid over the domain, matched to the output pixel size
+        pw = (win.xmax - win.xmin) / width
+        ph = (win.ymax - win.ymin) / height
+        ddw = int(min(2048, max(1, math.ceil((dom.xmax - dom.xmin) / pw))))
+        ddh = int(min(2048, max(1, math.ceil((dom.ymax - dom.ymin) / ph))))
+    else:
+        level = np.array([complex(z0)])
+        branch = max(int(N.degree), 1)
+    total, completed = 1, 0
     for k in range(1, depth + 1):
         if total + level.size * branch > cap:
             break
-        kids = _complex_preimages_batch(N, level, ncp, dcp)[0]
-        if dom is not None:
-            inside = (
-                (kids.real >= dom.xmin) & (kids.real <= dom.xmax)
-                & (kids.imag >= dom.ymin) & (kids.imag <= dom.ymax)
-            )
-            kids = kids[inside]
+        kids = _preimages_batch(N, level, dom)[0]
         if kids.size == 0:
             break
+        if planar:
+            row, col = dom.pixel_of(kids.real, kids.imag, ddw, ddh)
+            keep = row >= 0
+            flat = np.unique(row[keep] * ddw + col[keep])  # sorted: np.nonzero's row-major order
+            kids = _pack(*dom.center_of(flat // ddw, flat % ddw, ddw, ddh))
+        elif dom is not None:
+            kids = kids.copy()  # a view would hold the batch's deg N slots per target
         level = kids
         total += kids.size
         completed = k
     return OccupancyRaster.from_points(level.real, level.imag, win, width, height,
-                                       partial=completed < depth)
-
-
-def _planar_tree(N, z0, depth, cap, dom, win, width, height):
-    # dedup grid over the domain, matched to the output pixel size
-    pw = (win.xmax - win.xmin) / width
-    ph = (win.ymax - win.ymin) / height
-    ddw = int(min(2048, max(1, math.ceil((dom.xmax - dom.xmin) / pw))))
-    ddh = int(min(2048, max(1, math.ceil((dom.ymax - dom.ymin) / ph))))
-    branch = max(1, max(N.source.first.degree, 1) * max(N.source.second.degree, 1))
-
-    px = np.array([z0[0]])
-    py = np.array([z0[1]])
-    total = 1
-    completed = 0
-    for k in range(1, depth + 1):
-        if total + px.size * branch > cap:
-            break
-        wx, wy, _ = _planar_preimages_batch(N, px, py, dom)
-        if wx.size == 0:
-            break
-        row, col = dom.pixel_of(wx, wy, ddw, ddh)
-        keep = row >= 0
-        flat = np.unique(row[keep] * ddw + col[keep])  # sorted: np.nonzero's row-major order
-        px, py = dom.center_of(flat // ddw, flat % ddw, ddw, ddh)
-        total += px.size
-        completed = k
-    return OccupancyRaster.from_points(px, py, win, width, height,
                                        partial=completed < depth)
 
 
@@ -474,9 +458,6 @@ def hutchinson_iterate(N, initial, excluded, steps):
         raise ValueError("initial raster is empty")
     disks = [(float(cx), float(cy), float(r)) for cx, cy, r in excluded]
     win, w, h = initial.window, initial.width, initial.height
-    ncp = dcp = None
-    if N.kind == "complex":
-        ncp, dcp = _padded_cleared_rows(N)
 
     rasters = []
     gaps = []
@@ -486,12 +467,9 @@ def hutchinson_iterate(N, initial, excluded, steps):
     for _ in range(int(steps)):
         new = current.bits & ~solved
         solved |= new
-        xs, ys = OccupancyRaster(win, w, h, new).set_pixel_centers()
-        if N.kind == "complex":
-            kids, parent = _complex_preimages_batch(N, xs + 1j * ys, ncp, dcp)
-            px, py = kids.real, kids.imag
-        else:
-            px, py, parent = _planar_preimages_batch(N, xs, ys, win)
+        targets = _pack(*OccupancyRaster(win, w, h, new).set_pixel_centers())
+        kids, parent = _preimages_batch(N, targets, win)
+        px, py = kids.real, kids.imag
         keep = np.ones(px.size, bool)
         for cx, cy, r in disks:
             keep &= (px - cx) ** 2 + (py - cy) ** 2 >= r * r

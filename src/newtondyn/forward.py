@@ -35,6 +35,7 @@ from .grid import (
     CODE_UNDECIDED,
     BasinRaster,
     Window,
+    _pack,
 )
 from .poly import MultiPoly, batched_complex_roots, map_tiles, row_polyval
 
@@ -140,13 +141,6 @@ class _BatchResult:
 # -1, and keep(mask) to follow the kernel's active-set compression.
 
 
-def _pack(x, y):
-    """Planar points (x, y) packed exactly as x + iy."""
-    z = np.empty(np.size(x), complex)
-    z.real, z.imag = np.ravel(x), np.ravel(y)
-    return z
-
-
 def _nearest(z, roots, tol):
     """Index of the root within tol of each point (the first on ties), else
     -1.  roots has one row shared by all points or one row per point."""
@@ -161,8 +155,8 @@ def _nearest(z, roots, tol):
     return np.where(best <= tol, h, -1).astype(np.int32)
 
 
-class _ComplexPoints:
-    """One complex (Newton or rational) map over complex points."""
+class _PackedPoints:
+    """One Newton or rational map over packed points (a planar (x, y) as x + iy)."""
 
     def __init__(self, N, roots, tol):
         self.N = N
@@ -170,7 +164,7 @@ class _ComplexPoints:
         self.tol = tol
 
     def step(self, z):
-        return self.N.step_many(z)
+        return self.N.step_packed(z)
 
     def nearest(self, z):
         return _nearest(z, self.roots, self.tol)
@@ -179,20 +173,10 @@ class _ComplexPoints:
         pass
 
 
-class _PlanarPoints(_ComplexPoints):
-    """One planar Newton map over points packed as x + iy."""
-
-    def __init__(self, N, roots, tol):
-        super().__init__(N, _pack([r[0] for r in roots], [r[1] for r in roots]), tol)
-
-    def step(self, z):
-        nx, ny, singular = self.N.step_many(z.real, z.imag)
-        return _pack(nx, ny), singular
-
-
 def _point_map(N, roots, cfg):
-    cls = _PlanarPoints if N.kind == "planar" else _ComplexPoints
-    return cls(N, roots, cfg.root_tol)
+    if N.kind == "planar":
+        roots = _pack([r[0] for r in roots], [r[1] for r in roots])
+    return _PackedPoints(N, roots, cfg.root_tol)
 
 
 class _FamilyRows:
@@ -347,7 +331,7 @@ def render_basins(N, roots, window, width, height, cfg=None):
     cfg = cfg or ScanConfig()
     window = Window.from_sequence(window)
     X, Y = window.pixel_centers(width, height)
-    z = _pack(X, Y) if N.kind == "planar" else (X + 1j * Y).ravel()
+    z = _pack(X, Y)
     M = _point_map(N, roots, cfg)
     res = _classify_tiles(lambda t: _classify(M, t, cfg), z)
     return _raster(window, width, height, res, _legend(roots, N.kind == "complex"))

@@ -31,6 +31,13 @@ CODE_UNDECIDED = -4
 _CHUNK_POINTS = 1 << 15  # points per OccupancyRaster.from_points pass
 
 
+def _pack(x, y):
+    """Planar points (x, y) packed exactly as x + iy."""
+    z = np.empty(np.size(x), complex)
+    z.real, z.imag = np.ravel(x), np.ravel(y)
+    return z
+
+
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned rectangle in the plane."""
@@ -65,17 +72,19 @@ class Window:
         dy = (self.ymax - self.ymin) / height
         return self.xmin + (col + 0.5) * dx, self.ymax - (row + 0.5) * dy
 
+    def contains(self, x, y):
+        """Mask of the points inside the closed rectangle; NaN is outside."""
+        return (x >= self.xmin) & (x <= self.xmax) & (y >= self.ymin) & (y <= self.ymax)
+
     def pixel_of(self, x, y, width, height):
-        """Integer (row, col) arrays; points outside get index -1."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        """Integer (row, col) arrays; points outside, NaN and inf get index
+        -1, masked in float before the int64 cast so the cast never overflows."""
         dx = (self.xmax - self.xmin) / width
         dy = (self.ymax - self.ymin) / height
-        col = np.floor((x - self.xmin) / dx).astype(np.int64)
-        row = np.floor((self.ymax - y) / dy).astype(np.int64)
+        col = np.floor((np.asarray(x, dtype=float) - self.xmin) / dx)
+        row = np.floor((self.ymax - np.asarray(y, dtype=float)) / dy)
         ok = (col >= 0) & (col < width) & (row >= 0) & (row < height)
-        ok &= np.isfinite(x) & np.isfinite(y)
-        return np.where(ok, row, -1), np.where(ok, col, -1)
+        return np.where(ok, row, -1).astype(np.int64), np.where(ok, col, -1).astype(np.int64)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .grid import _pack
 from .poly import (PATH_FINITE, MultiPoly, PlaneMap, UniComplexPoly, _plane_system,
                    eval_many, system_real_roots, total_degree_homotopy)
 
@@ -84,6 +85,10 @@ class ComplexRationalMap:
             w = self.numerator.eval(z) / np.where(singular, 1.0, d)
         bad = ~(np.isfinite(w.real) & np.isfinite(w.imag))
         return np.where(singular | bad, 0.0, w), singular | bad
+
+    def step_packed(self, z):
+        """step_many, under the name NewtonPlaneMap gives its packed step."""
+        return self.step_many(z)
 
     def __call__(self, z):
         return self.step(z)
@@ -163,6 +168,11 @@ class NewtonPlaneMap:
         bad = ~(np.isfinite(nx) & np.isfinite(ny))
         singular = singular | bad
         return (np.where(singular, x, nx), np.where(singular, y, ny), singular)
+
+    def step_packed(self, z):
+        """step_many on points packed as x + iy; returns (packed, singular)."""
+        nx, ny, singular = self.step_many(z.real, z.imag)
+        return _pack(nx, ny), singular
 
     def __call__(self, point):
         return self.step(point)

@@ -9,7 +9,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from newtondyn.grid import OccupancyRaster, Window
+from newtondyn.grid import OccupancyRaster, Window, _pack
 from newtondyn.newton import (
     ComplexRationalMap,
     SingularJacobianError,
@@ -197,7 +197,8 @@ class TestPlanarCounterimages:
         xmin, xmax, ymin, ymax = QUARTIC_DOMAIN
         zx = rng.uniform(xmin, xmax, 50)
         zy = rng.uniform(ymin, ymax, 50)
-        wx, wy, _ = _planar_preimages_batch(N, zx, zy, Window.from_sequence(QUARTIC_DOMAIN))
+        w, _ = _planar_preimages_batch(N, _pack(zx, zy), Window.from_sequence(QUARTIC_DOMAIN))
+        wx, wy = w.real, w.imag
         want = np.array([w for z in zip(zx, zy) for w in counterimages(N, z, QUARTIC_DOMAIN)])
         got = np.column_stack([wx, wy])
         assert len(want) > 50
@@ -206,9 +207,8 @@ class TestPlanarCounterimages:
         assert np.all(gaps.min(axis=0) <= 1e-8)
         assert np.all(gaps.min(axis=1) <= 1e-8)
         # the seed target of the two-parabolas tree has 4 distinct preimages
-        wx, wy, _ = _planar_preimages_batch(N, [0.0], [-1.0],
-                                            Window.from_sequence(QUARTIC_DOMAIN))
-        assert len(set(zip(np.round(wx, 6), np.round(wy, 6)))) == len(wx) == 4
+        w, _ = _planar_preimages_batch(N, [complex(0.0, -1.0)], Window.from_sequence(QUARTIC_DOMAIN))
+        assert len(set(zip(np.round(w.real, 6), np.round(w.imag, 6)))) == len(w) == 4
 
     @pytest.mark.parametrize("step_max", [poly._STEP_MAX, 1.0])
     def test_homotopy_endpoints_of_one_target_are_distinct(self, monkeypatch, step_max):
@@ -226,7 +226,8 @@ class TestPlanarCounterimages:
 
         monkeypatch.setattr(backward, "total_degree_homotopy", recording)
         zx, zy = np.random.default_rng(13).uniform(-2.0, 2.0, (2, 2000))
-        _planar_preimages_batch(decoupled_newton(), zx, zy, Window.from_sequence(SQUARE_WINDOW))
+        _planar_preimages_batch(decoupled_newton(), _pack(zx, zy),
+                                Window.from_sequence(SQUARE_WINDOW))
         (x, y, status), = ends
         assert status.shape == (2000, 9)
         finite = status == PATH_FINITE
@@ -690,7 +691,8 @@ def _reference_set_map(N, initial, excluded, steps):
             kids = _untiled_complex_preimages(N, xs + 1j * ys)
             px, py = kids.real, kids.imag
         else:
-            px, py, _ = _planar_preimages_batch(N, xs, ys, win)
+            kids, _ = _planar_preimages_batch(N, _pack(xs, ys), win)
+            px, py = kids.real, kids.imag
         for cx, cy, r in disks:
             keep = (px - cx) ** 2 + (py - cy) ** 2 >= r * r
             px, py = px[keep], py[keep]
@@ -923,11 +925,11 @@ class TestPlanarTreeDedup:
         wx[9::70] = dom.xmax  # half-open edge: off the raster
         asked = []
 
-        def batch(N_, px, py, dom_):
-            asked.append((px, py))
+        def batch(N_, targets, dom_):
+            asked.append((targets.real, targets.imag))
             if len(asked) == 1:
-                return wx, wy, np.zeros(wx.size, int)
-            return np.empty(0), np.empty(0), np.empty(0, int)
+                return _pack(wx, wy), np.zeros(wx.size, int)
+            return np.empty(0, complex), np.empty(0, int)
 
         monkeypatch.setattr(backward, "_planar_preimages_batch", batch)
         backward_tree(N, (0.0, -1.0), 3, domain=QUARTIC_DOMAIN,
@@ -937,3 +939,195 @@ class TestPlanarTreeDedup:
         assert len(asked) == 2 and 0 < want[0].size < 3000
         for got, ref in zip(asked[1], want):
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _filter_after_batch(N, level, dom):
+    """A bounded complex tree's level before the domain filter moved into
+    the tile, kept verbatim as the reference: the whole level's accepted
+    counterimages, then a level-sized copy of those inside the domain."""
+    kids = _concatenating_complex_preimages(N, level)[0]
+    inside = (
+        (kids.real >= dom.xmin) & (kids.real <= dom.xmax)
+        & (kids.imag >= dom.ymin) & (kids.imag <= dom.ymax)
+    )
+    return kids[inside]
+
+
+class TestBoundedComplexTree:
+    def edge_domain(self, kids):
+        """A domain whose right edge is exactly the real part of one of kids."""
+        edge = kids[(kids.real > 0.1) & (kids.real < 2.0)][0]
+        return Window(-1.5, edge.real, -2.0, 1.25), edge
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tile_filter_matches_filter_after_batch(self, threads):
+        # two tiles and a bit, with degree-1 rows (target 2) and a NaN row
+        N = TestTiledPreimageBatch().rational_map()
+        rng = np.random.default_rng(31)
+        n = 2 * poly._TILE_ROWS + 57
+        level = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+        level[[3, poly._TILE_ROWS, n - 2]] = 2.0
+        level[5] = complex(np.nan, 0.0)
+        dom, edge = self.edge_domain(_concatenating_complex_preimages(N, level)[0])
+        with poly.worker_threads(threads):
+            want = _filter_after_batch(N, level, dom)
+            kids, parent = backward._complex_preimages_batch(N, level, dom)
+        assert np.array_equal(kids.view(np.uint64), want.view(np.uint64))
+        assert edge in kids and 0 < kids.size < 3 * n
+        assert dom.contains(kids.real, kids.imag).all() and parent.size == kids.size
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tree_matches_filter_after_batch(self, threads):
+        N = cubic_newton()
+        z0 = 5.0 + 1.0j
+        # a first-level counterimage on the right edge, so every later level
+        # holds its counterimages
+        dom, edge = self.edge_domain(_concatenating_complex_preimages(N, [z0])[0])
+        level = np.array([z0])
+        for k in range(7):
+            level = _filter_after_batch(N, level, dom)
+            assert k > 0 or edge in level
+        want = OccupancyRaster.from_points(level.real, level.imag, Window(*SQUARE_WINDOW), 96, 96)
+        with poly.worker_threads(threads):
+            tree = backward_tree(N, z0, 7, domain=dom.as_tuple(), window=SQUARE_WINDOW,
+                                 width=96, height=96)
+        assert not tree.partial and tree.count > 10 and level.size < 3 ** 7
+        assert np.array_equal(tree.bits, want.bits)
+
+    def test_peak_memory_within_filter_after_batch(self, monkeypatch):
+        # z^8 - 1 in a box off the origin keeps about a quarter of each
+        # level's counterimages.  A level kept as a view of the batch's
+        # buffer holds its 8 slots per target through the next batch and
+        # peaked 11% above filtering after the batch; small tiles keep the
+        # tiles' temporaries from hiding the level
+        N = build_newton_complex(UniComplexPoly([-1, 0, 0, 0, 0, 0, 0, 0, 1]))
+        dom, z0, depth = Window(0.0, 1.5, -0.45, 0.45), 0.3 + 0.2j, 14
+        monkeypatch.setattr(poly, "_TILE_ROWS", 512)
+
+        def filter_after_batch():
+            # the loop of the tree before the filter moved into the tile
+            level = np.array([z0])
+            for _ in range(depth):
+                kids = backward._complex_preimages_batch(N, level)[0]
+                inside = dom.contains(kids.real, kids.imag)
+                kids = kids[inside]
+                level = kids
+            return level
+
+        def tree():
+            return backward_tree(N, z0, depth, domain=dom.as_tuple(), width=64, height=64)
+
+        def peak(run):
+            run()  # warm any first-call caches outside the trace
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with poly.worker_threads(1):
+            level = filter_after_batch()
+            assert 8000 < level.size < 12000 and not tree().partial
+            assert peak(tree) < 1.03 * peak(filter_after_batch)
+
+
+# The four acceptance checks the counterimage paths made inline before they
+# shared backward._accept, kept verbatim as references.
+
+def _single_complex_check(N, roots, z, dom):
+    vals, sing = N.step_many(roots)
+    keep = ~sing & (np.abs(vals - z) <= backward.RESIDUAL_RTOL * (1.0 + abs(z)))
+    if dom is not None:
+        keep &= (
+            (roots.real >= dom.xmin) & (roots.real <= dom.xmax)
+            & (roots.imag >= dom.ymin) & (roots.imag <= dom.ymax)
+        )
+    return keep
+
+
+def _single_planar_check(N, wx, wy, zx, zy):
+    ix, iy, singular = N.step_many(wx, wy)
+    scale = 1.0 + math.hypot(zx, zy)
+    return ~singular & (np.hypot(ix - zx, iy - zy) <= backward.RESIDUAL_RTOL * scale)
+
+
+def _batch_complex_check(N, found, z, par):
+    good = np.isfinite(found.real) & np.isfinite(found.imag)
+    vals, sing = N.step_many(np.where(good, found, 0.0))
+    good &= ~sing & (np.abs(vals - z[par]) <= 1e-6 * (1.0 + np.abs(z[par])))
+    return good
+
+
+def _batch_planar_check(N, wx, wy, rx, ry, dom):
+    nx, ny, sing = N.step_many(wx, wy)
+    return (wx >= dom.xmin) & (wx <= dom.xmax) & (wy >= dom.ymin) & (wy <= dom.ymax) \
+        & ~sing & (np.hypot(nx - rx, ny - ry) <= backward.RESIDUAL_RTOL * (1.0 + np.hypot(rx, ry)))
+
+
+class TestAcceptanceRule:
+    def candidates(self, N, targets, singular):
+        """Per target: its counterimages over a wide domain, the same moved
+        by 1e-3, and the singular points; with the index of the target."""
+        wide = (-50.0, 50.0, -50.0, 50.0)
+        rng = np.random.default_rng(17)
+        w, par = [], []
+        for i, z in enumerate(targets):
+            exact = np.array([complex(*c) if N.kind == "planar" else c
+                              for c in counterimages(N, z, wide)], complex)
+            moved = exact + 1e-3 * np.exp(2j * np.pi * rng.random(exact.size))
+            found = np.concatenate([exact, moved, singular])
+            w.append(found)
+            par.append(np.full(found.size, i))
+        return np.concatenate(w), np.concatenate(par)
+
+    def test_complex_paths(self):
+        N = cubic_newton()
+        rng = np.random.default_rng(3)
+        targets = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+        singular = np.array([0.0, complex(np.nan, 0.0), complex(0.0, np.inf)])
+        w, par = self.candidates(N, targets, singular)
+        dom = Window(-1.0, 1.5, -0.75, 1.0)
+        z = targets[par]
+        scale = 1.0 + np.abs(z)
+        assert N.step_many(singular[:1])[1].all()
+        residual = np.abs(N.step_many(np.where(np.isfinite(w), w, 0.0))[0] - z)
+        batch = _batch_complex_check(N, w, targets, par)
+        # no residual lies between the two bounds, where 1e-6 and 1e-8 differ
+        assert not np.any((residual > backward.RESIDUAL_RTOL * scale) & (residual <= 1e-6 * scale))
+        assert np.array_equal(backward._accept(N, w, z, None), batch)
+        for i, t in enumerate(targets):
+            mine = par == i
+            finite = w[mine][np.isfinite(w[mine])]
+            for d in (None, dom):
+                want = _single_complex_check(N, finite, t, d)
+                assert np.array_equal(backward._accept(N, finite, t, d), want)
+        inside = dom.contains(w.real, w.imag)
+        assert np.array_equal(backward._accept(N, w, z, dom), batch & inside)
+        assert (batch & inside).any() and (batch & ~inside).any() and not batch.all()
+        assert not batch[w == 0.0].any()
+
+    def test_planar_paths(self):
+        N = decoupled_newton()
+        rng = np.random.default_rng(4)
+        targets = [(float(a), float(b)) for a, b in rng.uniform(-2, 2, (25, 2))]
+        s = 1.0 / math.sqrt(3.0)  # Df is singular on x = +-s and y = +-s
+        singular = np.array([complex(s, 0.3), complex(-0.2, -s), complex(s, s)])
+        assert N.step_many(singular.real, singular.imag)[2].all()
+        w, par = self.candidates(N, targets, singular)
+        zx = np.array([t[0] for t in targets])[par]
+        zy = np.array([t[1] for t in targets])[par]
+        dom = Window(-1.2, 0.9, -1.1, 1.3)
+        got = backward._accept(N, w, _pack(zx, zy), dom)
+        batch = _batch_planar_check(N, w.real, w.imag, zx, zy, dom)
+        assert np.array_equal(got, batch)
+        inside = dom.contains(w.real, w.imag)
+        free = np.zeros(w.size, bool)
+        for i, (tx, ty) in enumerate(targets):
+            mine = par == i
+            free[mine] = _single_planar_check(N, w.real[mine], w.imag[mine], tx, ty)
+            assert np.array_equal(backward._accept(N, w[mine], complex(tx, ty), None), free[mine])
+            assert np.array_equal(backward._accept(N, w[mine], complex(tx, ty), dom),
+                                  free[mine] & inside[mine])
+        assert (batch & inside).any() and (free & ~inside).any() and not free.all()
+        assert not free[np.isin(w, singular)].any()

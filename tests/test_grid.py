@@ -1,6 +1,7 @@
 """Tests for raster plumbing: pixel centers and chunked rasterizing."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,3 +87,56 @@ class TestPixelCenters:
         bits = np.random.default_rng(1).random((23, 37)) < 0.3
         xs, ys = OccupancyRaster(WIN, 37, 23, bits).set_pixel_centers()
         assert np.array_equal(OccupancyRaster.from_points(xs, ys, WIN, 37, 23).bits, bits)
+
+
+def _casting_pixel_of(window, x, y, width, height):
+    """Window.pixel_of as it cast to int64 before masking, kept as the
+    reference for the one that masks in float first."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = (window.xmax - window.xmin) / width
+    dy = (window.ymax - window.ymin) / height
+    with np.errstate(invalid="ignore"):  # the cast of NaN, inf and 1e300
+        col = np.floor((x - window.xmin) / dx).astype(np.int64)
+        row = np.floor((window.ymax - y) / dy).astype(np.int64)
+    ok = (col >= 0) & (col < width) & (row >= 0) & (row < height)
+    ok &= np.isfinite(x) & np.isfinite(y)
+    return np.where(ok, row, -1), np.where(ok, col, -1)
+
+
+class TestPixelOf:
+    @pytest.mark.parametrize("shape", [(37, 23), (300, 200), (1, 1)])
+    def test_matches_casting_reference(self, shape):
+        z = _awkward_points(20011, seed=9)
+        z[19::71] = complex(-1e300, -1e300)
+        z[23::67] = complex(WIN.xmin - 1e-15, WIN.ymin)
+        row, col = WIN.pixel_of(z.real, z.imag, *shape)
+        want_row, want_col = _casting_pixel_of(WIN, z.real, z.imag, *shape)
+        assert row.dtype == col.dtype == np.int64
+        assert np.array_equal(row, want_row) and np.array_equal(col, want_col)
+        assert 0 < np.count_nonzero(row >= 0) < z.size
+
+    def test_nonfinite_and_huge_points_raise_no_warning(self):
+        bad = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+        x = np.array(bad + [0.5] * 5)
+        y = np.array([0.5] * 5 + bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row, col = WIN.pixel_of(x, y, 10, 8)
+            raster = OccupancyRaster.from_points(np.append(x, 0.5), np.append(y, 0.5),
+                                                 WIN, 10, 8)
+        assert (row == -1).all() and (col == -1).all()
+        assert raster.count == 1
+
+    def test_scalar_point(self):
+        assert WIN.pixel_of(-2.0, 2.5, 10, 8) == (0, 0)
+        assert WIN.pixel_of(float("nan"), 0.0, 10, 8) == (-1, -1)
+
+
+class TestContains:
+    def test_edges_are_closed_and_nan_is_outside(self):
+        x = np.array([WIN.xmin, WIN.xmax, 0.0, 0.0, np.nextafter(WIN.xmax, 9.0),
+                      np.nextafter(WIN.xmin, -9.0), np.nan, 0.0, np.inf])
+        y = np.array([WIN.ymin, WIN.ymax, WIN.ymin, WIN.ymax, 0.0, 0.0, 0.0, np.nan, 0.0])
+        assert WIN.contains(x, y).tolist() == [True] * 4 + [False] * 5
+        assert WIN.contains(0.5, 0.5) and not WIN.contains(0.5, 2.6)
