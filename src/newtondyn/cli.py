@@ -21,7 +21,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,17 +79,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-MODES = (
-    "basins",
-    "alpha-tree",
-    "alpha-random",
-    "ifs",
-    "param-scan",
-    "barna",
-    "ghost",
-    "compare",
-)
 
 # fixed attractor palette so renders are bit-exact across platforms;
 # basin codes past the table wrap around
@@ -150,6 +140,20 @@ class JobConfig:
 # ---------------------------------------------------------------------------
 # Config loading and validation
 
+# fields every mode may carry; _MODES (below the runners) lists each mode's own
+_SHARED_FIELDS = ("mode", "map", "window", "width", "height", "scan",
+                  "prng_seed", "threads", "outputs")
+_OUTPUT_KINDS = ("raster", "boundary", "orbit", "report")
+# the fields of each map kind besides 'kind'
+_MAP_FIELDS = {
+    "complex": ("polynomial", "variable"),
+    "planar": ("first", "second", "variables"),
+    "rational": ("numerator", "denominator", "variable"),
+    "family": ("polynomial", "variables"),
+}
+_BOX = "[xmin, xmax, ymin, ymax] with xmin < xmax and ymin < ymax"
+_POINT = "a two-number list"
+
 
 def _require(cfg, key, mode):
     if key not in cfg:
@@ -157,32 +161,60 @@ def _require(cfg, key, mode):
     return cfg[key]
 
 
-def _as_window(value, key="window"):
+def _as_floats(value, n, key, what, ordered=False):
+    """value as a tuple of n finite floats, each (lo, hi) pair ascending if
+    ordered; a ConfigError saying key must be what otherwise."""
     try:
-        xmin, xmax, ymin, ymax = (float(v) for v in value)
+        numbers = tuple(float(v) for v in value) if isinstance(value, (list, tuple)) else ()
     except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' must be [xmin, xmax, ymin, ymax]")
-    if not (xmin < xmax and ymin < ymax):
-        raise ConfigError(f"'{key}' must have xmin < xmax and ymin < ymax")
-    return (xmin, xmax, ymin, ymax)
+        numbers = ()
+    if (len(numbers) != n or not all(map(math.isfinite, numbers))
+            or ordered and not all(lo < hi for lo, hi in zip(numbers[::2], numbers[1::2]))):
+        raise ConfigError(f"'{key}' must be {what}")
+    return numbers
 
 
-def _as_number(value, kind, key):
-    """value converted by kind (int or float); a ConfigError naming key if
-    it does not convert."""
+def _as_number(value, kind, key, low=None):
+    """value converted by kind (int or float), at least low if given; a
+    ConfigError naming key otherwise.  Booleans, non-finite numbers and,
+    for int, non-integral numbers do not convert."""
     try:
-        return kind(value)
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        number = kind(value)
+        if not math.isfinite(number):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"'{key}' must be {'an integer' if kind is int else 'a number'}")
+    if low is not None and number < low:
+        raise ConfigError(f"'{key}' must be >= {low}")
+    return number
 
 
-def _as_point(value, planar, key="seed_point"):
+def _as_bool(value, key):
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be true or false")
+    return value
+
+
+def _settings(cfg, key, cls):
+    """cls built from the dict cfg[key] of overrides, each converted to the
+    type of its default."""
+    overrides = cfg.get(key, {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"'{key}' must be a dict of {cls.__name__} overrides")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(overrides) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {key} settings: {sorted(unknown)}")
+    values = {name: _as_number(value, type(defaults[name]), f"{key}.{name}")
+              for name, value in overrides.items()}
     try:
-        x, y = (float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' must be a two-number list")
-    return (x, y) if planar else complex(x, y)
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"bad {key} settings: {exc}")
 
 
 def _parse_univariate(text, variable):
@@ -191,57 +223,50 @@ def _parse_univariate(text, variable):
 
 def _build_map(desc, mode):
     """Build the Newton (or rational) map described by a config's 'map'."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("config field 'map' must be a dict with a 'kind'")
-    kind = desc["kind"]
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if not isinstance(kind, str) or kind not in _MAP_FIELDS:
+        raise ConfigError("config field 'map' must be a dict whose 'kind' is "
+                          f"one of {', '.join(_MAP_FIELDS)}")
+    unknown = set(desc) - {"kind", *_MAP_FIELDS[kind]}
+    if unknown:
+        raise ConfigError(f"unknown fields for a {kind} map: {sorted(unknown)}")
+    var = desc.get("variable", "z")
+    names = desc.get("variables", ["z", "A"] if kind == "family" else ["x", "y"])
+    if not (isinstance(var, str) and isinstance(names, list) and len(names) == 2
+            and all(isinstance(v, str) for v in names)):
+        raise ConfigError("'map.variable' must be a name and 'map.variables' "
+                          "a list of two names")
+
+    def text(key):
+        value = _require(desc, key, mode)
+        if not isinstance(value, str):
+            raise ConfigError(f"'map.{key}' must be a string")
+        return value
+
     if kind == "complex":
-        text = _require(desc, "polynomial", mode)
-        p = _parse_univariate(text, desc.get("variable", "z"))
+        p = _parse_univariate(text("polynomial"), var)
         return build_newton_complex(p), p
     if kind == "planar":
-        variables = tuple(desc.get("variables", ("x", "y")))
-        f = parse_plane_map(
-            _require(desc, "first", mode), _require(desc, "second", mode),
-            variables=variables,
-        )
+        f = parse_plane_map(text("first"), text("second"), variables=tuple(names))
         return build_newton_plane(f), f
     if kind == "rational":
-        var = desc.get("variable", "z")
-        num = _parse_univariate(_require(desc, "numerator", mode), var)
-        den = _parse_univariate(_require(desc, "denominator", mode), var)
-        rmap = ComplexRationalMap(num, den)
+        rmap = ComplexRationalMap(_parse_univariate(text("numerator"), var),
+                                  _parse_univariate(text("denominator"), var))
         return rmap, rmap
-    if kind == "family":
-        variables = desc.get("variables", ("z", "A"))
-        if len(variables) != 2:
-            raise ConfigError("family maps need [dynamic, parameter] names")
-        fam = parse_poly(_require(desc, "polynomial", mode),
-                         variables=tuple(variables))
-        return fam, fam
-    raise ConfigError(f"unknown map kind '{kind}'")
-
-
-def _scan_config(cfg):
-    fields = ("root_tol", "escape_radius", "max_iter", "cycle_window",
-              "cycle_tol", "multiplier_step")
-    overrides = cfg.get("scan", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("'scan' must be a dict of ScanConfig overrides")
-    unknown = set(overrides) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown scan settings: {sorted(unknown)}")
-    try:
-        return ScanConfig(**overrides)
-    except ValueError as exc:
-        raise ConfigError(f"bad scan settings: {exc}")
+    fam = parse_poly(text("polynomial"), variables=tuple(names))
+    return fam, fam
 
 
 def load_config(path, mode, seed_override=None, threads_override=None):
     """Parse, validate, and build a job config from a JSON file.
 
     Everything that can fail from bad input fails here, before any
-    artifact is written.  Map text is parsed and the map objects built;
-    mode-specific required fields are checked.
+    artifact is written: the file must be a JSON object, the map text
+    must parse, the map kind must be one the mode takes (_MODES), every
+    field must be a shared one or one the mode reads, and every value
+    must have its field's type and range.  The rest of the config is
+    read into JobConfig: map objects, geometry, ScanConfig, outputs and
+    the mode's params.
     """
     try:
         raw_text = Path(path).read_text(encoding="utf-8")
@@ -256,12 +281,16 @@ def load_config(path, mode, seed_override=None, threads_override=None):
         )
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    if mode not in MODES:
+    if mode not in _MODES:
         raise ConfigError(f"unknown mode '{mode}'")
     file_mode = cfg.get("mode")
     if file_mode is not None and file_mode != mode:
         raise ConfigError(
             f"config is for mode '{file_mode}' but '{mode}' was requested")
+    _, kinds, own_fields = _MODES[mode]
+    unknown = set(cfg) - set(_SHARED_FIELDS) - set(own_fields)
+    if unknown:
+        raise ConfigError(f"unknown config fields for mode {mode}: {sorted(unknown)}")
 
     if seed_override is not None:
         cfg = dict(cfg, prng_seed=int(seed_override))
@@ -274,143 +303,108 @@ def load_config(path, mode, seed_override=None, threads_override=None):
         raise ConfigError(f"bad polynomial text: {exc}")
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-    window = _as_window(cfg.get("window", (-2.0, 2.0, -2.0, 2.0)))
-    width = _as_number(cfg.get("width", 256), int, "width")
-    height = _as_number(cfg.get("height", 256), int, "height")
-    if width < 1 or height < 1:
-        raise ConfigError("width and height must be positive")
-    threads = _as_number(cfg.get("threads", 0), int, "threads")
-    if threads < 0:
-        raise ConfigError("threads must be >= 0 (0 means every usable core)")
+    if cfg["map"]["kind"] not in kinds:
+        raise ConfigError(f"mode {mode} takes maps of kind {', '.join(kinds)}, "
+                          f"not '{cfg['map']['kind']}'")
+    outputs = cfg.get("outputs", {})
+    if not (isinstance(outputs, dict) and set(outputs) <= set(_OUTPUT_KINDS)
+            and all(isinstance(name, str) and name not in ("", ".", "..")
+                    and Path(name).name == name for name in outputs.values())):
+        raise ConfigError("'outputs' must map some of "
+                          f"{', '.join(_OUTPUT_KINDS)} to plain file names")
 
     job = JobConfig(
         mode=mode,
         map_kind=cfg["map"]["kind"],
         newton=newton,
         source=source,
-        window=window,
-        width=width,
-        height=height,
-        scan=_scan_config(cfg),
-        prng_seed=_as_number(cfg.get("prng_seed", 0), int, "prng_seed"),
-        threads=threads,
-        outputs=dict(cfg.get("outputs", {})),
+        window=_as_floats(cfg.get("window", (-2.0, 2.0, -2.0, 2.0)), 4,
+                          "window", _BOX, ordered=True),
+        width=_as_number(cfg.get("width", 256), int, "width", 1),
+        height=_as_number(cfg.get("height", 256), int, "height", 1),
+        scan=_settings(cfg, "scan", ScanConfig),
+        prng_seed=_as_number(cfg.get("prng_seed", 0), int, "prng_seed", 0),
+        threads=_as_number(cfg.get("threads", 0), int, "threads", 0),
+        outputs=dict(outputs),
         raw=cfg,
     )
-    _validate_mode_fields(job, cfg)
+    _read_mode_fields(job, cfg, own_fields)
     return job
 
 
-def _planar(job):
-    return job.map_kind == "planar"
-
-
-def _validate_mode_fields(job, cfg):
-    mode, params = job.mode, job.params
-    if mode in ("basins", "compare", "ifs") and job.map_kind == "family":
-        raise ConfigError(f"mode {mode} needs a concrete map, not a family")
-    if mode in ("basins", "compare") and job.map_kind == "rational":
-        raise ConfigError(f"mode {mode} needs root data; rational maps "
-                          "support alpha-tree, alpha-random, and ifs")
-
-    if mode in ("alpha-tree", "alpha-random", "compare"):
-        params["seed_point"] = _as_point(
-            _require(cfg, "seed_point", mode), _planar(job))
-        if _planar(job):
-            params["domain"] = _as_window(
-                _require(cfg, "domain", mode), "domain")
-        elif "domain" in cfg:
-            params["domain"] = _as_window(cfg["domain"], "domain")
-        else:
-            params["domain"] = None
-
-    if mode in ("alpha-tree", "compare"):
-        params["depth"] = _as_number(_require(cfg, "depth", mode), int, "depth")
-        if params["depth"] < 1:
-            raise ConfigError("'depth' must be >= 1")
+def _read_mode_fields(job, cfg, own_fields):
+    """Fill job.params from the fields the job's mode reads."""
+    mode, kind, p = job.mode, job.map_kind, job.params
+    if "seed_point" in own_fields:
+        x, y = _as_floats(_require(cfg, "seed_point", mode), 2, "seed_point", _POINT)
+        p["seed_point"] = (x, y) if kind == "planar" else complex(x, y)
+        domain = _require(cfg, "domain", mode) if kind == "planar" else cfg.get("domain")
+        p["domain"] = (None if domain is None
+                       else _as_floats(domain, 4, "domain", _BOX, ordered=True))
+    if "depth" in own_fields:
+        p["depth"] = _as_number(_require(cfg, "depth", mode), int, "depth", 1)
         if "cap" in cfg:
-            params["cap"] = _as_number(cfg["cap"], int, "cap")
-            if params["cap"] < 1:
-                raise ConfigError("'cap' must be >= 1")
-
-    if mode == "alpha-tree":
-        params["compare_boundary"] = bool(cfg.get("compare_boundary",
-                                                  job.map_kind != "rational"))
-    if mode == "compare":
-        params["nonregular_only"] = bool(cfg.get("nonregular_only", False))
-
-    if mode == "alpha-random":
-        params["length"] = _as_number(_require(cfg, "length", mode), int,
-                                       "length")
-        params["burn_in"] = _as_number(cfg.get("burn_in", 100), int, "burn_in")
-        if not params["length"] > params["burn_in"] >= 0:
+            p["cap"] = _as_number(cfg["cap"], int, "cap", 1)
+    if "compare_boundary" in own_fields:
+        p["compare_boundary"] = _as_bool(
+            cfg.get("compare_boundary", kind != "rational"), "compare_boundary")
+    if "nonregular_only" in own_fields:
+        p["nonregular_only"] = _as_bool(cfg.get("nonregular_only", False),
+                                        "nonregular_only")
+    if "length" in own_fields:
+        p["length"] = _as_number(_require(cfg, "length", mode), int, "length")
+        p["burn_in"] = _as_number(cfg.get("burn_in", 100), int, "burn_in")
+        if not p["length"] > p["burn_in"] >= 0:
             raise ConfigError("need length > burn_in >= 0")
-
-    if mode == "ifs":
+    if "disks" in own_fields:
         disks = _require(cfg, "disks", mode)
-        if not isinstance(disks, dict) or "radius" not in disks:
+        if (not isinstance(disks, dict) or "radius" not in disks
+                or set(disks) - {"radius", "centers"}):
             raise ConfigError("'disks' must be {'radius': r, 'centers': ...}")
-        params["disk_radius"] = _as_number(disks["radius"], float, "disks.radius")
-        if params["disk_radius"] <= 0:
+        p["disk_radius"] = _as_number(disks["radius"], float, "disks.radius")
+        if not p["disk_radius"] > 0:
             raise ConfigError("disk radius must be positive")
         centers = disks.get("centers", "roots")
         if centers == "roots":
-            if job.map_kind == "rational":
-                raise ConfigError(
-                    "rational maps need explicit disk centers")
-            params["disk_centers"] = None  # resolved from roots at run time
+            p["disk_centers"] = None  # resolved from roots at run time
+        elif isinstance(centers, list):
+            p["disk_centers"] = [_as_floats(c, 2, "disks.centers", "a list of "
+                                            "two-number lists") for c in centers]
         else:
-            params["disk_centers"] = [
-                (_as_point(c, True, "disks.centers")) for c in centers]
-        params["steps"] = _as_number(cfg.get("steps", 12), int, "steps")
-        if params["steps"] < 1:
-            raise ConfigError("'steps' must be >= 1")
-
-    if mode == "param-scan":
-        if job.map_kind != "family":
-            raise ConfigError("mode param-scan needs a map of kind 'family'")
-        seed_value = cfg.get("seed_value", 0.0)
-        if isinstance(seed_value, (list, tuple)):
-            params["seed_value"] = _as_point(seed_value, False, "seed_value")
-        else:
-            params["seed_value"] = complex(_as_number(seed_value, float, "seed_value"))
-        params["report_cycles"] = _as_number(cfg.get("report_cycles", 20), int,
-                                             "report_cycles")
-
-    if mode == "barna":
-        if job.map_kind != "complex":
-            raise ConfigError("mode barna needs a real univariate map")
-        params["max_period"] = _as_number(cfg.get("max_period", 5), int, "max_period")
-        params["samples"] = _as_number(cfg.get("samples", 1_000_000), int,
-                                       "samples")
-        for name in ("max_period", "samples"):
-            if params[name] < 1:
-                raise ConfigError(f"'{name}' must be >= 1")
-        interval = cfg.get("sample_interval", (-10.0, 10.0))
-        try:
-            lo, hi = (float(v) for v in interval)
-        except (TypeError, ValueError):
-            raise ConfigError("'sample_interval' must be [lo, hi]")
-        if not lo < hi:
-            raise ConfigError("'sample_interval' must have lo < hi")
-        params["sample_interval"] = (lo, hi)
-
-    if mode == "ghost":
-        if not _planar(job):
-            raise ConfigError("mode ghost needs a planar map")
-        params["box"] = _as_window(cfg.get("box", job.window), "box")
-        probe = cfg.get("probe", {})
-        if not isinstance(probe, dict):
-            raise ConfigError("'probe' must be a dict of probe settings")
-        try:
-            params["probe"] = GhostProbeConfig(**probe)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad probe settings: {exc}")
+            raise ConfigError("'disks.centers' must be \"roots\" or a list of "
+                              "two-number lists")
+        p["steps"] = _as_number(cfg.get("steps", 12), int, "steps", 1)
+    if kind == "rational" and (p.get("compare_boundary")
+                               or p.get("disk_centers", ()) is None):
+        raise ConfigError("rational maps have no roots: they need explicit "
+                          "disk centers and compare_boundary false")
+    if "seed_value" in own_fields:
+        seed = cfg.get("seed_value", 0.0)
+        p["seed_value"] = (complex(*_as_floats(seed, 2, "seed_value", _POINT))
+                           if isinstance(seed, list)
+                           else complex(_as_number(seed, float, "seed_value")))
+        p["report_cycles"] = _as_number(cfg.get("report_cycles", 20), int,
+                                        "report_cycles", 0)
+    if "samples" in own_fields:
+        p["max_period"] = _as_number(cfg.get("max_period", 5), int, "max_period", 1)
+        p["samples"] = _as_number(cfg.get("samples", 1_000_000), int, "samples", 1)
+        p["sample_interval"] = _as_floats(cfg.get("sample_interval", (-10.0, 10.0)),
+                                          2, "sample_interval", "[lo, hi] with lo < hi",
+                                          ordered=True)
+    if "box" in own_fields:
+        p["box"] = _as_floats(cfg.get("box", job.window), 4, "box", _BOX, ordered=True)
+        p["probe"] = _settings(cfg, "probe", GhostProbeConfig)
 
 
 # ---------------------------------------------------------------------------
 # Artifact writers
+
+
+def _write(path, data, stage):
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise StageError(stage, f"{path}: {exc}")
 
 
 def write_raster(raster, path):
@@ -434,49 +428,23 @@ def write_raster(raster, path):
     else:
         rgb[:] = 255
         rgb[raster.bits] = 0
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    try:
-        Path(path).write_bytes(header + rgb.tobytes())
-    except OSError as exc:
-        raise StageError("write_raster", f"{path}: {exc}")
-
-
-def _write_orbit_csv(points, planar, path):
-    lines = []
-    for pt in points:
-        a, b = (pt[0], pt[1]) if planar else (pt.real, pt.imag)
-        lines.append(f"{a:.17g},{b:.17g}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-    except OSError as exc:
-        raise StageError("write_orbit_csv", f"{path}: {exc}")
+    _write(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes(),
+           "write_raster")
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_report(report, path):
-    try:
-        Path(path).write_text(
-            json.dumps(report, indent=2, sort_keys=True,
-                       default=_json_default) + "\n",
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        raise StageError("write_report", f"{path}: {exc}")
-
-
 # ---------------------------------------------------------------------------
 # Pipelines
+#
+# A runner returns the report's statistics and fills artifacts with
+# kind -> (raster or CSV bytes, default file name).
 
 
 def _stage(timings, name, fn, *args, **kwargs):
@@ -507,10 +475,34 @@ def _point_for_report(pt):
     return [float(pt[0]), float(pt[1])]
 
 
-def _basin_statistics(raster, roots):
-    fractions = {str(code): frac for code, frac in raster.fractions().items()}
+def _basins(job, timings):
+    """The map's roots and its basin raster over the job's window."""
+    roots = _stage(timings, "find_roots", _roots_of, job)
+    return roots, _stage(timings, "render_basins", render_basins,
+                         job.newton, roots, job.window, job.width, job.height,
+                         cfg=job.scan)
+
+
+def _tree(job, timings):
+    p = job.params
+    return _stage(timings, "backward_tree", backward_tree,
+                  job.newton, p["seed_point"], p["depth"],
+                  **({"cap": p["cap"]} if "cap" in p else {}),
+                  domain=p["domain"], window=job.window,
+                  width=job.width, height=job.height)
+
+
+def _boundary(job, timings):
+    return _stage(timings, "extract_boundary", extract_boundary,
+                  _basins(job, timings)[1])
+
+
+def _run_basins(job, timings, artifacts):
+    roots, raster = _basins(job, timings)
+    artifacts["raster"] = (raster, "basins.ppm")
     return {
-        "basin_fractions": fractions,
+        "basin_fractions": {str(code): frac
+                            for code, frac in raster.fractions().items()},
         "roots": [_point_for_report(r) for r in roots],
         "cycle_fraction": raster.fraction_of(CODE_CYCLE),
         "escaped_fraction": raster.fraction_of(CODE_ESCAPED),
@@ -519,31 +511,9 @@ def _basin_statistics(raster, roots):
     }
 
 
-def _run_basins(job, timings, artifacts, out):
-    roots = _stage(timings, "find_roots", _roots_of, job)
-    raster = _stage(timings, "render_basins", render_basins,
-                    job.newton, roots, job.window, job.width, job.height,
-                    cfg=job.scan)
-    stats = _basin_statistics(raster, roots)
-    artifacts["raster"] = (raster, out("raster", "basins.ppm"))
-    return stats
-
-
-def _boundary_for(job, timings):
-    roots = _stage(timings, "find_roots", _roots_of, job)
-    basins = _stage(timings, "render_basins", render_basins,
-                    job.newton, roots, job.window, job.width, job.height,
-                    cfg=job.scan)
-    return _stage(timings, "extract_boundary", extract_boundary, basins)
-
-
-def _run_alpha_tree(job, timings, artifacts, out):
+def _run_alpha_tree(job, timings, artifacts):
     p = job.params
-    tree = _stage(timings, "backward_tree", backward_tree,
-                  job.newton, p["seed_point"], p["depth"],
-                  **({"cap": p["cap"]} if "cap" in p else {}),
-                  domain=p["domain"], window=job.window,
-                  width=job.width, height=job.height)
+    tree = _tree(job, timings)
     stats = {
         "pixel_count": tree.count,
         "coverage": tree.count / (job.width * job.height),
@@ -551,42 +521,40 @@ def _run_alpha_tree(job, timings, artifacts, out):
         "depth": p["depth"],
     }
     if p["compare_boundary"]:
-        boundary = _boundary_for(job, timings)
+        boundary = _boundary(job, timings)
         cmp = _stage(timings, "compare_alpha_boundary",
                      compare_alpha_boundary, tree, boundary)
         stats["boundary_comparison"] = asdict(cmp)
-        artifacts["boundary"] = (boundary, out("boundary", "boundary.ppm"))
-    artifacts["raster"] = (tree, out("raster", "alpha-tree.ppm"))
+        artifacts["boundary"] = (boundary, "boundary.ppm")
+    artifacts["raster"] = (tree, "alpha-tree.ppm")
     return stats
 
 
-def _run_alpha_random(job, timings, artifacts, out):
+def _run_alpha_random(job, timings, artifacts):
     p = job.params
     orbit = _stage(timings, "random_backward_orbit", random_backward_orbit,
                    job.newton, p["seed_point"], p["length"],
                    burn_in=p["burn_in"], prng_seed=job.prng_seed,
                    domain=p["domain"])
-    if _planar(job):
-        xs = [pt[0] for pt in orbit.points]
-        ys = [pt[1] for pt in orbit.points]
+    if job.map_kind == "planar":
+        xs, ys = [pt[0] for pt in orbit.points], [pt[1] for pt in orbit.points]
     else:
-        xs = [pt.real for pt in orbit.points]
-        ys = [pt.imag for pt in orbit.points]
+        xs, ys = [pt.real for pt in orbit.points], [pt.imag for pt in orbit.points]
     cloud = OccupancyRaster.from_points(
         xs, ys, Window(*job.window), job.width, job.height,
         partial=orbit.truncated)
-    stats = {
+    csv = "\n".join(f"{a:.17g},{b:.17g}" for a, b in zip(xs, ys)) + "\n"
+    artifacts["raster"] = (cloud, "alpha-random.ppm")
+    artifacts["orbit"] = (csv.encode("ascii"), "alpha-random.csv")
+    return {
         "point_count": len(orbit.points),
         "pixel_count": cloud.count,
         "truncated": orbit.truncated,
         "branch_law": orbit.branch_law,
     }
-    artifacts["raster"] = (cloud, out("raster", "alpha-random.ppm"))
-    artifacts["orbit"] = (orbit, out("orbit", "alpha-random.csv"))
-    return stats
 
 
-def _run_ifs(job, timings, artifacts, out):
+def _run_ifs(job, timings, artifacts):
     p = job.params
     centers = p["disk_centers"]
     if centers is None:
@@ -601,18 +569,17 @@ def _run_ifs(job, timings, artifacts, out):
     rasters, gaps = _stage(timings, "hutchinson_iterate", hutchinson_iterate,
                            job.newton, initial, disks, p["steps"])
     reached = next((i + 1 for i, g in enumerate(gaps) if g <= 2.0), None)
-    stats = {
+    artifacts["raster"] = (rasters[-1], "ifs.ppm")
+    return {
         "gaps_pixels": [float(g) for g in gaps],
         "final_pixel_count": rasters[-1].count,
         "steps": p["steps"],
         "first_step_with_gap_at_most_2px": reached,
         "exclusion_disks": [[cx, cy, r] for cx, cy, r in disks],
     }
-    artifacts["raster"] = (rasters[-1], out("raster", "ifs.ppm"))
-    return stats
 
 
-def _run_param_scan(job, timings, artifacts, out):
+def _run_param_scan(job, timings, artifacts):
     p = job.params
     raster = _stage(timings, "parameter_scan", parameter_scan,
                     job.source, p["seed_value"], job.window,
@@ -627,26 +594,16 @@ def _run_param_scan(job, timings, artifacts, out):
          "multiplier": float(raster.multiplier[row, col])}
         for row, col in list(zip(cycle_rows, cycle_cols))[:p["report_cycles"]]
     ]
-    stats = {
+    artifacts["raster"] = (raster, "param-scan.ppm")
+    return {
         "fractions": fractions,
         "cycle_pixel_count": int(len(cycle_rows)),
         "cycles": cycles,
         "seed_value": _point_for_report(p["seed_value"]),
     }
-    artifacts["raster"] = (raster, out("raster", "param-scan.ppm"))
-    return stats
 
 
-def _cycle_entry(rec):
-    return {
-        "period": rec.period,
-        "points": [float(x) for x in rec.points],
-        "multiplier": rec.multiplier,
-        "stability": rec.stability,
-    }
-
-
-def _run_barna(job, timings, artifacts, out):
+def _run_barna(job, timings, artifacts):
     p = job.params
     report = _stage(timings, "barna_check", barna_check,
                     job.source, cfg=job.scan, max_period=p["max_period"],
@@ -659,7 +616,10 @@ def _run_barna(job, timings, artifacts, out):
         "all_roots_real": report.all_roots_real,
         "hypothesis_notes": list(report.hypothesis_notes),
         "cycles_by_period": {
-            str(k): [_cycle_entry(r) for r in records]
+            str(k): [{"period": r.period,
+                      "points": [float(x) for x in r.points],
+                      "multiplier": r.multiplier,
+                      "stability": r.stability} for r in records]
             for k, records in report.cycles_by_period.items()
         },
         "cycle_count_bound_ok": {
@@ -670,7 +630,7 @@ def _run_barna(job, timings, artifacts, out):
     }
 
 
-def _run_ghost(job, timings, artifacts, out):
+def _run_ghost(job, timings, artifacts):
     p = job.params
     lines = _stage(timings, "ghost_lines", ghost_lines,
                    job.source, p["box"])
@@ -692,50 +652,46 @@ def _run_ghost(job, timings, artifacts, out):
     return {"ghost_line_count": len(lines), "ghost_lines": findings}
 
 
-def _run_compare(job, timings, artifacts, out):
-    p = job.params
-    boundary = _boundary_for(job, timings)
-    tree = _stage(timings, "backward_tree", backward_tree,
-                  job.newton, p["seed_point"], p["depth"],
-                  **({"cap": p["cap"]} if "cap" in p else {}),
-                  domain=p["domain"], window=job.window,
-                  width=job.width, height=job.height)
+def _run_compare(job, timings, artifacts):
+    boundary = _boundary(job, timings)
+    tree = _tree(job, timings)
     cmp = _stage(timings, "compare_alpha_boundary", compare_alpha_boundary,
-                 tree, boundary, nonregular_only=p["nonregular_only"])
-    artifacts["boundary"] = (boundary, out("boundary", "boundary.ppm"))
-    artifacts["raster"] = (tree, out("raster", "alpha-tree.ppm"))
-    stats = asdict(cmp)
-    stats["tree_partial"] = tree.partial
-    stats["depth"] = p["depth"]
-    return stats
+                 tree, boundary, nonregular_only=job.params["nonregular_only"])
+    artifacts["boundary"] = (boundary, "boundary.ppm")
+    artifacts["raster"] = (tree, "alpha-tree.ppm")
+    return dict(asdict(cmp), tree_partial=tree.partial, depth=job.params["depth"])
 
 
-_RUNNERS = {
-    "basins": _run_basins,
-    "alpha-tree": _run_alpha_tree,
-    "alpha-random": _run_alpha_random,
-    "ifs": _run_ifs,
-    "param-scan": _run_param_scan,
-    "barna": _run_barna,
-    "ghost": _run_ghost,
-    "compare": _run_compare,
+_TREE_FIELDS = ("seed_point", "domain", "depth", "cap")
+# mode -> (runner, the map kinds it takes, the config fields it reads besides
+# _SHARED_FIELDS); the order is the CLI's
+_MODES = {
+    "basins": (_run_basins, ("complex", "planar"), ()),
+    "alpha-tree": (_run_alpha_tree, ("complex", "planar", "rational"),
+                   _TREE_FIELDS + ("compare_boundary",)),
+    "alpha-random": (_run_alpha_random, ("complex", "planar", "rational"),
+                     ("seed_point", "domain", "length", "burn_in")),
+    "ifs": (_run_ifs, ("complex", "planar", "rational"), ("disks", "steps")),
+    "param-scan": (_run_param_scan, ("family",), ("seed_value", "report_cycles")),
+    "barna": (_run_barna, ("complex",), ("max_period", "samples", "sample_interval")),
+    "ghost": (_run_ghost, ("planar",), ("box", "probe")),
+    "compare": (_run_compare, ("complex", "planar"),
+                _TREE_FIELDS + ("nonregular_only",)),
 }
+MODES = tuple(_MODES)
 
 
 def _tolerances(job):
+    p = job.params
     tol = {"scan": asdict(job.scan),
            "raster": {"width": job.width, "height": job.height,
                       "window": list(job.window)}}
-    for key in ("depth", "cap", "length", "burn_in", "steps",
-                "max_period", "samples", "disk_radius"):
-        if key in job.params:
-            tol[key] = job.params[key]
-    if "sample_interval" in job.params:
-        tol["sample_interval"] = list(job.params["sample_interval"])
-    if "probe" in job.params:
-        tol["probe"] = asdict(job.params["probe"])
-    if "domain" in job.params and job.params["domain"] is not None:
-        tol["domain"] = list(job.params["domain"])
+    tol.update((key, p[key]) for key in ("depth", "cap", "length", "burn_in", "steps",
+                                         "max_period", "samples", "disk_radius") if key in p)
+    tol.update((key, list(p[key])) for key in ("sample_interval", "domain")
+               if p.get(key) is not None)
+    if "probe" in p:
+        tol["probe"] = asdict(p["probe"])
     return tol
 
 
@@ -746,16 +702,11 @@ def run_job(job, out_dir="."):
     a failing job leaves no partial outputs behind.
     """
     out_path = Path(out_dir)
-    written = []
-
-    def out(kind, default_name):
-        return out_path / job.outputs.get(kind, default_name)
-
     timings = {}
     artifacts = {}
     t0 = time.perf_counter()
     with worker_threads(job.threads):
-        stats = _RUNNERS[job.mode](job, timings, artifacts, out)
+        stats = _MODES[job.mode][0](job, timings, artifacts)
     timings["total"] = time.perf_counter() - t0
 
     report = {
@@ -769,17 +720,19 @@ def run_job(job, out_dir="."):
         "tolerances": _tolerances(job),
         "timings_s": timings,
     }
+    artifacts["report"] = ((json.dumps(report, indent=2, sort_keys=True,
+                                       default=_json_default) + "\n").encode("utf-8"),
+                           f"{job.mode}.json")
 
     out_path.mkdir(parents=True, exist_ok=True)
-    for kind, (obj, path) in artifacts.items():
-        if kind == "orbit":
-            _write_orbit_csv(obj.points, _planar(job), path)
+    written = []
+    for kind, (obj, name) in artifacts.items():
+        path = out_path / job.outputs.get(kind, name)
+        if isinstance(obj, bytes):
+            _write(path, obj, f"write_{kind}")
         else:
             write_raster(obj, path)
         written.append(str(path))
-    report_path = out("report", f"{job.mode}.json")
-    _write_report(report, report_path)
-    written.append(str(report_path))
     return report, written
 
 
@@ -809,19 +762,11 @@ def main(argv=None):
 
     try:
         job = load_config(args.config, args.mode, args.seed, args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         report, written = run_job(job, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive catch-all
+    except Exception as exc:  # StageError names the failing operation
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -132,10 +132,6 @@ class OccupancyRaster:
         return int(np.count_nonzero(self.bits))
 
     @classmethod
-    def empty(cls, window, width, height):
-        return cls(window, width, height, np.zeros((height, width), dtype=bool))
-
-    @classmethod
     def from_points(cls, points_x, points_y, window, width, height, partial=False):
         """Rasterize points; those outside the window are dropped.  Works
         through views of _CHUNK_POINTS points, so no temporary is as large

@@ -453,8 +453,8 @@ def parse_poly(text, variables=("x", "y")):
     variables names the allowed symbols; the first maps to exponent slot x,
     the second (if any) to y.  Univariate parses put the variable in slot x.
     """
-    if len(variables) not in (1, 2):
-        raise ValueError("parser supports one or two variable names")
+    if len(variables) not in (1, 2) or len(set(variables)) != len(variables):
+        raise ValueError("parser supports one or two distinct variable names")
     tokens = _tokenize(text, set(variables))
     if not tokens:
         raise PolyParseError("empty polynomial", 1)

@@ -484,7 +484,7 @@ class TestHutchinson:
 
     def test_validation(self):
         N = cubic_newton()
-        empty = OccupancyRaster.empty(Window(*SQUARE_WINDOW), 32, 32)
+        empty = OccupancyRaster(Window(*SQUARE_WINDOW), 32, 32, np.zeros((32, 32), bool))
         with pytest.raises(ValueError):
             hutchinson_iterate(N, empty, self.disks(), 2)
         with pytest.raises(ValueError):
@@ -542,7 +542,7 @@ class TestPixelDistances:
         )
         with pytest.raises(ValueError):
             hausdorff_pixel_distance(A, other_window)
-        empty = OccupancyRaster.empty(A.window, 32, 32)
+        empty = OccupancyRaster(A.window, 32, 32, np.zeros((32, 32), bool))
         with pytest.raises(ValueError):
             hausdorff_pixel_distance(A, empty)
 

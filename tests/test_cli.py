@@ -429,8 +429,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 class TestCheckedInConfigs:
     def test_every_config_loads(self):
-        configs = sorted(CONFIG_DIR.glob("*.json"))
-        assert len(configs) >= 8
+        # the benchmark's own jobs too, so no config rule can reject one
+        bench_configs = sorted((CONFIG_DIR.parent / "bench" / "configs").glob("*.json"))
+        assert bench_configs
+        configs = sorted(CONFIG_DIR.glob("*.json")) + bench_configs
+        assert len(configs) >= 9
         seen_modes = set()
         for cfg_path in configs:
             mode = json.loads(cfg_path.read_text())["mode"]
@@ -535,6 +538,112 @@ class TestNumericFields:
         assert main(["barna", "--config", path, "--out", str(out_dir)]) == 1
         assert f"config error: '{field}' must be >= 1" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+CUBIC = {"kind": "complex", "polynomial": "z^3 - 1"}
+FAMILY = {"kind": "family", "polynomial": "z^3 + A*z - z - A", "variables": ["z", "A"]}
+PLANAR = {"kind": "planar", "first": "y - x^2", "second": "x - 2 + 4*y - y^2"}
+RATIONAL = {"kind": "rational", "numerator": "z^4 + 2*z^2 + 1",
+            "denominator": "4*z^3 - 4*z"}
+MAPS = {"complex": CUBIC, "planar": PLANAR, "rational": RATIONAL, "family": FAMILY}
+# the smallest valid config of each mode, less its map
+MODE_FIELDS = {
+    "basins": {},
+    "alpha-tree": {"seed_point": [0.5, 0.5], "domain": [-3.0, 3.0, -3.0, 3.0],
+                   "depth": 2},
+    "alpha-random": {"seed_point": [0.5, 0.5], "domain": [-3.0, 3.0, -3.0, 3.0],
+                     "length": 20, "burn_in": 5},
+    "ifs": {"disks": {"radius": 0.3, "centers": [[1.0, 0.0]]}, "steps": 2},
+    "param-scan": {"seed_value": 0.0},
+    "barna": {"max_period": 2, "samples": 100},
+    "ghost": {"box": [-3.0, 3.0, -3.0, 3.0]},
+    "compare": {"seed_point": [0.0, -1.0], "domain": [-20.0, 20.0, -24.0, 10.0],
+                "depth": 2},
+}
+MODE_KINDS = {
+    "basins": {"complex", "planar"},
+    "alpha-tree": {"complex", "planar", "rational"},
+    "alpha-random": {"complex", "planar", "rational"},
+    "ifs": {"complex", "planar", "rational"},
+    "param-scan": {"family"},
+    "barna": {"complex"},
+    "ghost": {"planar"},
+    "compare": {"complex", "planar"},
+}
+
+
+def small_job(mode, map_desc=CUBIC, **fields):
+    return {"mode": mode, "map": map_desc, "width": 16, "height": 16,
+            **MODE_FIELDS[mode], **fields}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("mode,payload", [
+        ("basins", small_job("basins", scan={"max_iter": "big"})),
+        ("basins", small_job("basins", scan={"max_iter": 100.5})),
+        ("ifs", small_job("ifs", disks={"radius": 0.3, "centers": 5})),
+        ("basins", small_job("basins", outputs=5)),
+        ("basins", small_job("basins", outputs={"raster": 5})),
+        ("alpha-tree", small_job("alpha-tree", compare_boundary="false")),
+        ("alpha-tree", small_job("alpha-tree", FAMILY)),
+        ("alpha-random", small_job("alpha-random", FAMILY)),
+        ("basins", small_job("basins", dict(PLANAR, variables=5))),
+        ("alpha-random", small_job("alpha-random", burnin=5)),
+    ], ids=["scan-text", "scan-fraction", "disk-centers-number", "outputs-number",
+            "output-name-number", "bool-as-text", "family-alpha-tree",
+            "family-alpha-random", "variables-number", "unknown-field"])
+    def test_bad_value_is_config_error_before_any_work(self, tmp_path, capsys,
+                                                        mode, payload):
+        path = write_config(tmp_path, "job.json", payload)
+        out_dir = tmp_path / "never"
+        assert main([mode, "--config", path, "--out", str(out_dir)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("mode,payload,match", [
+        ("alpha-tree", small_job("alpha-tree", RATIONAL, compare_boundary=True),
+         "no roots"),
+        ("basins", small_job("basins", dict(CUBIC, variable=["z"])), "variable"),
+        ("basins", small_job("basins", dict(CUBIC, polynomial=5)), "map.polynomial"),
+        ("basins", small_job("basins", dict(CUBIC, varible="w")), "varible"),
+        ("basins", small_job("basins", outputs={"rastr": "a.ppm"}), "outputs"),
+        ("basins", small_job("basins", outputs={"raster": "sub/a.ppm"}), "outputs"),
+        ("basins", small_job("basins", prng_seed=-1), "'prng_seed' must be >= 0"),
+        ("basins", small_job("basins", width=True), "'width' must be an integer"),
+        ("alpha-tree", small_job("alpha-tree", seed_point=[float("nan"), 0.0]), "seed_point"),
+        ("param-scan", small_job("param-scan", FAMILY, report_cycles=-1),
+         "'report_cycles' must be >= 0"),
+        ("ghost", small_job("ghost", PLANAR, probe={"seed_count": 2.5}),
+         "'probe.seed_count' must be an integer"),
+        ("basins", small_job("basins", scan={"root_tol": float("nan")}),
+         "'scan.root_tol' must be a number"),
+        ("ifs", small_job("ifs", disks={"radius": 0.3, "center": [[1.0, 0.0]]}),
+         "'disks' must be"),
+        ("param-scan", small_job("param-scan", dict(FAMILY, variables=["z", "z"])),
+         "distinct"),
+    ])
+    def test_value_rules(self, tmp_path, mode, payload, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, "job.json", payload), mode)
+
+    def test_integer_fields_reject_fractions(self, tmp_path):
+        for width in (60, 60.0):
+            assert load_config(cubic_basins_config(tmp_path, width=width),
+                               "basins").width == 60
+        with pytest.raises(ConfigError, match="'width' must be an integer"):
+            load_config(cubic_basins_config(tmp_path, width=60.7), "basins")
+
+    def test_every_mode_and_map_kind_pair(self, tmp_path):
+        assert set(MODE_KINDS) == set(MODES) == set(MODE_FIELDS)
+        for mode in MODES:
+            for kind, desc in MAPS.items():
+                path = write_config(tmp_path, f"{mode}-{kind}.json",
+                                    small_job(mode, desc))
+                if kind in MODE_KINDS[mode]:
+                    assert load_config(path, mode).map_kind == kind
+                else:
+                    with pytest.raises(ConfigError, match="takes maps of kind"):
+                        load_config(path, mode)
 
 
 class TestParamScanReport:

@@ -100,6 +100,15 @@ def test_parse_univariate_variable_names():
     assert p == MultiPoly([((3, 0), 1.0), ((0, 0), -1.0)])
 
 
+def test_parse_rejects_repeated_variable_names():
+    # a repeated name would move every use of it into the second slot
+    for names in (("x", "x"), ("z", "z")):
+        with pytest.raises(ValueError, match="distinct"):
+            parse_poly(names[0], variables=names)
+    with pytest.raises(ValueError, match="distinct"):
+        parse_poly("x", variables=("x", "y", "z"))
+
+
 def test_parse_errors_carry_column():
     with pytest.raises(PolyParseError) as exc:
         parse_poly("3*x^2 + @")
