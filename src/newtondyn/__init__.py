@@ -10,8 +10,6 @@ from .poly import (
     PlaneMap,
     UniComplexPoly,
     PolyParseError,
-    poly_eval,
-    poly_diff,
     parse_poly,
     parse_plane_map,
     univariate_complex_roots,
@@ -34,7 +32,6 @@ from .newton import (
     NewtonPlaneMap,
     build_newton_complex,
     build_newton_plane,
-    newton_step_plane,
     homogenize_newton,
     jacobian_at_infinity,
     ghost_lines,

@@ -443,18 +443,10 @@ def compare_alpha_boundary(alpha, boundary, nonregular_only=False):
     """Compare a backward-set raster against an extracted boundary, either
     whole or restricted to its non-regular (>= 3 basins) pixels."""
     diversity = getattr(boundary, "diversity", None)
-    if nonregular_only:
-        if diversity is None:
-            raise ValueError("non-regular comparison needs a boundary raster "
-                             "carrying diversity counts")
-        ref = OccupancyRaster(
-            boundary.window, boundary.width, boundary.height,
-            boundary.bits & (diversity >= 3),
-        )
-    else:
-        ref = OccupancyRaster(
-            boundary.window, boundary.width, boundary.height, boundary.bits
-        )
+    if nonregular_only and diversity is None:
+        raise ValueError("non-regular comparison needs a boundary raster "
+                         "carrying diversity counts")
+    ref = boundary.nonregular_raster() if nonregular_only else boundary
     a2b = directed_pixel_distance(alpha, ref)
     b2a = directed_pixel_distance(ref, alpha)
     return BoundaryComparison(

@@ -119,7 +119,8 @@ class JobConfig:
     """One validated job: mode, built map objects, geometry, budgets.
 
     raw echoes the JSON dict (after --seed/--threads overrides) so reports
-    can round-trip; params holds the mode-specific extras.
+    can round-trip; params holds the mode-specific extras; outputs maps
+    each artifact kind the job writes to its file name, report last.
     """
 
     mode: str
@@ -143,7 +144,6 @@ class JobConfig:
 # fields every mode may carry; _MODES (below the runners) lists each mode's own
 _SHARED_FIELDS = ("mode", "map", "window", "width", "height", "scan",
                   "prng_seed", "threads", "outputs")
-_OUTPUT_KINDS = ("raster", "boundary", "orbit", "report")
 # the fields of each map kind besides 'kind'
 _MAP_FIELDS = {
     "complex": ("polynomial", "variable"),
@@ -265,8 +265,10 @@ def load_config(path, mode, seed_override=None, threads_override=None):
     must parse, the map kind must be one the mode takes (_MODES), every
     field must be a shared one or one the mode reads, and every value
     must have its field's type and range.  The rest of the config is
-    read into JobConfig: map objects, geometry, ScanConfig, outputs and
-    the mode's params.
+    read into JobConfig: map objects, geometry, ScanConfig, the mode's
+    params and the file name of every artifact the job writes.  An output
+    the job does not write, or two artifacts with one file name, is an
+    error too.
     """
     try:
         raw_text = Path(path).read_text(encoding="utf-8")
@@ -287,7 +289,7 @@ def load_config(path, mode, seed_override=None, threads_override=None):
     if file_mode is not None and file_mode != mode:
         raise ConfigError(
             f"config is for mode '{file_mode}' but '{mode}' was requested")
-    _, kinds, own_fields = _MODES[mode]
+    _, kinds, own_fields, _ = _MODES[mode]
     unknown = set(cfg) - set(_SHARED_FIELDS) - set(own_fields)
     if unknown:
         raise ConfigError(f"unknown config fields for mode {mode}: {sorted(unknown)}")
@@ -306,13 +308,6 @@ def load_config(path, mode, seed_override=None, threads_override=None):
     if cfg["map"]["kind"] not in kinds:
         raise ConfigError(f"mode {mode} takes maps of kind {', '.join(kinds)}, "
                           f"not '{cfg['map']['kind']}'")
-    outputs = cfg.get("outputs", {})
-    if not (isinstance(outputs, dict) and set(outputs) <= set(_OUTPUT_KINDS)
-            and all(isinstance(name, str) and name not in ("", ".", "..")
-                    and Path(name).name == name for name in outputs.values())):
-        raise ConfigError("'outputs' must map some of "
-                          f"{', '.join(_OUTPUT_KINDS)} to plain file names")
-
     job = JobConfig(
         mode=mode,
         map_kind=cfg["map"]["kind"],
@@ -325,11 +320,29 @@ def load_config(path, mode, seed_override=None, threads_override=None):
         scan=_settings(cfg, "scan", ScanConfig),
         prng_seed=_as_number(cfg.get("prng_seed", 0), int, "prng_seed", 0),
         threads=_as_number(cfg.get("threads", 0), int, "threads", 0),
-        outputs=dict(outputs),
+        outputs={},
         raw=cfg,
     )
     _read_mode_fields(job, cfg, own_fields)
+    job.outputs = _output_names(job, cfg.get("outputs", {}))
     return job
+
+
+def _output_names(job, outputs):
+    """{kind: file name} of every artifact the job writes, report last: the
+    mode's default names, overridden by the config's 'outputs'."""
+    names = dict(_MODES[job.mode][3], report=f"{job.mode}.json")
+    if not job.params.get("compare_boundary", True):
+        del names["boundary"]
+    if not (isinstance(outputs, dict) and set(outputs) <= set(names)
+            and all(isinstance(name, str) and name not in ("", ".", "..")
+                    and Path(name).name == name for name in outputs.values())):
+        raise ConfigError(f"'outputs' must map some of {', '.join(names)} (the "
+                          "artifacts this job writes) to plain file names")
+    names.update(outputs)
+    if len(set(names.values())) < len(names):
+        raise ConfigError(f"'outputs' gives two artifacts one file name: {names}")
+    return names
 
 
 def _read_mode_fields(job, cfg, own_fields):
@@ -444,7 +457,7 @@ def _json_default(obj):
 # Pipelines
 #
 # A runner returns the report's statistics and fills artifacts with
-# kind -> (raster or CSV bytes, default file name).
+# kind -> raster or CSV bytes, for the kinds its _MODES row names.
 
 
 def _stage(timings, name, fn, *args, **kwargs):
@@ -499,7 +512,7 @@ def _boundary(job, timings):
 
 def _run_basins(job, timings, artifacts):
     roots, raster = _basins(job, timings)
-    artifacts["raster"] = (raster, "basins.ppm")
+    artifacts["raster"] = raster
     return {
         "basin_fractions": {str(code): frac
                             for code, frac in raster.fractions().items()},
@@ -525,8 +538,8 @@ def _run_alpha_tree(job, timings, artifacts):
         cmp = _stage(timings, "compare_alpha_boundary",
                      compare_alpha_boundary, tree, boundary)
         stats["boundary_comparison"] = asdict(cmp)
-        artifacts["boundary"] = (boundary, "boundary.ppm")
-    artifacts["raster"] = (tree, "alpha-tree.ppm")
+        artifacts["boundary"] = boundary
+    artifacts["raster"] = tree
     return stats
 
 
@@ -544,8 +557,8 @@ def _run_alpha_random(job, timings, artifacts):
         xs, ys, Window(*job.window), job.width, job.height,
         partial=orbit.truncated)
     csv = "\n".join(f"{a:.17g},{b:.17g}" for a, b in zip(xs, ys)) + "\n"
-    artifacts["raster"] = (cloud, "alpha-random.ppm")
-    artifacts["orbit"] = (csv.encode("ascii"), "alpha-random.csv")
+    artifacts["raster"] = cloud
+    artifacts["orbit"] = csv.encode("ascii")
     return {
         "point_count": len(orbit.points),
         "pixel_count": cloud.count,
@@ -569,7 +582,7 @@ def _run_ifs(job, timings, artifacts):
     rasters, gaps = _stage(timings, "hutchinson_iterate", hutchinson_iterate,
                            job.newton, initial, disks, p["steps"])
     reached = next((i + 1 for i, g in enumerate(gaps) if g <= 2.0), None)
-    artifacts["raster"] = (rasters[-1], "ifs.ppm")
+    artifacts["raster"] = rasters[-1]
     return {
         "gaps_pixels": [float(g) for g in gaps],
         "final_pixel_count": rasters[-1].count,
@@ -594,7 +607,7 @@ def _run_param_scan(job, timings, artifacts):
          "multiplier": float(raster.multiplier[row, col])}
         for row, col in list(zip(cycle_rows, cycle_cols))[:p["report_cycles"]]
     ]
-    artifacts["raster"] = (raster, "param-scan.ppm")
+    artifacts["raster"] = raster
     return {
         "fractions": fractions,
         "cycle_pixel_count": int(len(cycle_rows)),
@@ -657,26 +670,32 @@ def _run_compare(job, timings, artifacts):
     tree = _tree(job, timings)
     cmp = _stage(timings, "compare_alpha_boundary", compare_alpha_boundary,
                  tree, boundary, nonregular_only=job.params["nonregular_only"])
-    artifacts["boundary"] = (boundary, "boundary.ppm")
-    artifacts["raster"] = (tree, "alpha-tree.ppm")
+    artifacts["boundary"] = boundary
+    artifacts["raster"] = tree
     return dict(asdict(cmp), tree_partial=tree.partial, depth=job.params["depth"])
 
 
 _TREE_FIELDS = ("seed_point", "domain", "depth", "cap")
+_TREE_FILES = {"boundary": "boundary.ppm", "raster": "alpha-tree.ppm"}
 # mode -> (runner, the map kinds it takes, the config fields it reads besides
-# _SHARED_FIELDS); the order is the CLI's
+# _SHARED_FIELDS, {artifact kind: default file name} besides the report,
+# which is <mode>.json); the order is the CLI's.  alpha-tree writes its
+# boundary only with compare_boundary.
 _MODES = {
-    "basins": (_run_basins, ("complex", "planar"), ()),
+    "basins": (_run_basins, ("complex", "planar"), (), {"raster": "basins.ppm"}),
     "alpha-tree": (_run_alpha_tree, ("complex", "planar", "rational"),
-                   _TREE_FIELDS + ("compare_boundary",)),
+                   _TREE_FIELDS + ("compare_boundary",), _TREE_FILES),
     "alpha-random": (_run_alpha_random, ("complex", "planar", "rational"),
-                     ("seed_point", "domain", "length", "burn_in")),
-    "ifs": (_run_ifs, ("complex", "planar", "rational"), ("disks", "steps")),
-    "param-scan": (_run_param_scan, ("family",), ("seed_value", "report_cycles")),
-    "barna": (_run_barna, ("complex",), ("max_period", "samples", "sample_interval")),
-    "ghost": (_run_ghost, ("planar",), ("box", "probe")),
+                     ("seed_point", "domain", "length", "burn_in"),
+                     {"raster": "alpha-random.ppm", "orbit": "alpha-random.csv"}),
+    "ifs": (_run_ifs, ("complex", "planar", "rational"), ("disks", "steps"),
+            {"raster": "ifs.ppm"}),
+    "param-scan": (_run_param_scan, ("family",), ("seed_value", "report_cycles"),
+                   {"raster": "param-scan.ppm"}),
+    "barna": (_run_barna, ("complex",), ("max_period", "samples", "sample_interval"), {}),
+    "ghost": (_run_ghost, ("planar",), ("box", "probe"), {}),
     "compare": (_run_compare, ("complex", "planar"),
-                _TREE_FIELDS + ("nonregular_only",)),
+                _TREE_FIELDS + ("nonregular_only",), _TREE_FILES),
 }
 MODES = tuple(_MODES)
 
@@ -720,14 +739,13 @@ def run_job(job, out_dir="."):
         "tolerances": _tolerances(job),
         "timings_s": timings,
     }
-    artifacts["report"] = ((json.dumps(report, indent=2, sort_keys=True,
-                                       default=_json_default) + "\n").encode("utf-8"),
-                           f"{job.mode}.json")
+    artifacts["report"] = (json.dumps(report, indent=2, sort_keys=True,
+                                      default=_json_default) + "\n").encode("utf-8")
 
     out_path.mkdir(parents=True, exist_ok=True)
     written = []
-    for kind, (obj, name) in artifacts.items():
-        path = out_path / job.outputs.get(kind, name)
+    for kind, obj in artifacts.items():
+        path = out_path / job.outputs[kind]
         if isinstance(obj, bytes):
             _write(path, obj, f"write_{kind}")
         else:

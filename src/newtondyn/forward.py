@@ -37,6 +37,7 @@ from .grid import (
     Window,
     _pack,
 )
+from .newton import SINGULAR_RTOL
 from .poly import MultiPoly, batched_complex_roots, map_tiles, row_polyval
 
 __all__ = [
@@ -194,7 +195,7 @@ class _FamilyRows:
         pv = row_polyval(self.C, z)
         dv = row_polyval(self.D, z)
         d = self.C.shape[1] - 1
-        singular = np.abs(dv) <= 1e-12 * self.dscale * (1.0 + np.abs(z)) ** (d - 1)
+        singular = np.abs(dv) <= SINGULAR_RTOL * self.dscale * (1.0 + np.abs(z)) ** (d - 1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = z - pv / np.where(singular, 1.0, dv)
         singular |= ~np.isfinite(w)

@@ -27,7 +27,6 @@ __all__ = [
     "GhostLine",
     "build_newton_complex",
     "build_newton_plane",
-    "newton_step_plane",
     "homogenize_newton",
     "indeterminacy_points",
     "jacobian_at_infinity",
@@ -89,9 +88,6 @@ class ComplexRationalMap:
     def step_packed(self, z):
         """step_many, under the name NewtonPlaneMap gives its packed step."""
         return self.step_many(z)
-
-    def __call__(self, z):
-        return self.step(z)
 
 
 class NewtonComplexMap(ComplexRationalMap):
@@ -174,9 +170,6 @@ class NewtonPlaneMap:
         nx, ny, singular = self.step_many(z.real, z.imag)
         return _pack(nx, ny), singular
 
-    def __call__(self, point):
-        return self.step(point)
-
 
 def build_newton_plane(f):
     """Newton map of a polynomial plane map."""
@@ -186,11 +179,6 @@ def build_newton_plane(f):
     if det.is_zero:
         raise ValueError("plane map has identically singular Jacobian")
     return NewtonPlaneMap(f, jac, det)
-
-
-def newton_step_plane(N, point):
-    """One planar Newton step (module-level form of NewtonPlaneMap.step)."""
-    return N.step(point)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +240,9 @@ class TriPoly:
         return TriPoly([(e, c * s) for e, c in self.terms])
 
     def chart(self, axis):
-        """Restrict to an affine chart: axis 0 sets x=1 (vars y, z), axis 1
-        sets y=1 (vars x, z), axis 2 sets z=1 (vars x, y)."""
-        out = []
-        for (i, j, k), c in self.terms:
-            if axis == 0:
-                out.append(((j, k), c))
-            elif axis == 1:
-                out.append(((i, k), c))
-            else:
-                out.append(((i, j), c))
-        return MultiPoly(out)
+        """Restrict to the affine chart where variable axis (0 x, 1 y, 2 z)
+        is 1; the other two, in order, become the chart's (x, y)."""
+        return MultiPoly([(e[:axis] + e[axis + 1:], c) for e, c in self.terms])
 
     def min_exponents(self):
         if not self.terms:
@@ -306,13 +286,10 @@ class ProjectivePlaneMap:
         """Rational map of the chart: components restricted to the chart,
         returned as (first_numerator, second_numerator, denominator).
 
-        In the y=1 chart the map is (P0/P1, P2/P1) in variables (x, z)."""
-        p0, p1, p2 = (c.chart(axis) for c in self.components)
-        if axis == 0:
-            return p1, p2, p0
-        if axis == 1:
-            return p0, p2, p1
-        return p0, p1, p2
+        The axis component is the denominator: in the y=1 chart the map is
+        (P0/P1, P2/P1) in variables (x, z)."""
+        charts = [c.chart(axis) for c in self.components]
+        return (*charts[:axis], *charts[axis + 1:], charts[axis])
 
 
 def _normalize_scalar_content(polys):
@@ -445,7 +422,7 @@ def jacobian_at_infinity(P, x_coord, step=1e-6, axis=1):
         return np.array([num1.eval(u, v) / d, num2.eval(u, v) / d])
 
     x0 = float(x_coord)
-    scale = max((abs(c) for _, c in den.terms), default=0.0)
+    scale = den.max_abs_coeff()
     if abs(den.eval(x0, 0.0)) <= 1e-12 * scale * (1.0 + abs(x0)) ** max(den.degree, 0):
         raise ValueError(f"({x0}, 0) is an indeterminacy point of the chart map")
     h = step

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,9 +24,7 @@ __all__ = [
     "PlaneMap",
     "UniComplexPoly",
     "PolyParseError",
-    "poly_eval",
     "eval_many",
-    "poly_diff",
     "parse_poly",
     "parse_plane_map",
     "univariate_complex_roots",
@@ -164,14 +163,6 @@ class MultiPoly:
         return MultiPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MultiPoly.constant(1.0)
-        for _ in range(int(n)):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.terms == other.terms
@@ -370,81 +361,40 @@ class UniComplexPoly:
         return cls([0.0, 1.0])
 
     @classmethod
-    def from_multipoly(cls, p, var=0):
-        """Convert a MultiPoly that only uses one variable."""
-        coeffs = {}
-        for (ex, ey), c in p.terms:
-            if (var == 0 and ey != 0) or (var == 1 and ex != 0):
-                raise ValueError("polynomial is not univariate in the chosen variable")
-            coeffs[ex if var == 0 else ey] = c
-        n = max(coeffs, default=-1)
-        return cls([coeffs.get(k, 0.0) for k in range(n + 1)])
-
-
-def poly_eval(p, point):
-    """Evaluate a MultiPoly at a point (x, y)."""
-    return p.eval(point[0], point[1])
-
-
-def poly_diff(p, var):
-    """Partial derivative of a MultiPoly with respect to variable 0 or 1."""
-    return p.diff(var)
+    def from_multipoly(cls, p):
+        """Convert a MultiPoly in x alone, as a one-variable parse_poly gives."""
+        if any(ey for (_, ey), _ in p.terms):
+            raise ValueError("polynomial is not univariate in x")
+        coeffs = {ex: c for (ex, _), c in p.terms}
+        return cls([coeffs.get(k, 0.0) for k in range(max(coeffs, default=-1) + 1)])
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 #
-# Grammar: sum of terms, each term a '*'-separated product of factors, each
-# factor a decimal number or a variable with an optional '^' integer power.
+# Grammar: a sum of terms, each term signs and then a '*'-separated product
+# of factors, each factor a number (ASCII digits and '.', with an optional
+# exponent like e-3) or a variable with an optional '^' integer power.
 
-_NUM_CHARS = set("0123456789.")
+_TOKEN = re.compile(r"(?P<num>[0-9.]+(?:[eE][+-]?\d+)?)|(?P<name>\w+)|(?P<op>[-+*^])|\S")
 
 
-def _tokenize(text, variables):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch in _NUM_CHARS:
-            j = i
-            while j < n and text[j] in _NUM_CHARS:
-                j += 1
-            # exponent suffix like 1.5e-3
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise PolyParseError(f"bad number {text[i:j]!r}", i + 1) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if name not in variables:
-                raise PolyParseError(f"unknown variable {name!r}", i + 1)
-            tokens.append(("var", name, i))
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i + 1)
-    return tokens
+def _token(match, slots):
+    """(kind, value, column) of one token: ('num', float), ('var', slot) or
+    (op, op); a name must start with a letter."""
+    text, col, kind = match.group(), match.start() + 1, match.lastgroup
+    if kind == "num":
+        try:
+            return kind, float(text), col
+        except ValueError:
+            raise PolyParseError(f"bad number {text!r}", col) from None
+    if kind == "name" and text[0].isalpha():
+        if text not in slots:
+            raise PolyParseError(f"unknown variable {text!r}", col)
+        return "var", slots[text], col
+    if kind != "op":
+        raise PolyParseError(f"unexpected character {text[0]!r}", col)
+    return text, text, col
 
 
 def parse_poly(text, variables=("x", "y")):
@@ -452,68 +402,47 @@ def parse_poly(text, variables=("x", "y")):
 
     variables names the allowed symbols; the first maps to exponent slot x,
     the second (if any) to y.  Univariate parses put the variable in slot x.
+    Every token is read before the grammar is checked, so an unreadable
+    token is reported ahead of a misplaced one.
     """
     if len(variables) not in (1, 2) or len(set(variables)) != len(variables):
         raise ValueError("parser supports one or two distinct variable names")
-    tokens = _tokenize(text, set(variables))
+    slots = {name: i for i, name in enumerate(variables)}
+    tokens = [_token(m, slots) for m in _TOKEN.finditer(text)]
     if not tokens:
         raise PolyParseError("empty polynomial", 1)
-    var_slot = {name: idx for idx, name in enumerate(variables)}
-
-    terms = []
-    pos = 0
-
-    def error(msg, tok=None):
-        col = (tok[2] + 1) if tok is not None else len(text) + 1
-        raise PolyParseError(msg, col)
-
-    while pos < len(tokens):
-        sign = 1.0
-        # leading or separating signs, possibly repeated
-        while pos < len(tokens) and tokens[pos][0] in "+-":
-            if tokens[pos][0] == "-":
-                sign = -sign
-            pos += 1
-        if pos >= len(tokens):
-            error("dangling sign")
-        coeff = sign
-        exps = [0, 0]
-        expect_factor = True
-        while True:
-            if pos >= len(tokens):
-                if expect_factor:
-                    error("dangling '*'")
-                break
-            kind, value, col = tokens[pos]
-            if not expect_factor:
-                if kind == "*":
-                    expect_factor = True
-                    pos += 1
-                    continue
-                if kind in "+-":
-                    break
-                error("expected '*' or end of term", tokens[pos])
+    # state: 'sign' (term start), 'factor' (after '*'), 'var' (after a
+    # variable), 'exp' (after '^') or 'term' (after any other factor)
+    terms, coeff, exps, state = [], 1.0, [0, 0], "sign"
+    for kind, value, col in tokens + [("end", None, len(text) + 1)]:
+        if state == "sign" and kind in ("+", "-"):
+            coeff = -coeff if kind == "-" else coeff
+        elif state in ("sign", "factor"):
             if kind == "num":
-                coeff *= value
-                pos += 1
+                coeff, state = coeff * value, "term"
             elif kind == "var":
-                power = 1
-                pos += 1
-                if pos < len(tokens) and tokens[pos][0] == "^":
-                    pos += 1
-                    if pos >= len(tokens) or tokens[pos][0] != "num":
-                        error("expected integer exponent after '^'",
-                              tokens[pos] if pos < len(tokens) else None)
-                    exp_val = tokens[pos][1]
-                    if exp_val != int(exp_val) or exp_val < 0:
-                        error("exponent must be a nonnegative integer", tokens[pos])
-                    power = int(exp_val)
-                    pos += 1
-                exps[var_slot[value]] += power
+                slot, state = value, "var"
+                exps[slot] += 1
             else:
-                error("expected a number or variable", tokens[pos])
-            expect_factor = False
-        terms.append(((exps[0], exps[1]), coeff))
+                raise PolyParseError("expected a number or variable" if kind != "end"
+                                     else "dangling sign" if state == "sign"
+                                     else "dangling '*'", col)
+        elif state == "exp":
+            if kind != "num":
+                raise PolyParseError("expected integer exponent after '^'", col)
+            if not value.is_integer():  # a number has no sign; 1e400 is inf
+                raise PolyParseError("exponent must be a nonnegative integer", col)
+            exps[slot] += int(value) - 1  # the variable counted 1 already
+            state = "term"
+        elif kind == "^" and state == "var":
+            state = "exp"
+        elif kind == "*":
+            state = "factor"
+        elif kind in ("+", "-", "end"):
+            terms.append(((exps[0], exps[1]), coeff))
+            coeff, exps, state = -1.0 if kind == "-" else 1.0, [0, 0], "sign"
+        else:
+            raise PolyParseError("expected '*' or end of term", col)
     return MultiPoly(terms)
 
 

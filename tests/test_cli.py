@@ -645,6 +645,34 @@ class TestConfigErrors:
                     with pytest.raises(ConfigError, match="takes maps of kind"):
                         load_config(path, mode)
 
+    @pytest.mark.parametrize("outputs,match", [
+        ({"raster": "same.out", "report": "same.out"}, "one file name"),
+        ({"report": "basins.ppm"}, "one file name"),
+        ({"orbit": "x.csv", "boundary": "b.ppm"}, "some of raster, report"),
+    ], ids=["raster-and-report", "report-on-default-raster", "kinds-not-written"])
+    def test_outputs_name_each_written_artifact_once(self, tmp_path, capsys,
+                                                     outputs, match):
+        cfg = json.loads((CONFIG_DIR / "cubic-roots-of-unity-basins.json").read_text())
+        path = write_config(tmp_path, "job.json",
+                            dict(cfg, width=20, height=20, outputs=outputs))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path, "basins")
+        out_dir = tmp_path / "never"
+        assert main(["basins", "--config", path, "--out", str(out_dir)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_outputs_resolve_to_the_files_the_job_writes(self, tmp_path):
+        job = load_config(write_config(tmp_path, "job.json", small_job(
+            "alpha-random", outputs={"orbit": "o.csv"})), "alpha-random")
+        assert job.outputs == {"raster": "alpha-random.ppm", "orbit": "o.csv",
+                               "report": "alpha-random.json"}
+        # alpha-tree writes its boundary only when it compares against it
+        tree = small_job("alpha-tree", compare_boundary=False,
+                         outputs={"boundary": "b.ppm"})
+        with pytest.raises(ConfigError, match="some of raster, report"):
+            load_config(write_config(tmp_path, "tree.json", tree), "alpha-tree")
+
 
 class TestParamScanReport:
     def test_reported_cycles_match_classify_orbit(self, tmp_path):

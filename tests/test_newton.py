@@ -29,7 +29,6 @@ from newtondyn.newton import (
     indeterminacy_points,
     jacobian_at_infinity,
     measure_invariance_defect,
-    newton_step_plane,
     pullback_map,
 )
 
@@ -174,7 +173,7 @@ class TestPlaneNewton:
         N = build_newton_plane(DECOUPLED)
         bad = (1.0 / math.sqrt(3.0), 0.0)
         with pytest.raises(SingularJacobianError) as err:
-            newton_step_plane(N, bad)
+            N.step(bad)
         assert err.value.point == pytest.approx(bad)
 
     def test_identically_singular_rejected(self):

@@ -15,8 +15,6 @@ from newtondyn.poly import (
     complex_poly_to_plane_map,
     parse_plane_map,
     parse_poly,
-    poly_diff,
-    poly_eval,
     system_real_roots,
     total_degree_homotopy,
     univariate_complex_roots,
@@ -38,15 +36,15 @@ from newtondyn.poly import (
 
 def test_eval_simple_points():
     p = parse_poly("y - x^2")
-    assert poly_eval(p, (1.0, 1.0)) == 0.0
+    assert p.eval(1.0, 1.0) == 0.0
     q = parse_poly("x^3 - x")
-    assert poly_eval(q, (2.0, 0.0)) == 6.0
+    assert q.eval(2.0, 0.0) == 6.0
 
 
 def test_diff_monomial():
     p = parse_poly("3*x^2*y")
-    assert poly_diff(p, 0) == parse_poly("6*x*y")
-    assert poly_diff(p, 1) == parse_poly("3*x^2")
+    assert p.diff(0) == parse_poly("6*x*y")
+    assert p.diff(1) == parse_poly("3*x^2")
 
 
 def test_zero_polynomial_degree():
@@ -121,6 +119,67 @@ def test_parse_errors_carry_column():
         parse_poly("q + 1")
     with pytest.raises(PolyParseError):
         parse_poly("")
+
+
+@pytest.mark.parametrize("text,expected", [
+    # rejected: (message, column)
+    ("", ("empty polynomial", 1)),
+    ("   ", ("empty polynomial", 1)),
+    ("x +", ("dangling sign", 4)),
+    ("x - ", ("dangling sign", 5)),
+    ("x*", ("dangling '*'", 3)),
+    ("x y", ("expected '*' or end of term", 3)),
+    ("2x", ("expected '*' or end of term", 2)),
+    ("x^2^3", ("expected '*' or end of term", 4)),
+    ("*x", ("expected a number or variable", 1)),
+    ("x*+y", ("expected a number or variable", 3)),
+    ("x^-2", ("expected integer exponent after '^'", 3)),
+    ("x^ ", ("expected integer exponent after '^'", 4)),
+    ("x^2.5", ("exponent must be a nonnegative integer", 3)),
+    ("x^1e400", ("exponent must be a nonnegative integer", 3)),
+    ("1.2.3*x", ("bad number '1.2.3'", 1)),
+    ("q + 1", ("unknown variable 'q'", 1)),
+    ("3*x^2 + @", ("unexpected character '@'", 9)),
+    ("_x", ("unexpected character '_'", 1)),
+    ("x x @", ("unexpected character '@'", 5)),  # tokens are read first
+    # accepted: terms
+    ("-x", [((1, 0), -1.0)]),
+    ("2e-3*x", [((1, 0), 0.002)]),
+    ("x*x*y", [((2, 1), 1.0)]),
+    ("+x - +y", [((1, 0), 1.0), ((0, 1), -1.0)]),
+    ("- + -2*y^1", [((0, 1), 2.0)]),
+    ("x - -y", [((1, 0), 1.0), ((0, 1), 1.0)]),
+    ("x^0 + x^2.0*3.", [((0, 0), 1.0), ((2, 0), 3.0)]),
+    ("1E+1 * .5", [((0, 0), 5.0)]),
+])
+def test_parse_table(text, expected):
+    if isinstance(expected, list):
+        assert parse_poly(text) == MultiPoly(expected)
+        return
+    message, column = expected
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == f"{message} (column {column})"
+    assert exc.value.column == column
+
+
+def test_parse_round_trips_random_terms():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        exps = rng.integers(0, 4, size=(n, 2))
+        coeffs = rng.normal(size=n) * 10.0 ** rng.integers(-20, 21, n)
+        terms = [((int(ex), int(ey)), float(c)) for (ex, ey), c in zip(exps, coeffs)]
+        parts = []
+        for (ex, ey), c in terms:
+            factors = [repr(abs(c))]
+            for name, e in (("x", ex), ("y", ey)):
+                factors += [name] * e if rng.random() < 0.5 else [f"{name}^{e}"]
+            rng.shuffle(factors)
+            sign = "- " if c < 0 else "+ " if parts or rng.random() < 0.5 else ""
+            parts.append(sign + rng.choice(["*", " * "]).join(factors))
+        text = " ".join(parts)
+        assert parse_poly(text) == MultiPoly(terms), text
 
 
 def test_univariate_roots_cube_roots():
