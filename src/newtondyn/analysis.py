@@ -20,13 +20,12 @@ regime of any fixed step.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from .grid import CODE_CYCLE, OccupancyRaster
-from .newton import build_newton_complex, measure_invariance_defect
+from .newton import build_newton_complex, measure_invariance_defect, row_traps
 from .poly import UniComplexPoly, map_tiles, univariate_complex_roots
 from .backward import directed_pixel_distance
 
@@ -335,25 +334,29 @@ def barna_check(p, cfg=None, max_period=5, samples=1_000_000,
         dividing = sum(m * len(cycles[m]) for m in range(1, k + 1) if k % m == 0)
         bound_ok[k] = dividing >= base ** k
 
-    # Monte-Carlo nonconvergence estimate with an active-set loop: points
-    # either land within conv_rtol of a real root, go non-finite, or burn
-    # the whole budget; only the first count as converged.  All samples are
-    # drawn first, so the tiles of the loop keep the RNG order
+    # Monte-Carlo nonconvergence estimate with an active-set loop: points land
+    # within conv_rtol of a real root (or in its trap with K steps to spare),
+    # go non-finite, or burn the whole budget; only the first count as
+    # converged.  All samples are drawn first, so tiles keep the RNG order
     rng = np.random.default_rng(int(prng_seed))
     x = rng.uniform(float(sample_interval[0]), float(sample_interval[1]), int(samples))
     step = _make_step(*_real_rational(N))
+    rho, K = (a[0] for a in row_traps(np.array([p.coefficients]), real_roots[None], conv_rtol))
+    # while every trap is open and wider than this, it holds its root's conv_rtol ball
+    cover = 2 * conv_rtol * (1 + np.abs(real_roots)) / (1 - conv_rtol)
 
     def lost(x):
         nonfinite = 0
-        for _ in range(budget):
+        for k in range(1, budget + 1):
             if x.size == 0:
                 break
             nx = step(x)
             keep = np.isfinite(nx)
             nonfinite += int(np.count_nonzero(~keep))
-            if real_roots.size:
-                dist = reduce(np.minimum, [np.abs(nx - r) for r in real_roots])
-                keep &= dist > conv_rtol * (1.0 + np.abs(nx))
+            radii = np.where(k + K <= budget, rho, 0.0)
+            tol = 0.0 if (radii > cover).all() else conv_rtol * (1.0 + np.abs(nx))
+            for r, radius in zip(real_roots, radii):
+                keep &= np.abs(nx - r) > np.maximum(tol, radius)
             x = nx[keep]
         return x.size + nonfinite
 

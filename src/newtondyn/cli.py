@@ -32,7 +32,7 @@ from .poly import (
     UniComplexPoly,
     PolyParseError,
     parse_poly,
-    parse_plane_map,
+    PlaneMap,
     univariate_complex_roots,
     system_real_roots,
     worker_threads,
@@ -217,8 +217,17 @@ def _settings(cfg, key, cls):
         raise ConfigError(f"bad {key} settings: {exc}")
 
 
-def _parse_univariate(text, variable):
-    return UniComplexPoly.from_multipoly(parse_poly(text, variables=(variable,)))
+# The largest map degree: an Aberth iteration forms d(d - 1)/2 pair terms per
+# row, 496 at d = 32, or 65 MB for a tile of 8,192 family rows.
+MAX_DEGREE = 32
+
+
+def _parse(text, variables):
+    """parse_poly, refusing a degree above MAX_DEGREE before any dense array."""
+    p = parse_poly(text, variables=variables)
+    if p.degree > MAX_DEGREE:
+        raise ConfigError(f"polynomial degree {p.degree} is above the cap of {MAX_DEGREE}")
+    return p
 
 
 def _build_map(desc, mode):
@@ -244,16 +253,16 @@ def _build_map(desc, mode):
         return value
 
     if kind == "complex":
-        p = _parse_univariate(text("polynomial"), var)
+        p = UniComplexPoly.from_multipoly(_parse(text("polynomial"), (var,)))
         return build_newton_complex(p), p
     if kind == "planar":
-        f = parse_plane_map(text("first"), text("second"), variables=tuple(names))
+        f = PlaneMap(_parse(text("first"), tuple(names)), _parse(text("second"), tuple(names)))
         return build_newton_plane(f), f
     if kind == "rational":
-        rmap = ComplexRationalMap(_parse_univariate(text("numerator"), var),
-                                  _parse_univariate(text("denominator"), var))
+        rmap = ComplexRationalMap(*(UniComplexPoly.from_multipoly(_parse(text(key), (var,)))
+                                    for key in ("numerator", "denominator")))
         return rmap, rmap
-    fam = parse_poly(text("polynomial"), variables=tuple(names))
+    fam = _parse(text("polynomial"), tuple(names))
     return fam, fam
 
 
@@ -435,9 +444,7 @@ def write_raster(raster, path):
         for code, color in SPECIAL_COLORS.items():
             rgb[codes == code] = color
         basin = codes >= 0
-        if np.any(basin):
-            table = np.array(PALETTE, dtype=np.uint8)
-            rgb[basin] = table[codes[basin] % len(PALETTE)]
+        rgb[basin] = np.array(PALETTE, dtype=np.uint8)[codes[basin] % len(PALETTE)]
     else:
         rgb[:] = 255
         rgb[raster.bits] = 0
@@ -483,9 +490,7 @@ def _roots_of(job):
 
 
 def _point_for_report(pt):
-    if isinstance(pt, complex):
-        return [pt.real, pt.imag]
-    return [float(pt[0]), float(pt[1])]
+    return [pt.real, pt.imag] if isinstance(pt, complex) else [float(pt[0]), float(pt[1])]
 
 
 def _basins(job, timings):
@@ -517,10 +522,9 @@ def _run_basins(job, timings, artifacts):
         "basin_fractions": {str(code): frac
                             for code, frac in raster.fractions().items()},
         "roots": [_point_for_report(r) for r in roots],
-        "cycle_fraction": raster.fraction_of(CODE_CYCLE),
-        "escaped_fraction": raster.fraction_of(CODE_ESCAPED),
-        "singular_fraction": raster.fraction_of(CODE_SINGULAR),
-        "undecided_fraction": raster.fraction_of(CODE_UNDECIDED),
+        **{f"{name}_fraction": raster.fraction_of(code) for name, code in (
+            ("cycle", CODE_CYCLE), ("escaped", CODE_ESCAPED),
+            ("singular", CODE_SINGULAR), ("undecided", CODE_UNDECIDED))},
     }
 
 
@@ -628,13 +632,8 @@ def _run_barna(job, timings, artifacts):
         "roots": [[[v.real, v.imag], int(m)] for v, m in report.roots],
         "all_roots_real": report.all_roots_real,
         "hypothesis_notes": list(report.hypothesis_notes),
-        "cycles_by_period": {
-            str(k): [{"period": r.period,
-                      "points": [float(x) for x in r.points],
-                      "multiplier": r.multiplier,
-                      "stability": r.stability} for r in records]
-            for k, records in report.cycles_by_period.items()
-        },
+        "cycles_by_period": {str(k): [asdict(r) for r in records]
+                             for k, records in report.cycles_by_period.items()},
         "cycle_count_bound_ok": {
             str(k): bool(v) for k, v in report.cycle_count_bound_ok.items()
         },
@@ -651,17 +650,10 @@ def _run_ghost(job, timings, artifacts):
     for line in lines:
         probe = _stage(timings, "probe_ghost_attractor",
                        probe_ghost_attractor, job.newton, line, p["probe"])
-        findings.append({
-            "base": [float(line.base[0]), float(line.base[1])],
-            "direction": [float(line.direction[0]),
-                          float(line.direction[1])],
-            "invariance_defect": probe.invariance_defect,
-            "line_invariant": probe.line_invariant,
-            "sampled_seeds": probe.sampled_seeds,
-            "stay_fraction": probe.stay_fraction,
-            "online_max_drift": probe.online_max_drift,
-            "divergence_rate": probe.divergence_rate,
-        })
+        findings.append(dict(
+            {f.name: getattr(probe, f.name) for f in fields(probe) if f.name != "line"},
+            base=[float(line.base[0]), float(line.base[1])],
+            direction=[float(line.direction[0]), float(line.direction[1])]))
     return {"ghost_line_count": len(lines), "ghost_lines": findings}
 
 

@@ -4,21 +4,25 @@ scan one-parameter polynomial families.
 
 Classification runs in two phases.  Phase 1 iterates all points in lockstep
 (vectorized, with the active set compressed as points settle): a point is a
-root hit after two consecutive iterates within root_tol of the same root,
-escaped once its norm exceeds escape_radius, and a singular hit when the
-Newton step degenerates.  Phase 2 re-examines survivors for attracting
-cycles: a trailing window of iterates is searched for the smallest period
-recurring within cycle_tol, the cycle multiplier is the spectral radius of
-the central-difference Jacobian of the period-fold map, taken through the
-adapter's own vectorized step on all cycle points at once, and only
-multipliers below 1 are reported as cycles; everything else stays undecided.
+root hit after two consecutive iterates within root_tol of the same root, or
+at the step it enters that root's trap (newton.root_traps: a disk from which
+Newton's method provably converges) with enough budget left for that rule
+to confirm it; it is escaped once its norm exceeds escape_radius, and a
+singular hit when the Newton step degenerates.  Phase 2 re-examines survivors
+for attracting cycles: a trailing window of iterates is searched for the
+smallest period recurring within cycle_tol, the cycle multiplier is the
+spectral radius of the central-difference Jacobian of the period-fold map,
+taken through the adapter's own vectorized step on all cycle points at once,
+and only multipliers below 1 are reported as cycles; everything else stays
+undecided.
 
 render_basins and parameter_scan run in map_tiles tiles of 65,536 points on
 the calling thread; each point is classified on its own, so no bit moves.
 
 Iteration counts record the number of Newton steps applied when the
-classification became final, except that root hits record the first step of
-the confirming consecutive pair and singular hits record the steps completed
+classification became final, except that root hits record the step at which
+the point entered a trap or the first step of the confirming consecutive
+pair, whichever comes first, and singular hits record the steps completed
 before the failing one.
 """
 
@@ -37,8 +41,8 @@ from .grid import (
     Window,
     _pack,
 )
-from .newton import SINGULAR_RTOL
-from .poly import MultiPoly, batched_complex_roots, map_tiles, row_polyval
+from .newton import SINGULAR_RTOL, NewtonComplexMap, plane_traps, row_traps
+from .poly import _TILE_ROWS, MultiPoly, batched_complex_roots, map_tiles, row_polyval
 
 __all__ = [
     "ScanConfig",
@@ -116,19 +120,16 @@ class _BatchResult:
 
     def outcome(self, i, planar):
         kind = int(self.kind[i])
-        if kind == _ROOT:
-            return OrbitOutcome("root", root_index=int(self.root_index[i]),
-                                iterations=int(self.iterations[i]))
         if kind == _CYCLE:
             rep = complex(self.rep[i])
             return OrbitOutcome("cycle", period=int(self.period[i]),
                                 representative=(rep.real, rep.imag) if planar else rep,
                                 multiplier=float(self.multiplier[i]))
-        if kind == _ESCAPED:
-            return OrbitOutcome("escaped", iterations=int(self.iterations[i]))
-        if kind == _SINGULAR:
-            return OrbitOutcome("singular", iterations=int(self.iterations[i]))
-        return OrbitOutcome("undecided")
+        if kind == _UNDECIDED:
+            return OrbitOutcome("undecided")
+        return OrbitOutcome(("root", "escaped", "singular")[kind - 1],
+                            root_index=int(self.root_index[i]) if kind == _ROOT else None,
+                            iterations=int(self.iterations[i]))
 
     def codes(self):
         by_kind = np.array([CODE_UNDECIDED, 0, CODE_ESCAPED, CODE_SINGULAR, CODE_CYCLE], np.int32)
@@ -138,37 +139,47 @@ class _BatchResult:
 # ---------------------------------------------------------------------------
 # Map adapters.  The kernel works on packed points: a complex value as is,
 # a planar (x, y) as x + iy, so distances and norms are np.abs for both.
-# An adapter provides step(z) -> (w, singular), nearest(z) -> root index or
-# -1, and keep(mask) to follow the kernel's active-set compression.
+# An adapter provides step(z) -> (w, singular), nearest(z, left) -> (root
+# index within root_tol or -1, trapping root index or -1) with left steps
+# of budget left, and keep(mask) to follow the active-set compression.
 
 
-def _nearest(z, roots, tol):
+def _nearest(z, roots, tol, rho=None):
     """Index of the root within tol of each point (the first on ties), else
-    -1.  roots has one row shared by all points or one row per point."""
+    -1.  roots has one row shared by all points or one row per point.  With
+    radii rho shaped like roots, also that index where z is inside rho, else -1."""
     if roots.shape[1] == 0:
-        return np.full(z.size, -1, np.int32)
+        none = np.full(z.size, -1, np.int32)
+        return none if rho is None else (none, none)
     best, h = np.abs(z - roots[:, 0]), np.zeros(z.size, np.int32)
     for j in range(1, roots.shape[1]):
         d = np.abs(z - roots[:, j])
         closer = d < best
         best = np.where(closer, d, best)
         h[closer] = j
-    return np.where(best <= tol, h, -1).astype(np.int32)
+    hit = np.where(best <= tol, h, -1)
+    if rho is None:
+        return hit
+    r = rho[0][h] if len(rho) == 1 else rho[np.arange(z.size), h]
+    return hit, np.where(best < r, h, -1)
 
 
 class _PackedPoints:
-    """One Newton or rational map over packed points (a planar (x, y) as x + iy)."""
+    """One Newton or rational map over packed points (a planar (x, y) as
+    x + iy), with trap radii rho and step bounds K beside its roots."""
 
-    def __init__(self, N, roots, tol):
+    def __init__(self, N, roots, tol, traps):
         self.N = N
         self.roots = np.asarray(roots, dtype=complex).reshape(1, -1)
         self.tol = tol
+        self.rho, self.K = traps
 
     def step(self, z):
         return self.N.step_packed(z)
 
-    def nearest(self, z):
-        return _nearest(z, self.roots, self.tol)
+    def nearest(self, z, left):
+        rho = self.rho if left >= 8 else np.where(self.K < left, self.rho, -1.0)  # K < 8
+        return _nearest(z, self.roots, self.tol, rho)
 
     def keep(self, mask):
         pass
@@ -176,20 +187,30 @@ class _PackedPoints:
 
 def _point_map(N, roots, cfg):
     if N.kind == "planar":
+        traps = plane_traps(N.source, roots, cfg.root_tol, cfg.escape_radius)
         roots = _pack([r[0] for r in roots], [r[1] for r in roots])
-    return _PackedPoints(N, roots, cfg.root_tol)
+    elif isinstance(N, NewtonComplexMap):
+        traps = row_traps(np.array([N.source.coefficients]), np.array([roots], complex),
+                          cfg.root_tol, cfg.escape_radius)
+    else:
+        traps = np.full((2, 1, len(roots)), -1.0)  # a rational map: no trap
+    return _PackedPoints(N, roots, cfg.root_tol, traps)
 
 
-class _FamilyRows:
+class _FamilyRows(_PackedPoints):
     """Row i is the Newton map of the polynomial with coefficient row C[i]
     (rows share their full degree d >= 1); point i is iterated by map i."""
 
-    def __init__(self, C, tol):
+    def __init__(self, C, cfg):
         self.C = C
         self.D = C[:, 1:] * np.arange(1, C.shape[1])[None, :]
         self.dscale = np.max(np.abs(self.D), axis=1)
-        self.roots = batched_complex_roots(C)
-        self.tol = tol
+        self.roots = roots = batched_complex_roots(C)
+        self.tol = cfg.root_tol
+        self.rho, self.K = np.empty(roots.shape), np.empty(roots.shape, np.int8)
+        for i in range(0, len(C), _TILE_ROWS):  # in tiles, so temporaries stay small
+            r = slice(i, i + _TILE_ROWS)
+            self.rho[r], self.K[r] = row_traps(C[r], roots[r], cfg.root_tol, cfg.escape_radius)
 
     def step(self, z):
         pv = row_polyval(self.C, z)
@@ -201,12 +222,9 @@ class _FamilyRows:
         singular |= ~np.isfinite(w)
         return np.where(singular, 0.0, w), singular
 
-    def nearest(self, z):
-        return _nearest(z, self.roots, self.tol)
-
     def keep(self, mask):
-        self.C, self.D, self.roots, self.dscale = (
-            self.C[mask], self.D[mask], self.roots[mask], self.dscale[mask])
+        for name in ("C", "D", "roots", "dscale", "rho", "K"):  # one copy alive at a time
+            setattr(self, name, getattr(self, name)[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +232,32 @@ class _FamilyRows:
 
 
 def _classify(M, z, cfg):
-    """Settle loop over packed points z under adapter M, then cycle phase."""
+    """Settle loop over packed points z under adapter M, then cycle phase; a
+    trap settles a point after k steps only if k + K + 1 <= max_iter."""
     res = _BatchResult(z.size)
     idx = np.arange(z.size)
-    prev_hit = M.nearest(z)
-    for k in range(1, cfg.max_iter + 1):
+    hit, trap = M.nearest(z, cfg.max_iter)
+    live, confirm = np.ones(z.size, bool), np.zeros(z.size, bool)
+    for k in range(cfg.max_iter + 1):
+        if k:
+            w, sing = M.step(z)
+            res.settle(idx[sing], _SINGULAR, k - 1)
+            esc = ~sing & (np.abs(w) > cfg.escape_radius)
+            res.settle(idx[esc], _ESCAPED, k)
+            live = ~(sing | esc)
+            prev_hit, (hit, trap) = hit, M.nearest(w, cfg.max_iter - k)
+            confirm = live & (hit >= 0) & (hit == prev_hit)
+            z = w
+        root = np.flatnonzero(confirm | (live & (trap >= 0)))
+        res.settle(idx[root], _ROOT, k - confirm[root])
+        res.root_index[idx[root]] = np.where(confirm[root], hit[root], trap[root])
+        active = live
+        active[root] = False
+        if not active.all():  # a long cycle tail settles nothing for many steps
+            z, idx, hit = z[active], idx[active], hit[active]
+            M.keep(active)
         if idx.size == 0:
             break
-        w, sing = M.step(z)
-        res.settle(idx[sing], _SINGULAR, k - 1)
-        esc = ~sing & (np.abs(w) > cfg.escape_radius)
-        res.settle(idx[esc], _ESCAPED, k)
-        hit = M.nearest(w)
-        confirm = ~sing & ~esc & (hit >= 0) & (hit == prev_hit)
-        res.settle(idx[confirm], _ROOT, k - 1)
-        res.root_index[idx[confirm]] = hit[confirm]
-        active = ~(sing | esc | confirm)
-        z, idx, prev_hit = w[active], idx[active], hit[active]
-        M.keep(active)
     if idx.size:
         _cycle_phase(M, z, idx, res, cfg)
     return res
@@ -313,18 +339,14 @@ def classify_orbit(N, x0, roots, cfg=None):
     return _classify(_point_map(N, roots, cfg), z, cfg).outcome(0, planar)
 
 
+_SPECIAL_LEGEND = {CODE_CYCLE: "attracting cycle", CODE_ESCAPED: "escaped beyond radius",
+                   CODE_SINGULAR: "singular derivative hit", CODE_UNDECIDED: "undecided"}
+
+
 def _legend(roots, complex_case):
-    legend = {}
-    for i, r in enumerate(roots):
-        if complex_case:
-            legend[i] = f"root {complex(r):.12g}"
-        else:
-            legend[i] = f"root ({r[0]:.12g}, {r[1]:.12g})"
-    legend[CODE_CYCLE] = "attracting cycle"
-    legend[CODE_ESCAPED] = "escaped beyond radius"
-    legend[CODE_SINGULAR] = "singular derivative hit"
-    legend[CODE_UNDECIDED] = "undecided"
-    return legend
+    return {**{i: f"root {complex(r):.12g}" if complex_case
+               else f"root ({r[0]:.12g}, {r[1]:.12g})" for i, r in enumerate(roots)},
+            **_SPECIAL_LEGEND}
 
 
 def render_basins(N, roots, window, width, height, cfg=None):
@@ -391,13 +413,11 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
     for d in np.unique(degrees[degrees >= 1]):
         rows = np.nonzero(degrees == d)[0]
         part = _classify_tiles(
-            lambda c: _classify(_FamilyRows(c, cfg.root_tol),
+            lambda c: _classify(_FamilyRows(c, cfg),
                                 np.full(len(c), complex(seed)), cfg), C[rows, : d + 1])
         for name in _BatchResult.__slots__:
             getattr(res, name)[rows] = getattr(part, name)
 
-    legend = {CODE_CYCLE: "attracting cycle", CODE_ESCAPED: "escaped beyond radius",
-              CODE_SINGULAR: "singular derivative hit", CODE_UNDECIDED: "undecided"}
-    for i in range(deg_full):
-        legend[i] = f"converged to root #{i} of that parameter's polynomial"
-    return _raster(window, width, height, res, legend)
+    legend = {i: f"converged to root #{i} of that parameter's polynomial"
+              for i in range(deg_full)}
+    return _raster(window, width, height, res, {**_SPECIAL_LEGEND, **legend})

@@ -92,7 +92,9 @@ class BasinRaster:
     """Per-pixel outcome codes over a window.
 
     codes holds root indices >= 0 or the CODE_* sentinels; iterations holds
-    the per-pixel iteration count at decision time; legend maps each code
+    the per-pixel iteration count at decision time (for a root, the step at
+    which the orbit entered the root's trap or the first step of the
+    confirming pair, whichever came first); legend maps each code
     present to a short description.  period and multiplier, when the
     classifier recorded them, hold each cycle pixel's period and multiplier
     (-1 and nan on every other pixel).

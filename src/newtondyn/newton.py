@@ -8,6 +8,7 @@ complex map is the rational function (z p' - p) / p'.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .grid import _pack
 from .poly import (PATH_FINITE, MultiPoly, PlaneMap, UniComplexPoly, _plane_system,
-                   eval_many, system_real_roots, total_degree_homotopy)
+                   eval_many, row_polyval, system_real_roots, total_degree_homotopy)
 
 __all__ = [
     "SingularJacobianError",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 SINGULAR_RTOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class SingularJacobianError(ArithmeticError):
@@ -147,12 +149,8 @@ class NewtonPlaneMap:
         norm_inf = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
         singular = np.abs(det) < SINGULAR_RTOL * (1.0 + norm_inf)
         swap = np.abs(c) > np.abs(a)
-        a2 = np.where(swap, c, a)
-        b2 = np.where(swap, d, b)
-        t1 = np.where(swap, r2, r1)
-        c2 = np.where(swap, a, c)
-        d2 = np.where(swap, b, d)
-        t2 = np.where(swap, r1, r2)
+        a2, b2, t1, c2, d2, t2 = (np.where(swap, u, v) for u, v in
+                                  ((c, a), (d, b), (r2, r1), (a, c), (b, d), (r1, r2)))
         safe_a = np.where(singular | (a2 == 0.0), 1.0, a2)
         m = c2 / safe_a
         denom = d2 - m * b2
@@ -179,6 +177,76 @@ def build_newton_plane(f):
     if det.is_zero:
         raise ValueError("plane map has identically singular Jacobian")
     return NewtonPlaneMap(f, jac, det)
+
+
+# ---------------------------------------------------------------------------
+# Root traps
+
+
+def root_traps(roots, t, q, p, tol, escape=np.inf):
+    """Trap disks about computed roots by Smale's gamma-theorem (Blum, Cucker,
+    Shub & Smale, Complexity and Real Computation, 1998, ch. 8; for systems,
+    alphaCertified, Hauenstein & Sottile 2012): if zeta is a simple root of f
+    and gamma = max_{k>=2} ||Df(zeta)^-1 D^k f(zeta)/k!||^(1/(k-1)), Newton's
+    iterates from |z - zeta| <= R = (3 - sqrt 7)/(2 gamma) obey |z_k - zeta|
+    <= 2^(1 - 2^k) |z - zeta|.  At a computed root r, t[0] and t[k >= 2] bound
+    ||f(r)|| and ||D^k f(r)/k!|| from above and t[1] the least singular value
+    of Df(r) from below: beta = t[0]/t[1], g = max (t[k]/t[1])^(1/(k-1)).  If
+    u = 2 beta g <= 2e-3, a root zeta lies within 2 beta of r with gamma <=
+    g/((1 - u)(1 - 4u + 2u^2)); the trap is B(r, R - 2 beta), K < 8 the first
+    k >= 1 with 2^(1 - 2^k) R + 2 beta < tol (g = 0: R = inf, K = 1).  It is
+    kept only where the settle rule agrees: on B(zeta, R), ||Df(r)^-1 Df(z) -
+    I|| < 1/2, so q > (1 + |r| + R + 2 beta)^p keeps Df clear of SINGULAR_RTOL,
+    and later iterates stay within R/2 + 2 beta of r, inside escape and over
+    2 tol from every other root.  Returns (radii, K), radius -1 for no trap."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        beta, g = t[0] / t[1], np.zeros(roots.shape)
+        for k in range(2, len(t)):
+            g = np.maximum(g, (t[k] / t[1]) ** (1 / (k - 1)))
+        u = np.where(t[1] > 0, 2 * beta * g, np.inf)
+        R = (3 - math.sqrt(7)) / 2 * (1 - u) * (1 - 4 * u + 2 * u * u) / g
+        s = tol - 2 * beta  # K: the least integer above log2(1 + log2(R/s)), at least 1
+        K = np.where(g > 0, np.floor(np.log2(1 + np.log2(np.maximum(R / s, 1))) + 1e-9) + 1, 1)
+        reach, sep = np.where(g > 0, R / 2, 0) + 2 * beta, np.full(roots.shape, np.inf)
+        for i, j in itertools.combinations(range(roots.shape[1]), 2):
+            dij = np.abs(roots[:, i] - roots[:, j])
+            sep[:, i], sep[:, j] = np.minimum(sep[:, i], dij), np.minimum(sep[:, j], dij)
+        ok = ((u <= 2e-3) & (s > 0) & (K < 8) & (q > (1 + np.abs(roots) + R + 2 * beta) ** p)
+              & (np.abs(roots) + reach < escape) & (sep > reach + 2 * tol))
+        return np.where(ok, R - 2 * beta, -1.0), np.where(ok, K, 8).astype(int)
+
+
+def row_traps(C, roots, tol, escape=np.inf):
+    """root_traps of the Newton maps of coefficient rows C (ascending) at one
+    row of roots shared by all rows or one per row, one Taylor order at a time."""
+    d, t, A, Z = C.shape[1] - 1, [], np.abs(C), np.abs(roots)
+    for k in range(d + 1):
+        b = np.array([math.comb(i, k) for i in range(k, d + 1)])
+        e = 8 * (d + 1) * _EPS * row_polyval(A[:, k:] * b, Z)  # rounding of a_k
+        t.append(np.abs(row_polyval(C[:, k:] * b, roots)) + (-e if k == 1 else e))
+    scale = (A[:, 1:] * np.arange(1, d + 1)).max(axis=1, keepdims=True)  # max |k c_k|
+    return root_traps(roots, t, t[1] / (2 * SINGULAR_RTOL * scale), d - 1, tol, escape)
+
+
+def plane_traps(f, roots, tol, escape=np.inf):
+    """root_traps of the Newton map of f at real roots (x, y), packed in one row;
+    ||D^k f/k!|| <= the norm of each component's |coefficient| sum at degree k."""
+    d, out = max(f.first.degree, f.second.degree), []
+    x, y = MultiPoly.variable(0), MultiPoly.variable(1)
+    for a, b in roots:
+        at = [c.compose(x + a, y + b) for c in (f.first, f.second)]
+        on_abs = [MultiPoly([(m, abs(v)) for m, v in c.terms]).compose(x + abs(a), y + abs(b))
+                  for c in (f.first, f.second)]
+        t, e = ([math.hypot(*(sum(abs(v) for m, v in c.terms if sum(m) == k) for c in P))
+                 for k in range(d + 1)] for P in (at, on_abs))
+        t = [v + 8 * (d + 1) * _EPS * w for v, w in zip(t, e)]  # rounding
+        M = np.array([[c.coeff(1, 0), c.coeff(0, 1)] for c in at])
+        t[1] = np.linalg.svd(M, compute_uv=False)[-1] - 8 * (d + 1) * _EPS * e[1]
+        q = abs(np.linalg.det(M)) / (4 * SINGULAR_RTOL * (1 + 2 * np.abs(M).sum(1).max()))
+        out.append([q] + t)
+    cols = np.array(out, float).reshape(-1, d + 2).T[:, None]
+    packed = _pack([r[0] for r in roots], [r[1] for r in roots]).reshape(1, -1)
+    return root_traps(packed, list(cols[1:]), cols[0], 0, tol, escape)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +313,7 @@ class TriPoly:
         return MultiPoly([(e[:axis] + e[axis + 1:], c) for e, c in self.terms])
 
     def min_exponents(self):
-        if not self.terms:
-            return (0, 0, 0)
-        return tuple(
-            min(e[axis] for e, _ in self.terms) for axis in range(3)
-        )
+        return tuple(min((e[axis] for e, _ in self.terms), default=0) for axis in range(3))
 
     def __eq__(self, other):
         return isinstance(other, TriPoly) and self.terms == other.terms
@@ -302,22 +366,11 @@ def _normalize_scalar_content(polys):
     coeffs = [c for p in polys for _, c in p.terms]
     if not coeffs:
         return polys
-    scale = 1.0
     rounded = [round(c) for c in coeffs]
+    scale = 1.0
     if all(abs(c - r) <= 1e-9 * max(1.0, abs(c)) and r != 0 for c, r in zip(coeffs, rounded)):
-        g = 0
-        for r in rounded:
-            g = math.gcd(g, abs(int(r)))
-        if g > 1:
-            scale = float(g)
-    first = None
-    for p in polys:
-        if p.terms:
-            first = p.terms[0][1]
-            break
-    if first is not None and first < 0:
-        scale = -scale
-    return [p.scale(1.0 / scale) for p in polys]
+        scale = float(math.gcd(*(abs(int(r)) for r in rounded)))
+    return [p.scale(1.0 / (-scale if coeffs[0] < 0 else scale)) for p in polys]
 
 
 def homogenize_newton(N):
@@ -391,12 +444,8 @@ def indeterminacy_points(P, tol=1e-8):
 def _normalize_projective(pt):
     arr = np.array(pt, dtype=float)
     arr /= np.max(np.abs(arr))
-    for v in arr:
-        if abs(v) > 1e-12:
-            if v < 0:
-                arr = -arr
-            break
-    return tuple(float(v) for v in arr)
+    lead = next((v for v in arr if abs(v) > 1e-12), 0.0)
+    return tuple(float(v) for v in (-arr if lead < 0 else arr))
 
 
 def _dedupe_tuples(points, radius):

@@ -186,13 +186,7 @@ class MultiPoly:
 
 def _power_table(v, n):
     """[v^0, v^1, ..., v^n] computed by cumulative multiplication."""
-    if np.isscalar(v):
-        table = [1.0]
-        for _ in range(n):
-            table.append(table[-1] * v)
-        return table
-    one = np.ones_like(np.asarray(v))
-    table = [one]
+    table = [1.0 if np.isscalar(v) else np.ones_like(np.asarray(v))]
     for _ in range(n):
         table.append(table[-1] * v)
     return table

@@ -313,6 +313,21 @@ class TestCensusMatchesScalarReference:
         assert found > 0
 
 
+def _reference_lost(p, x, real_roots, budget, conv_rtol):
+    """barna_check's Monte-Carlo count without traps: a sample converges once
+    an iterate lies within conv_rtol * (1 + |x|) of a real root."""
+    step = _make_step(*_real_rational(build_newton_complex(p)))
+    nonfinite = 0
+    for _ in range(budget):
+        nx = step(x)
+        keep = np.isfinite(nx)
+        nonfinite += int(np.count_nonzero(~keep))
+        dist = np.min([np.abs(nx - r) for r in real_roots], axis=0)
+        keep &= dist > conv_rtol * (1.0 + np.abs(nx))
+        x = nx[keep]
+    return x.size + nonfinite
+
+
 class TestBarnaCheck:
     def test_quartic_satisfies_all_bounds(self):
         report = barna_check(QUARTIC, max_period=5, samples=200_000)
@@ -378,6 +393,20 @@ class TestBarnaCheck:
         for threads in (1, 2):
             with worker_threads(threads):
                 assert run().nonconvergent_fraction == untiled
+
+    @pytest.mark.parametrize("max_iter", [500, 6, 9])
+    @pytest.mark.parametrize("p", [QUARTIC, UniComplexPoly([2.0, -2.0, 0.0, 1.0])],
+                             ids=["quartic", "two-islands"])
+    def test_lost_count_matches_reference_loop(self, p, max_iter):
+        # points settle in a root's trap only with budget enough to land
+        # within conv_rtol, so the count is that of the loop without traps
+        cfg = ScanConfig(max_iter=max_iter, cycle_window=1)
+        report = barna_check(p, cfg=cfg, max_period=1, samples=20_000)
+        real = [r.real for r, _ in report.roots if abs(r.imag) <= 1e-8]
+        x = np.random.default_rng(0).uniform(-10.0, 10.0, 20_000)
+        lost = _reference_lost(p, x, real, max_iter, cfg.root_tol)
+        assert report.nonconvergent_fraction == lost / 20_000
+        assert lost > 0 or max_iter == 500  # a short budget loses samples
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from newtondyn.grid import (
     CODE_SINGULAR,
     CODE_UNDECIDED,
 )
-from newtondyn import poly
+from newtondyn import analysis, backward, cli, forward, newton, poly
 from newtondyn.backward import backward_tree
 from newtondyn.forward import _family_coefficients, classify_orbit
 from newtondyn.newton import build_newton_complex
@@ -441,6 +442,23 @@ class TestCheckedInConfigs:
             seen_modes.add(job.mode)
         assert seen_modes == set(MODES)
 
+    def test_loading_does_no_numeric_work(self, monkeypatch):
+        # set-up cost is import plus load_config: no root solve and no trap
+        # may run before run_job, in any module that can reach one
+        def refuse(*args, **kwargs):
+            raise AssertionError("numeric work inside load_config")
+
+        names = ("univariate_complex_roots", "batched_complex_roots", "system_real_roots",
+                 "root_traps", "row_traps", "plane_traps")
+        for module in (poly, newton, forward, analysis, backward, cli):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        configs = sorted(CONFIG_DIR.glob("*.json"))
+        configs += sorted((CONFIG_DIR.parent / "bench" / "configs").glob("*.json"))
+        for cfg_path in configs:
+            load_config(str(cfg_path), json.loads(cfg_path.read_text())["mode"])
+
     def test_tiled_ifs_is_byte_identical_at_any_thread_count(self, tmp_path, monkeypatch):
         # the first set-map level solves one root row per pixel, 65,536 of
         # them, so _complex_preimages_batch splits it into tiles and runs
@@ -625,6 +643,20 @@ class TestConfigErrors:
     def test_value_rules(self, tmp_path, mode, payload, match):
         with pytest.raises(ConfigError, match=match):
             load_config(write_config(tmp_path, "job.json", payload), mode)
+
+    @pytest.mark.parametrize("mode,desc", [
+        ("basins", dict(CUBIC, polynomial="z^1e12 - 1")),
+        ("basins", dict(PLANAR, first="x^1e12")),
+        ("alpha-tree", dict(RATIONAL, denominator="z^1e12")),
+        ("param-scan", dict(FAMILY, polynomial="z^3 + A^1e12")),
+    ], ids=["complex", "planar", "rational", "family"])
+    def test_degree_above_cap_is_refused_at_once(self, tmp_path, capsys, mode, desc):
+        path = write_config(tmp_path, "job.json", small_job(mode, desc))
+        start = time.perf_counter()
+        assert main([mode, "--config", path, "--out", str(tmp_path / "never")]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "config error:" in err and "degree 1000000000000 is above the cap" in err
 
     def test_integer_fields_reject_fractions(self, tmp_path):
         for width in (60, 60.0):

@@ -33,7 +33,9 @@ from newtondyn.forward import (
     parameter_scan,
     render_basins,
 )
-from newtondyn.forward import _multipliers, _nearest, _point_map
+from newtondyn.forward import (_ESCAPED, _ROOT, _SINGULAR, _BatchResult, _FamilyRows,
+                               _classify, _cycle_phase, _family_coefficients, _multipliers,
+                               _nearest, _point_map)
 
 CUBIC = UniComplexPoly([-1, 0, 0, 1])  # z^3 - 1
 ISLAND = UniComplexPoly([2, -2, 0, 1])  # z^3 - 2z + 2, superattracting 2-cycle
@@ -106,7 +108,9 @@ class TestClassifyOrbit:
         out = classify_orbit(N, (3.7, -2.2), [(0.0, 0.0)])
         assert out.kind == "root"
         assert out.root_index == 0
-        assert out.iterations == 1
+        # the affine map's trap is the whole plane, so the seed settles on
+        # entry, after 0 steps (the confirming pair would start at step 1)
+        assert out.iterations == 0
 
     def test_planar_singular_hit(self):
         N = build_newton_plane(parse_plane_map("x^3 - x", "y^3 - y"))
@@ -435,3 +439,115 @@ class TestTiles:
         assert pools == [2, 2]
         for a, b in zip(got, untiled):
             assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Root traps against the settle rule they shortcut
+
+
+def _reference_classify(M, z, cfg):
+    """The settle loop without traps: a point is a root once two consecutive
+    iterates lie within root_tol of one root (recorded at the first)."""
+    res = _BatchResult(z.size)
+    idx = np.arange(z.size)
+    prev_hit = _nearest(z, M.roots, M.tol)
+    for k in range(1, cfg.max_iter + 1):
+        if idx.size == 0:
+            break
+        w, sing = M.step(z)
+        res.settle(idx[sing], _SINGULAR, k - 1)
+        esc = ~sing & (np.abs(w) > cfg.escape_radius)
+        res.settle(idx[esc], _ESCAPED, k)
+        hit = _nearest(w, M.roots, M.tol)
+        confirm = ~sing & ~esc & (hit >= 0) & (hit == prev_hit)
+        res.settle(idx[confirm], _ROOT, k - 1)
+        res.root_index[idx[confirm]] = hit[confirm]
+        active = ~(sing | esc | confirm)
+        z, idx, prev_hit = w[active], idx[active], hit[active]
+        M.keep(active)
+    if idx.size:
+        _cycle_phase(M, z, idx, res, cfg)
+    return res
+
+
+def _same_outcomes(got, want):
+    """Codes, root indices, periods, cycle points and multiplier bits agree;
+    root iterations never exceed the reference's.  Returns the number of
+    roots that settled earlier than the reference."""
+    for name in ("kind", "root_index", "period"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.rep.view(np.uint64), want.rep.view(np.uint64))
+    assert np.array_equal(got.multiplier.view(np.uint64), want.multiplier.view(np.uint64))
+    root = got.kind == _ROOT
+    assert np.array_equal(got.iterations[~root], want.iterations[~root])
+    assert (got.iterations[root] <= want.iterations[root]).all()
+    return int(np.count_nonzero(got.iterations[root] < want.iterations[root]))
+
+
+PARABOLAS = parse_plane_map("y - x^2", "x - 2 + 4*y - y^2")
+SHORT = ScanConfig(max_iter=6, cycle_window=6)  # budgets the traps' K + 1 often exceeds
+
+
+class TestTrapsMatchReferenceRule:
+    """Trapped points get the code the two-iterate rule gives, on the maps of
+    the batch-forward jobs, at the default budget and at a short one."""
+
+    @staticmethod
+    def _random_points(window, n=3000, seed=0):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(window[0], window[1], n)
+                + 1j * rng.uniform(window[2], window[3], n))
+
+    @pytest.mark.parametrize("cfg", [ScanConfig(), SHORT], ids=["default", "short"])
+    @pytest.mark.parametrize("p,window", [(CUBIC, (-2, 2, -2, 2)),
+                                          (ISLAND, (-1.5, 1.5, -1.5, 1.5))],
+                             ids=["cubic", "two-islands"])
+    def test_complex_basins(self, p, window, cfg):
+        N, roots = build_newton_complex(p), univariate_complex_roots(p, tol=1e-10)
+        z = self._random_points(window)
+        got = _classify(_point_map(N, roots, cfg), z, cfg)
+        earlier = _same_outcomes(got, _reference_classify(_point_map(N, roots, cfg), z, cfg))
+        assert earlier > (z.size // 2 if cfg is not SHORT else 0)
+
+    @pytest.mark.parametrize("cfg", [ScanConfig(), SHORT], ids=["default", "short"])
+    def test_planar_basins(self, cfg):
+        N = build_newton_plane(PARABOLAS)
+        roots = system_real_roots(PARABOLAS, (-4, 6, -2, 6), tol=1e-10)
+        z = self._random_points((-4, 4, -2, 6), seed=1)
+        got = _classify(_point_map(N, roots, cfg), z, cfg)
+        earlier = _same_outcomes(got, _reference_classify(_point_map(N, roots, cfg), z, cfg))
+        assert earlier > (z.size // 2 if cfg is not SHORT else 0)
+
+    @pytest.mark.parametrize("cfg", [ScanConfig(), SHORT], ids=["default", "short"])
+    def test_family_rows(self, cfg):
+        family = parse_poly("z^3 + A*z - z - A", variables=("z", "A"))
+        C = _family_coefficients(family, self._random_points((-2.3, 1.7, -2, 2), seed=2))
+        z = np.zeros(C.shape[0], complex)
+        got = _classify(_FamilyRows(C, cfg), z, cfg)
+        earlier = _same_outcomes(got, _reference_classify(_FamilyRows(C, cfg), z, cfg))
+        assert earlier > (z.size // 2 if cfg is not SHORT else 0)
+
+    def test_points_just_inside_a_trap(self):
+        cfg = ScanConfig()
+        for N, roots in ((build_newton_complex(CUBIC), univariate_complex_roots(CUBIC, tol=1e-10)),
+                         (build_newton_plane(PARABOLAS),
+                          system_real_roots(PARABOLAS, (-4, 6, -2, 6), tol=1e-10))):
+            M = _point_map(N, roots, cfg)
+            theta = np.exp(2j * np.pi * np.arange(64) / 64)
+            z = (M.roots[0][:, None] + M.rho[0][:, None] * (1 - 1e-12) * theta).ravel()
+            got = _classify(M, z, cfg)
+            assert (got.iterations == 0).all()
+            _same_outcomes(got, _reference_classify(_point_map(N, roots, cfg), z, cfg))
+
+    def test_trap_entry_without_budget_to_confirm(self):
+        # a seed 0.1 from the root 1 of z^3 - 1 lies in its trap, but the
+        # trap settles it only with K + 1 steps of budget left
+        N, roots = build_newton_complex(CUBIC), univariate_complex_roots(CUBIC, tol=1e-10)
+        K = int(_point_map(N, roots, ScanConfig()).K[0, 2])
+        z = np.array([1.1 + 0j, 1 + 0.1j])
+        for max_iter, trapped in ((K, False), (K + 1, True)):
+            cfg = ScanConfig(max_iter=max_iter, cycle_window=1)
+            got = _classify(_point_map(N, roots, cfg), z, cfg)
+            want = _reference_classify(_point_map(N, roots, cfg), z, cfg)
+            assert _same_outcomes(got, want) == (2 if trapped else 0)
+            assert (got.kind == _ROOT).all() and (got.root_index == 2).all()

@@ -14,7 +14,9 @@ from newtondyn.poly import (
     parse_plane_map,
     parse_poly,
     system_real_roots,
+    univariate_complex_roots,
 )
+from newtondyn.forward import classify_orbit
 from newtondyn.newton import (
     SINGULAR_RTOL,
     GhostLine,
@@ -29,7 +31,9 @@ from newtondyn.newton import (
     indeterminacy_points,
     jacobian_at_infinity,
     measure_invariance_defect,
+    plane_traps,
     pullback_map,
+    row_traps,
 )
 
 
@@ -441,3 +445,70 @@ class TestPullback:
         # oracle values for both sides
         assert conjugated == pytest.approx((0.6, 0.44))
         assert N_pf == pytest.approx((-2.6, 5.4))
+
+
+class TestRootTraps:
+    """Trap radii rho and step bounds K of row_traps and plane_traps."""
+
+    # covers the 2 beta offsets (beta < 1e-14 on these maps) and the rounding
+    # of each Newton step
+    SLACK = 1e-12
+
+    @staticmethod
+    def row(p, tol=1e-8):
+        roots = np.array([univariate_complex_roots(p, tol=1e-12)])
+        rho, K = row_traps(np.array([p.coefficients]), roots, tol)
+        return roots[0], rho[0], K[0]
+
+    def test_cube_roots_of_unity_have_the_gamma_radius(self):
+        _, rho, K = self.row(UniComplexPoly([-1, 0, 0, 1]))
+        assert rho == pytest.approx(np.full(3, (3 - math.sqrt(7)) / 2), rel=0, abs=1e-12)
+        assert K.tolist() == [5, 5, 5]
+
+    def test_affine_maps_settle_in_one_step(self):
+        line = UniComplexPoly([-2, 3])
+        roots, rho, K = self.row(line)
+        assert rho.tolist() == [np.inf] and K.tolist() == [1]
+        rho, K = plane_traps(parse_plane_map("x - 1", "x + y"), [(1.0, -1.0)], 1e-8)
+        assert rho.tolist() == [[np.inf]] and K.tolist() == [[1]]
+        out = classify_orbit(build_newton_complex(line), 1e6 + 5j, list(roots))
+        assert (out.kind, out.root_index, out.iterations) == ("root", 0, 0)
+
+    def test_double_root_gets_no_trap(self):
+        roots, rho, _ = self.row(UniComplexPoly([1, -1, -1, 1]))  # (z - 1)^2 (z + 1)
+        at_one = np.abs(roots - 1) < 1e-3
+        assert at_one.sum() == 2
+        assert (rho[at_one] == -1).all() and (rho[~at_one] > 0).all()
+
+    def test_orbits_from_the_trap_circle_meet_the_bound(self):
+        rng = np.random.default_rng(7)
+        circle = np.exp(2j * np.pi * np.arange(16) / 16)
+        trapped = 0
+        for d in range(2, 7):
+            for _ in range(4):
+                p = UniComplexPoly(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+                N = build_newton_complex(p)
+                for r, radius, steps in zip(*self.row(p)):
+                    trapped += radius > 0
+                    for z in (r + radius * circle if radius > 0 else []):
+                        for k in range(steps + 1):
+                            bound = 2.0 ** (1 - 2 ** k) * radius + self.SLACK * (1 + abs(r))
+                            assert abs(z - r) <= bound
+                            z = N.step(z) if k < steps else z
+        assert trapped >= 70  # of the 80 roots
+
+    @pytest.mark.parametrize("f,box", [
+        (FOUR_REAL, (-4.0, 4.0, -2.0, 6.0)),
+        (parse_plane_map("x^3 - x^2 + y", "x + 0.5 - y^2"), (-3.0, 3.0, -3.0, 3.0)),
+    ], ids=["two-parabolas", "cubic-parabola"])
+    def test_planar_orbits_from_the_trap_circle_meet_the_bound(self, f, box):
+        N, roots = build_newton_plane(f), system_real_roots(f, box, tol=1e-12)
+        rho, K = plane_traps(f, roots, 1e-8)
+        assert roots and (rho > 0).all()
+        for (a, b), radius, steps in zip(roots, rho[0], K[0]):
+            for t in np.linspace(0, 2 * np.pi, 16, endpoint=False):
+                pt = (a + radius * math.cos(t), b + radius * math.sin(t))
+                for k in range(steps + 1):
+                    bound = 2.0 ** (1 - 2 ** k) * radius + self.SLACK * (1 + math.hypot(a, b))
+                    assert math.hypot(pt[0] - a, pt[1] - b) <= bound
+                    pt = N.step(pt) if k < steps else pt
