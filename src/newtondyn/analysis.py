@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import CODE_CYCLE, OccupancyRaster
 from .newton import build_newton_complex, measure_invariance_defect, row_traps
-from .poly import UniComplexPoly, map_tiles, univariate_complex_roots
+from .poly import map_tiles, univariate_complex_roots
 from .backward import directed_pixel_distance
 
 __all__ = [
@@ -68,7 +68,7 @@ def _real_rational(N):
 def _make_step(num, den):
     def step(x):
         with np.errstate(all="ignore"):
-            return num.eval(x) / den.eval(x)
+            return num.horner(x) / den.horner(x)
 
     return step
 

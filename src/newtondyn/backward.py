@@ -45,7 +45,6 @@ from .poly import (
     PATH_FINITE,
     MultiPoly,
     PlaneMap,
-    UniComplexPoly,
     _merge_points,
     _plane_polys,
     batched_complex_roots,
@@ -109,7 +108,7 @@ class BackwardOrbit:
 
 def _as_backward_map(N):
     """Accept a bare polynomial or plane map in place of its Newton map."""
-    if isinstance(N, UniComplexPoly):
+    if isinstance(N, MultiPoly) and N.nvars == 1:
         return build_newton_complex(N)
     if isinstance(N, PlaneMap):
         return build_newton_plane(N)
@@ -170,8 +169,7 @@ def _cleared_plane_system(N, zx, zy):
     """Polynomial system whose regular zeros are the Newton preimages of z."""
     f = N.source
     (fx, fy), (gx, gy) = N.jacobian
-    wx = MultiPoly.variable(0)
-    wy = MultiPoly.variable(1)
+    wx, wy = MultiPoly.variable(0), MultiPoly.variable(1)
     return PlaneMap(
         fx * (wx - zx) + fy * (wy - zy) - f.first,
         gx * (wx - zx) + gy * (wy - zy) - f.second,

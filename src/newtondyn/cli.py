@@ -253,13 +253,13 @@ def _build_map(desc, mode):
         return value
 
     if kind == "complex":
-        p = UniComplexPoly.from_multipoly(_parse(text("polynomial"), (var,)))
+        p = UniComplexPoly(_parse(text("polynomial"), (var,)).coefficients)
         return build_newton_complex(p), p
     if kind == "planar":
         f = PlaneMap(_parse(text("first"), tuple(names)), _parse(text("second"), tuple(names)))
         return build_newton_plane(f), f
     if kind == "rational":
-        rmap = ComplexRationalMap(*(UniComplexPoly.from_multipoly(_parse(text(key), (var,)))
+        rmap = ComplexRationalMap(*(UniComplexPoly(_parse(text(key), (var,)).coefficients)
                                     for key in ("numerator", "denominator")))
         return rmap, rmap
     fam = _parse(text("polynomial"), tuple(names))

@@ -42,7 +42,7 @@ from .grid import (
     _pack,
 )
 from .newton import SINGULAR_RTOL, NewtonComplexMap, plane_traps, row_traps
-from .poly import _TILE_ROWS, MultiPoly, batched_complex_roots, map_tiles, row_polyval
+from .poly import _TILE_ROWS, batched_complex_roots, map_tiles, row_polyval
 
 __all__ = [
     "ScanConfig",
@@ -372,24 +372,13 @@ def _raster(window, width, height, res, legend):
 
 
 def _family_coefficients(family, a_values):
-    """Coefficient rows of a one-parameter polynomial family.
-
-    family is either a callable parameter -> UniComplexPoly, or a MultiPoly
+    """Coefficient rows of a one-parameter polynomial family: a MultiPoly
     whose first variable is the polynomial variable and whose second is the
-    parameter; rows are padded with zeros to a common length.
-    """
-    if isinstance(family, MultiPoly):
-        deg = max((i for (i, _), _ in family.terms), default=0)
-        coeffs = np.zeros((a_values.size, deg + 1), complex)
-        for (i, j), c in family.terms:
-            coeffs[:, i] += c * a_values**j
-        return coeffs
-    polys = [family(a) for a in a_values]
-    deg = max(p.degree for p in polys)
-    coeffs = np.zeros((a_values.size, max(deg, 0) + 1), complex)
-    for row, p in enumerate(polys):
-        cs = p.coefficients
-        coeffs[row, : len(cs)] = cs
+    parameter, at each parameter value in a_values."""
+    deg = max((i for (i, _), _ in family.terms), default=0)
+    coeffs = np.zeros((a_values.size, deg + 1), complex)
+    for (i, j), c in family.terms:
+        coeffs[:, i] += c * a_values**j
     return coeffs
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "ComplexRationalMap",
     "NewtonComplexMap",
     "NewtonPlaneMap",
-    "TriPoly",
     "ProjectivePlaneMap",
     "GhostLine",
     "build_newton_complex",
@@ -70,20 +69,20 @@ class ComplexRationalMap:
 
     def step(self, z):
         """One application; raises SingularJacobianError at denominator zeros."""
-        d = self.denominator.eval(z)
+        d = self.denominator.horner(z)
         if abs(d) <= SINGULAR_RTOL * self._den_scale(z):
             raise SingularJacobianError(z)
-        w = self.numerator.eval(z) / d
+        w = self.numerator.horner(z) / d
         if not np.isfinite(w.real) or not np.isfinite(w.imag):
             raise SingularJacobianError(z)
         return w
 
     def step_many(self, z):
         """Vectorized step; returns (values, singular_mask)."""
-        d = self.denominator.eval(z)
+        d = self.denominator.horner(z)
         singular = np.abs(d) <= SINGULAR_RTOL * self._den_scale(z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = self.numerator.eval(z) / np.where(singular, 1.0, d)
+            w = self.numerator.horner(z) / np.where(singular, 1.0, d)
         bad = ~(np.isfinite(w.real) & np.isfinite(w.imag))
         return np.where(singular | bad, 0.0, w), singular | bad
 
@@ -105,8 +104,7 @@ def build_newton_complex(p):
     if p.degree < 1:
         raise ValueError("Newton map needs a polynomial of degree >= 1")
     dp = p.diff()
-    z = UniComplexPoly.variable()
-    return NewtonComplexMap(p, z * dp - p, dp)
+    return NewtonComplexMap(p, UniComplexPoly([0, 1]) * dp - p, dp)
 
 
 class NewtonPlaneMap:
@@ -253,78 +251,6 @@ def plane_traps(f, roots, tol, escape=np.inf):
 # Projective extension
 
 
-class TriPoly:
-    """Sparse real polynomial in three variables (x, y, z)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc = {}
-        if isinstance(terms, dict):
-            terms = terms.items()
-        for (i, j, k), c in terms:
-            c = float(c)
-            key = (int(i), int(j), int(k))
-            acc[key] = acc.get(key, 0.0) + c
-        self.terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0.0))
-
-    @classmethod
-    def homogenize(cls, p, total_degree):
-        """Lift a MultiPoly in (x, y) to a homogeneous TriPoly of the given
-        total degree using powers of z."""
-        if total_degree < p.degree:
-            raise ValueError("total degree below the polynomial degree")
-        return cls([((i, j, total_degree - i - j), c) for (i, j), c in p.terms])
-
-    @property
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(i + j + k for (i, j, k), _ in self.terms)
-
-    @property
-    def is_homogeneous(self):
-        degs = {i + j + k for (i, j, k), _ in self.terms}
-        return len(degs) <= 1
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def eval(self, x, y, z):
-        out = None
-        for (i, j, k), c in self.terms:
-            t = c * x**i * y**j * z**k
-            out = t if out is None else out + t
-        if out is None:
-            return 0.0 if np.isscalar(x) else np.zeros(np.asarray(x).shape)
-        return out
-
-    def shift(self, di, dj, dk):
-        """Multiply by the monomial x^di y^dj z^dk (negative = divide)."""
-        return TriPoly([((i + di, j + dj, k + dk), c) for (i, j, k), c in self.terms])
-
-    def scale(self, s):
-        return TriPoly([(e, c * s) for e, c in self.terms])
-
-    def chart(self, axis):
-        """Restrict to the affine chart where variable axis (0 x, 1 y, 2 z)
-        is 1; the other two, in order, become the chart's (x, y)."""
-        return MultiPoly([(e[:axis] + e[axis + 1:], c) for e, c in self.terms])
-
-    def min_exponents(self):
-        return tuple(min((e[axis] for e, _ in self.terms), default=0) for axis in range(3))
-
-    def __eq__(self, other):
-        return isinstance(other, TriPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __repr__(self):
-        return f"TriPoly({list(self.terms)})"
-
-
 @dataclass(frozen=True)
 class ProjectivePlaneMap:
     """Degree-d self-map of the real projective plane, three homogeneous
@@ -357,7 +283,7 @@ class ProjectivePlaneMap:
 
 
 def _normalize_scalar_content(polys):
-    """Divide a family of TriPolys by their common scalar content.
+    """Divide a family of polynomials by their common scalar content.
 
     With near-integer coefficients the gcd of the rounded values is used;
     otherwise the largest common magnitude 1 (no scaling).  The result is
@@ -370,7 +296,7 @@ def _normalize_scalar_content(polys):
     scale = 1.0
     if all(abs(c - r) <= 1e-9 * max(1.0, abs(c)) and r != 0 for c, r in zip(coeffs, rounded)):
         scale = float(math.gcd(*(abs(int(r)) for r in rounded)))
-    return [p.scale(1.0 / (-scale if coeffs[0] < 0 else scale)) for p in polys]
+    return [p * (1.0 / (-scale if coeffs[0] < 0 else scale)) for p in polys]
 
 
 def homogenize_newton(N):
@@ -388,19 +314,14 @@ def homogenize_newton(N):
         N = build_newton_plane(N)
     f = N.source
     (fx, fy), (gx, gy) = N.jacobian
-    x = MultiPoly.variable(0)
-    y = MultiPoly.variable(1)
+    x, y = MultiPoly.variable(0), MultiPoly.variable(1)
     w1 = fx * x + fy * y - f.first
     w2 = gx * x + gy * y - f.second
     u1 = gy * w1 - fy * w2
     u2 = fx * w2 - gx * w1
     det = N.det
     m = max(u1.degree, u2.degree, det.degree + 1)
-    comps = [
-        TriPoly.homogenize(u1, m),
-        TriPoly.homogenize(u2, m),
-        TriPoly.homogenize(det, m - 1).shift(0, 0, 1),
-    ]
+    comps = [u1.homogenize(m), u2.homogenize(m), det.homogenize(m - 1).shift(0, 0, 1)]
     mins = [p.min_exponents() for p in comps if not p.is_zero]
     common = tuple(min(mins_k) for mins_k in zip(*mins))
     if any(common):
@@ -419,9 +340,7 @@ def indeterminacy_points(P, tol=1e-8):
     """
     points = []
     box = (-1.25, 1.25, -1.25, 1.25)
-    scale = max(
-        max((abs(c) for _, c in comp.terms), default=0.0) for comp in P.components
-    )
+    scale = max(comp.max_abs_coeff() for comp in P.components)
     for axis in range(3):
         charts = [c.chart(axis) for c in P.components]
         nonzero = [c for c in charts if not c.is_zero]
@@ -592,8 +511,7 @@ def pullback_map(f, psi, psi_inv, check_tol=1e-9):
     psi and psi_inv must be mutually inverse polynomial maps; both
     compositions are verified symbolically before the pullback is formed.
     """
-    ident_x = MultiPoly.variable(0)
-    ident_y = MultiPoly.variable(1)
+    ident_x, ident_y = MultiPoly.variable(0), MultiPoly.variable(1)
     for first, second in ((psi, psi_inv), (psi_inv, psi)):
         comp = first.compose(second)
         if not (comp.first.equals(ident_x, check_tol)

@@ -1,16 +1,21 @@
-"""Polynomial layer: sparse bivariate real polynomials, plane maps, and
-univariate complex polynomials, with evaluation, differentiation, parsing,
-and the root solvers everything else is built on: batched Aberth-Ehrlich,
+"""Polynomial layer: one sparse polynomial class, plane maps, parsing, and
+the root solvers everything else is built on: batched Aberth-Ehrlich,
 interval subdivision and total-degree homotopy.
 
-Conventions: a MultiPoly is a canonical sparse sum of c * x^i * y^j terms,
-the zero polynomial has degree -1, and all evaluation routines accept
-scalars or numpy arrays (real or complex).
+A MultiPoly is a canonical sparse sum of coefficient-times-monomial terms
+in any number of variables: one, with complex coefficients, for complex
+and rational maps; two, with float coefficients, for plane maps; three for
+their projective extension.  The zero polynomial has degree -1.  Values at
+scalars or numpy arrays (real or complex) come from one of two paths:
+Horner's rule on the dense coefficients for one variable (MultiPoly.horner,
+which the complex maps and the root kernels call), and tables of
+cumulative powers for more (eval_many).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -50,103 +55,161 @@ class PolyParseError(ValueError):
 
 
 class MultiPoly:
-    """Real polynomial in two variables with canonical sparse storage.
+    """Polynomial in one or more variables with real or complex
+    coefficients, stored sparse.
 
-    terms is a tuple of ((ex, ey), coeff) sorted by exponent pair, with
-    duplicate exponent pairs combined and exact-zero coefficients dropped.
+    terms is a tuple of (exponents, coeff) sorted by exponent tuple, one
+    exponent per variable.  Every construction sums each exponent's
+    coefficients from 0.0 in the order given and drops the exact zeros, so
+    no stored coefficient has a -0.0 part.  Coefficients keep their type:
+    complex for the polynomials of complex and rational maps, else float.
+    A one-variable polynomial also has dense ascending coefficients, which
+    Horner evaluation and the root kernels read.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "nvars", "_dense", "_real")
 
-    def __init__(self, terms=()):
+    def __init__(self, terms=(), nvars=None):
         acc = {}
-        if isinstance(terms, dict):
-            terms = terms.items()
-        for (ex, ey), c in terms:
-            ex = int(ex)
-            ey = int(ey)
-            if ex < 0 or ey < 0:
-                raise ValueError("negative exponent in polynomial term")
-            c = float(c)
-            acc[(ex, ey)] = acc.get((ex, ey), 0.0) + c
-        self.terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0.0))
+        for e, c in terms.items() if isinstance(terms, dict) else terms:
+            e = tuple(map(int, e))
+            nvars = nvars or len(e)
+            if len(e) != nvars or min(e) < 0:
+                raise ValueError(f"exponents must be {nvars} nonnegative integers")
+            acc[e] = acc.get(e, 0.0) + (complex(c) if isinstance(c, complex) else float(c))
+        self._store(sorted(acc.items()), nvars or 2)
+
+    def _store(self, terms, nvars):
+        self.terms = tuple(t for t in terms if t[1] != 0)
+        self.nvars, self._dense, self._real = nvars, None, None
+        return self
 
     @classmethod
-    def constant(cls, c):
-        return cls([(((0, 0)), c)])
+    def _of(cls, terms, nvars):
+        """The polynomial of terms sorted by distinct exponents, none with a
+        -0.0 part, less the zeros."""
+        return cls.__new__(cls)._store(terms, nvars)
 
     @classmethod
-    def variable(cls, index):
-        """x for index 0, y for index 1."""
-        if index == 0:
-            return cls([((1, 0), 1.0)])
-        if index == 1:
-            return cls([((0, 1), 1.0)])
-        raise ValueError("variable index must be 0 or 1")
+    def _summed(cls, terms, nvars):
+        """MultiPoly(terms, nvars) for terms whose exponents are canonical."""
+        acc = {}
+        for e, c in terms:
+            acc[e] = acc.get(e, 0.0) + c
+        return cls._of(sorted(acc.items()), nvars)
 
     @property
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(ex + ey for (ex, ey), _ in self.terms)
+        if self.nvars == 1:  # the terms are in exponent order
+            return self.terms[-1][0][0] if self.terms else -1
+        return max((sum(e) for e, _ in self.terms), default=-1)
+
+    @property
+    def has_real_coefficients(self):
+        if self._real is None:
+            self._real = all(c.imag == 0 for _, c in self.terms)
+        return self._real
+
+    @property
+    def coefficients(self):
+        """Dense ascending coefficients of a one-variable polynomial, 0 where
+        no term is stored.  Like the real flag, built on first use and kept:
+        so a parsed degree can be refused before any dense array exists."""
+        if self._dense is None:
+            if self.nvars != 1:
+                raise AttributeError("dense coefficients need one variable")
+            dense = [0j if any(type(c) is complex for _, c in self.terms) else 0.0]
+            dense *= self.degree + 1
+            for (k,), c in self.terms:
+                dense[k] = c
+            self._dense = tuple(dense)
+        return self._dense
+
+    @classmethod
+    def constant(cls, c, nvars=2):
+        return cls([((0,) * nvars, c)], nvars)
+
+    @classmethod
+    def variable(cls, index, nvars=2):
+        """The variable in exponent slot index: x for 0, y for 1."""
+        if not 0 <= index < nvars:
+            raise ValueError(f"variable index must be below {nvars}")
+        return cls([(tuple(int(i == index) for i in range(nvars)), 1.0)], nvars)
 
     @property
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, ex, ey):
-        for (i, j), c in self.terms:
-            if i == ex and j == ey:
-                return c
-        return 0.0
+    def coeff(self, *exponents):
+        return dict(self.terms).get(exponents, 0.0)
 
     def max_abs_coeff(self):
         return max((abs(c) for _, c in self.terms), default=0.0)
 
-    def eval(self, x, y):
-        """Evaluate at scalars or numpy arrays (real or complex)."""
-        return eval_many((self,))(x, y)[0]
+    def eval(self, *point):
+        """Value at one coordinate per variable, each a scalar or numpy
+        array (real or complex): horner for one variable, else eval_many."""
+        if len(point) != self.nvars:
+            raise TypeError(f"expected {self.nvars} coordinates, got {len(point)}")
+        if self.nvars == 1:
+            return self.horner(point[0])
+        return eval_many((self,))(*point)[0]
 
-    def diff(self, var):
-        """Partial derivative with respect to variable 0 (x) or 1 (y)."""
-        out = []
-        for (ex, ey), c in self.terms:
-            if var == 0 and ex > 0:
-                out.append(((ex - 1, ey), c * ex))
-            elif var == 1 and ey > 0:
-                out.append(((ex, ey - 1), c * ey))
-        return MultiPoly(out)
+    def horner(self, z):
+        """Horner evaluation of a one-variable polynomial on its dense
+        coefficients; real input with real coefficients stays real."""
+        coeffs, scalar = self.coefficients, np.isscalar(z)
+        use_real = self.has_real_coefficients and not np.iscomplexobj(np.asarray(z))
+        if not coeffs:
+            return 0.0 if scalar else np.zeros(np.asarray(z).shape)
+        coeffs = [c.real for c in coeffs] if use_real else list(coeffs)
+        if scalar:
+            out = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                out = out * z + c
+            return out
+        z = np.asarray(z)
+        out = np.full(z.shape, coeffs[-1], dtype=float if use_real else complex)
+        for c in reversed(coeffs[:-1]):
+            out = out * z + c
+        return out
 
-    def compose(self, u, v):
-        """Substitute polynomials u for x and v for y."""
-        max_ex = max((ex for (ex, _), _ in self.terms), default=0)
-        max_ey = max((ey for (_, ey), _ in self.terms), default=0)
-        up = _poly_power_table(u, max_ex)
-        vp = _poly_power_table(v, max_ey)
-        out = MultiPoly()
-        for (ex, ey), c in self.terms:
-            out = out + (up[ex] * vp[ey]) * c
+    def diff(self, var=0):
+        """Partial derivative with respect to the variable in slot var."""
+        return MultiPoly._of([(e[:var] + (e[var] - 1,) + e[var + 1:], 0.0 + c * e[var])
+                              for e, c in self.terms if e[var]], self.nvars)
+
+    def compose(self, *polys):
+        """Substitute polys, one per variable and all in the same variables."""
+        tables = [_power_table(p, max((e[i] for e, _ in self.terms), default=0))
+                  for i, p in enumerate(polys)]
+        out = MultiPoly((), polys[0].nvars)
+        for e, c in self.terms:
+            m = tables[0][e[0]]
+            for table, k in zip(tables[1:], e[1:]):
+                m = m * table[k]
+            out = out + m * c
         return out
 
     def equals(self, other, tol=0.0):
         """Coefficient-wise comparison within an absolute tolerance."""
-        keys = {e for e, _ in self.terms} | {e for e, _ in other.terms}
-        return all(abs(self.coeff(*k) - other.coeff(*k)) <= tol for k in keys)
+        a, b = dict(self.terms), dict(other.terms)
+        return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in a.keys() | b.keys())
 
     def __add__(self, other):
         if np.isscalar(other):
-            other = MultiPoly.constant(other)
-        return MultiPoly(list(self.terms) + list(other.terms))
+            other = MultiPoly.constant(other, self.nvars)
+        return MultiPoly._summed(self.terms + other.terms, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly([(e, -c) for e, c in self.terms])
+        return MultiPoly._of([(e, 0.0 - c) for e, c in self.terms], self.nvars)
 
     def __sub__(self, other):
         if np.isscalar(other):
-            other = MultiPoly.constant(other)
+            other = MultiPoly.constant(other, self.nvars)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -154,75 +217,107 @@ class MultiPoly:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return MultiPoly([(e, c * other) for e, c in self.terms])
-        out = {}
-        for (ax, ay), ac in self.terms:
-            for (bx, by), bc in other.terms:
-                k = (ax + bx, ay + by)
-                out[k] = out.get(k, 0.0) + ac * bc
-        return MultiPoly(out)
+            return MultiPoly._of([(e, 0.0 + c * other) for e, c in self.terms], self.nvars)
+        acc = {}
+        for ea, a in self.terms:
+            for eb, b in other.terms:
+                k = tuple(map(operator.add, ea, eb))
+                acc[k] = acc.get(k, 0.0) + a * b
+        return MultiPoly._of(sorted(acc.items()), self.nvars)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return (isinstance(other, MultiPoly) and self.nvars == other.nvars
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash((self.nvars, self.terms))
 
     def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        parts = []
-        for (ex, ey), c in self.terms:
-            s = f"{c:g}"
-            if ex:
-                s += f"*x^{ex}" if ex > 1 else "*x"
-            if ey:
-                s += f"*y^{ey}" if ey > 1 else "*y"
-            parts.append(s)
-        return "MultiPoly(" + " + ".join(parts) + ")"
+        return f"MultiPoly({list(self.terms)!r}, {self.nvars})"
+
+    # Projective helpers: a plane polynomial and its homogeneous lift
+
+    def homogenize(self, total_degree):
+        """The homogeneous polynomial of total_degree in one more variable,
+        last, whose chart at that variable = 1 is this one."""
+        if total_degree < self.degree:
+            raise ValueError("total degree below the polynomial degree")
+        return MultiPoly._summed([(e + (total_degree - sum(e),), c) for e, c in self.terms],
+                                 self.nvars + 1)
+
+    def shift(self, *d):
+        """Multiply by the monomial with exponents d (negative = divide)."""
+        return MultiPoly([(tuple(map(operator.add, e, d)), c) for e, c in self.terms],
+                         self.nvars)
+
+    @property
+    def is_homogeneous(self):
+        return len({sum(e) for e, _ in self.terms}) <= 1
+
+    def min_exponents(self):
+        return tuple(min((e[i] for e, _ in self.terms), default=0) for i in range(self.nvars))
+
+    def chart(self, axis):
+        """Restrict to the affine chart where variable axis is 1; the others
+        keep their order."""
+        return MultiPoly._summed([(e[:axis] + e[axis + 1:], c) for e, c in self.terms],
+                                 self.nvars - 1)
+
+
+def UniComplexPoly(coefficients=()):
+    """One-variable MultiPoly with complex coefficients, given dense in
+    ascending order.  The benchmark's checks import this name and read
+    .coefficients of what it returns, so it stays."""
+    return MultiPoly([((k,), complex(c)) for k, c in enumerate(coefficients)], 1)
 
 
 def _power_table(v, n):
-    """[v^0, v^1, ..., v^n] computed by cumulative multiplication."""
-    table = [1.0 if np.isscalar(v) else np.ones_like(np.asarray(v))]
+    """[v^0, v^1, ..., v^n] computed by cumulative multiplication; v is a
+    scalar, a numpy array or a MultiPoly."""
+    if isinstance(v, MultiPoly):
+        table = [MultiPoly.constant(1.0, v.nvars)]
+    else:
+        table = [1.0 if np.isscalar(v) else np.ones_like(np.asarray(v))]
     for _ in range(n):
         table.append(table[-1] * v)
     return table
 
 
 def eval_many(polys):
-    """(x, y, rows=None) -> tuple of every p in polys at (x, y), from one
-    table of powers of x and one of y (rows is unused, as in the systems of
-    total_degree_homotopy).  Each value has the bits of tables sized for p
-    alone, as cumulative powers do not depend on the length of the table."""
-    terms = [p.terms for p in polys]
-    top_x = max((ex for t in terms for (ex, _), _ in t), default=0)
-    top_y = max((ey for t in terms for (_, ey), _ in t), default=0)
+    """(x, y, *more, rows=None) -> tuple of every p in polys, all in two or
+    more variables, at the point (x, y, *more), from one table of powers per
+    variable; rows, and any coordinate past the polynomials' variables, is
+    unused, as in the systems of total_degree_homotopy.  A term is
+    c * x^i * y^j times its powers past y, and terms are summed in term
+    order.  Each value has the bits of tables sized for p alone, as
+    cumulative powers do not depend on the length of the table."""
+    n = max((p.nvars for p in polys), default=2)
+    tops = [max((e[i] for p in polys for e, _ in p.terms), default=0) for i in range(n)]
+    # each term as c, its x and y powers and its powers past y
+    terms = [[(c, e[0], e[1], e[2:]) for e, c in p.terms] for p in polys]
 
-    def evaluate(x, y, rows=None):
-        xp, yp = _power_table(x, top_x), _power_table(y, top_y)
+    def evaluate(x, y, *more, rows=None):
+        xp, yp = _power_table(x, tops[0]), _power_table(y, tops[1])
+        higher = more and [_power_table(v, top) for v, top in zip(more, tops[2:])]
         out = []
         for t in terms:
             acc = None
-            for (ex, ey), c in t:
-                v = c * xp[ex] * yp[ey]
+            for c, i, j, rest in t:
+                v = c * xp[i] * yp[j]  # one expression, so numpy reuses its temporary
+                if rest:
+                    for table, k in zip(higher, rest):
+                        v = v * table[k]
                 acc = v if acc is None else acc + v
             if acc is None:  # the zero polynomial
-                scalar = np.isscalar(x) and np.isscalar(y)
-                acc = 0.0 if scalar else np.zeros(np.broadcast(x, y).shape)
+                point = (x, y, *more)[:n]
+                scalar = all(map(np.isscalar, point))
+                acc = 0.0 if scalar else np.zeros(np.broadcast(*point).shape)
             out.append(acc)
         return tuple(out)
 
     return evaluate
-
-
-def _poly_power_table(p, n):
-    table = [MultiPoly.constant(1.0)]
-    for _ in range(n):
-        table.append(table[-1] * p)
-    return table
 
 
 @dataclass(frozen=True)
@@ -254,115 +349,6 @@ class PlaneMap:
         )
 
 
-class UniComplexPoly:
-    """Univariate polynomial with complex coefficients, ascending order.
-
-    The zero polynomial stores an empty coefficient tuple and has degree -1;
-    otherwise the leading coefficient is nonzero.
-    """
-
-    __slots__ = ("coefficients", "_real")
-
-    def __init__(self, coefficients=()):
-        coeffs = [complex(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
-        self._real = all(c.imag == 0.0 for c in self.coefficients)
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self):
-        return not self.coefficients
-
-    @property
-    def has_real_coefficients(self):
-        return self._real
-
-    def eval(self, z):
-        """Horner evaluation; real input with real coefficients stays real."""
-        scalar = np.isscalar(z)
-        use_real = self._real and not np.iscomplexobj(np.asarray(z))
-        if not self.coefficients:
-            return 0.0 if scalar else np.zeros(np.asarray(z).shape)
-        coeffs = [c.real for c in self.coefficients] if use_real else list(self.coefficients)
-        if scalar:
-            out = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                out = out * z + c
-            return out
-        z = np.asarray(z)
-        out = np.full(z.shape, coeffs[-1], dtype=float if use_real else complex)
-        for c in reversed(coeffs[:-1]):
-            out = out * z + c
-        return out
-
-    def diff(self):
-        return UniComplexPoly([k * c for k, c in enumerate(self.coefficients)][1:])
-
-    def max_abs_coeff(self):
-        return max((abs(c) for c in self.coefficients), default=0.0)
-
-    def __add__(self, other):
-        if np.isscalar(other):
-            other = UniComplexPoly([other])
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = list(self.coefficients) + [0] * (n - len(self.coefficients))
-        b = list(other.coefficients) + [0] * (n - len(other.coefficients))
-        return UniComplexPoly([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniComplexPoly([-c for c in self.coefficients])
-
-    def __sub__(self, other):
-        if np.isscalar(other):
-            other = UniComplexPoly([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return UniComplexPoly([c * other for c in self.coefficients])
-        out = [0j] * (len(self.coefficients) + len(other.coefficients) - 1 or 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return UniComplexPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniComplexPoly)
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __repr__(self):
-        return f"UniComplexPoly({list(self.coefficients)})"
-
-    @classmethod
-    def variable(cls):
-        return cls([0.0, 1.0])
-
-    @classmethod
-    def from_multipoly(cls, p):
-        """Convert a MultiPoly in x alone, as a one-variable parse_poly gives."""
-        if any(ey for (_, ey), _ in p.terms):
-            raise ValueError("polynomial is not univariate in x")
-        coeffs = {ex: c for (ex, _), c in p.terms}
-        return cls([coeffs.get(k, 0.0) for k in range(max(coeffs, default=-1) + 1)])
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 #
@@ -392,12 +378,13 @@ def _token(match, slots):
 
 
 def parse_poly(text, variables=("x", "y")):
-    """Parse text like '3*x^2*y - 1.5*y^3 + 2' into a MultiPoly.
+    """Parse text like '3*x^2*y - 1.5*y^3 + 2' into a MultiPoly in
+    len(variables) variables (one or two), the k-th name in exponent slot k.
 
-    variables names the allowed symbols; the first maps to exponent slot x,
-    the second (if any) to y.  Univariate parses put the variable in slot x.
     Every token is read before the grammar is checked, so an unreadable
-    token is reported ahead of a misplaced one.
+    token is reported ahead of a misplaced one.  A term whose coefficient
+    is not finite, as 1e400 or 1e200*1e200 gives, is an error at the
+    column of its first factor.
     """
     if len(variables) not in (1, 2) or len(set(variables)) != len(variables):
         raise ValueError("parser supports one or two distinct variable names")
@@ -407,11 +394,12 @@ def parse_poly(text, variables=("x", "y")):
         raise PolyParseError("empty polynomial", 1)
     # state: 'sign' (term start), 'factor' (after '*'), 'var' (after a
     # variable), 'exp' (after '^') or 'term' (after any other factor)
-    terms, coeff, exps, state = [], 1.0, [0, 0], "sign"
+    terms, coeff, exps, state = [], 1.0, [0] * len(variables), "sign"
     for kind, value, col in tokens + [("end", None, len(text) + 1)]:
         if state == "sign" and kind in ("+", "-"):
             coeff = -coeff if kind == "-" else coeff
         elif state in ("sign", "factor"):
+            start = col if state == "sign" else start
             if kind == "num":
                 coeff, state = coeff * value, "term"
             elif kind == "var":
@@ -433,11 +421,13 @@ def parse_poly(text, variables=("x", "y")):
         elif kind == "*":
             state = "factor"
         elif kind in ("+", "-", "end"):
-            terms.append(((exps[0], exps[1]), coeff))
-            coeff, exps, state = -1.0 if kind == "-" else 1.0, [0, 0], "sign"
+            if not math.isfinite(coeff):
+                raise PolyParseError("coefficient is not finite", start)
+            terms.append((tuple(exps), coeff))
+            coeff, exps, state = -1.0 if kind == "-" else 1.0, [0] * len(variables), "sign"
         else:
             raise PolyParseError("expected '*' or end of term", col)
-    return MultiPoly(terms)
+    return MultiPoly(terms, len(variables))
 
 
 def parse_plane_map(first_text, second_text, variables=("x", "y")):
@@ -518,7 +508,7 @@ def univariate_complex_roots(p, tol=1e-10):
     C = np.array(p.coefficients, dtype=complex)
     roots = _polish_rows(C[None], np.roots(C[::-1]).astype(complex)[None])[0]
     bound = tol * (1.0 + np.abs(roots)) ** p.degree * p.max_abs_coeff()
-    resid = np.abs(p.eval(roots))
+    resid = np.abs(p.horner(roots))
     if (resid > bound).any():
         worst = float(np.max(resid / np.maximum(bound, 1e-300)))
         raise ArithmeticError(

@@ -37,7 +37,6 @@ from newtondyn.poly import (
 )
 from newtondyn.newton import (
     ComplexRationalMap,
-    TriPoly,
     build_newton_complex,
     build_newton_plane,
     ghost_lines,
@@ -229,9 +228,9 @@ def test_criterion_07_projective_form():
     f = parse_plane_map("x^2 - y^2 - 1", "2*x*y")
     P, _ = homogenize_newton(f)
     expected = (
-        TriPoly({(3, 0, 0): 1.0, (1, 2, 0): 1.0, (1, 0, 2): 1.0}),
-        TriPoly({(2, 1, 0): 1.0, (0, 3, 0): 1.0, (0, 1, 2): -1.0}),
-        TriPoly({(2, 0, 1): 2.0, (0, 2, 1): 2.0}),
+        MultiPoly({(3, 0, 0): 1.0, (1, 2, 0): 1.0, (1, 0, 2): 1.0}),
+        MultiPoly({(2, 1, 0): 1.0, (0, 3, 0): 1.0, (0, 1, 2): -1.0}),
+        MultiPoly({(2, 0, 1): 2.0, (0, 2, 1): 2.0}),
     )
     rng = np.random.default_rng(7)
     max_rel = 0.0

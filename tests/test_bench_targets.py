@@ -10,7 +10,13 @@ import importlib
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
+from newtondyn import poly
+from newtondyn.analysis import barna_check
 from newtondyn.cli import JobConfig
+from newtondyn.newton import build_newton_complex
+from newtondyn.poly import UniComplexPoly, batched_complex_roots, univariate_complex_roots
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -84,3 +90,30 @@ def test_every_job_field_read_by_the_checker_exists():
             and node.value.id == "job"}
     assert {"mode", "outputs", "params"} <= read
     assert read <= {f.name for f in fields(JobConfig)}, read - {f.name for f in fields(JobConfig)}
+
+
+def test_one_variable_paths_never_reach_multipoly_eval(monkeypatch):
+    """tracing.py counts each MultiPoly.eval call as (self, x, y) and reads
+    its third argument, so one-variable evaluation must not go through it."""
+    two_variable_eval = poly.MultiPoly.eval
+
+    def eval_of_two_or_more(self, *point):
+        assert len(point) >= 2, "MultiPoly.eval reached with one coordinate"
+        return two_variable_eval(self, *point)
+
+    monkeypatch.setattr(poly.MultiPoly, "eval", eval_of_two_or_more)
+    p = UniComplexPoly([-1, 0, 0, 1])
+    N = build_newton_complex(p)
+    N.step_many(np.array([0.5 + 0.5j, -1.0, 2j]))
+    univariate_complex_roots(N.numerator - 0.3j * N.denominator)
+    batched_complex_roots(np.array([p.coefficients]))
+    barna_check(UniComplexPoly([4.0, 0.0, -5.0, 0.0, 1.0]), samples=2000)
+
+
+def test_unicomplexpoly_keeps_the_form_the_checker_reads():
+    # checks.py builds UniComplexPoly(ascending coefficients), reverses
+    # .coefficients for np.roots and builds the Newton map of it
+    p = UniComplexPoly([-1, 0, 0, 1])
+    assert len(p.coefficients) == 4
+    assert p.coefficients[::-1] == (1, 0, 0, -1)
+    assert build_newton_complex(p).degree == 3

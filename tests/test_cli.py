@@ -658,6 +658,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error:" in err and "degree 1000000000000 is above the cap" in err
 
+    @pytest.mark.parametrize("desc,column", [
+        (dict(CUBIC, polynomial="1e400*z^3 - 1"), 1),
+        (dict(CUBIC, polynomial="z^3 - 1e400"), 7),
+        (dict(PLANAR, first="1e400*x^2 - y"), 1),
+    ], ids=["complex-leading", "complex-constant", "planar"])
+    def test_overflowing_coefficient_is_config_error(self, tmp_path, capsys, desc, column):
+        path = write_config(tmp_path, "job.json", small_job("basins", desc))
+        assert main(["basins", "--config", path, "--out", str(tmp_path / "never")]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert f"coefficient is not finite (column {column})" in err
+
     def test_integer_fields_reject_fractions(self, tmp_path):
         for width in (60, 60.0):
             assert load_config(cubic_basins_config(tmp_path, width=width),

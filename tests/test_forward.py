@@ -209,23 +209,15 @@ class TestParameterScan:
         assert np.count_nonzero(ras.codes == CODE_CYCLE) >= 1
 
     def test_constant_family(self):
-        ras = parameter_scan(lambda a: CUBIC, 2.0, (-1, 1, -1, 1), 4, 4)
+        family = parse_poly("z^3 - 1", variables=("z", "A"))
+        ras = parameter_scan(family, 2.0, (-1, 1, -1, 1), 4, 4)
         assert np.all(ras.codes == ras.codes[0, 0])
         assert ras.codes[0, 0] >= 0
 
     def test_degenerate_member_marked_undecided(self):
-        family = lambda a: UniComplexPoly([1.0, 0.0, a])  # a z^2 + 1
+        family = parse_poly("A*z^2 + 1", variables=("z", "A"))
         ras = parameter_scan(family, 0.5, (-0.5, 0.5, -0.5, 0.5), 1, 1)
         assert ras.codes[0, 0] == CODE_UNDECIDED
-
-    def test_callable_and_symbolic_family_agree(self):
-        def family(a):
-            return UniComplexPoly([-a, a - 1.0, 0.0, 1.0])
-
-        r1 = parameter_scan(family, 0.0, (-2.3, 1.7, -2, 2), 12, 12)
-        r2 = parameter_scan(self.FAMILY, 0.0, (-2.3, 1.7, -2, 2), 12, 12)
-        assert np.array_equal(r1.codes, r2.codes)
-        assert np.array_equal(r1.iterations, r2.iterations)
 
     def test_reported_cycles_reverify(self):
         ras = parameter_scan(self.FAMILY, 0.0, (-2.3, 1.7, -2, 2), 100, 100)
@@ -325,17 +317,18 @@ class TestMultipliers:
 
 class TestLowerDegreeScanRows:
     SEED = 0.5 + 0.25j
+    # degree 3, except 2 at A = -1 and 1 at A = 0
+    FAMILY = parse_poly("A^2*z^3 + A*z^3 + A*z^2 + z - 1", variables=("z", "A"))
+    # pixel centers Re A = -2..2 and Im A = 2.5..-2.5 in steps of 1/8, with 0
+    WINDOW = (-2.5, 2.5, -2.5625, 2.5625)
 
-    @staticmethod
-    def member(a):
-        # degree 3, except 2 at Re A = -1 and 1 at Re A = 0
-        x = a.real
-        return UniComplexPoly([-1.0 + 0.5j, 1.0 + 1j * a.imag, x, x * (x + 1.0)])
+    @classmethod
+    def member(cls, a):
+        return UniComplexPoly(_family_coefficients(cls.FAMILY, np.array([a]))[0])
 
     def test_lower_degree_pixels_match_classify_orbit(self):
-        window = (-2.5, 2.5, -1.25, 1.25)  # pixel centers Re A = -2..2, Im A = 1..-1
-        ras = parameter_scan(self.member, self.SEED, window, 5, 5)
-        X, Y = Window.from_sequence(window).pixel_centers(5, 5)
+        ras = parameter_scan(self.FAMILY, self.SEED, self.WINDOW, 5, 41)
+        X, Y = Window.from_sequence(self.WINDOW).pixel_centers(5, 41)
         degrees = set()
         for i, j in zip(*np.nonzero(np.isin(X, (-1.0, 0.0)))):
             p = self.member(complex(X[i, j], Y[i, j]))
@@ -349,7 +342,7 @@ class TestLowerDegreeScanRows:
             want = -1 if out.iterations is None else out.iterations
             assert ras.iterations[i, j] == want
             assert ras.period[i, j] == (out.period if out.is_cycle else -1)
-        assert degrees == {1, 2}
+        assert degrees == {1, 2, 3}
 
 
 def _argmin_nearest(z, roots, tol):
@@ -420,9 +413,8 @@ class TestTiles:
         self._tiled_matches_untiled(monkeypatch, run, 500)
 
     def test_parameter_scan_across_degrees(self, monkeypatch):
-        member = TestLowerDegreeScanRows.member
-        window = (-2.5, 2.5, -1.25, 1.25)  # Re A = -2..2 as in that class
-        run = lambda: parameter_scan(member, TestLowerDegreeScanRows.SEED, window, 5, 40)
+        rows = TestLowerDegreeScanRows  # members of degree 1, 2 and 3
+        run = lambda: parameter_scan(rows.FAMILY, rows.SEED, rows.WINDOW, 5, 41)
         self._tiled_matches_untiled(monkeypatch, run, 16)
 
     def test_scan_tiles_run_on_the_calling_thread(self, monkeypatch, pools):

@@ -21,7 +21,6 @@ from newtondyn.newton import (
     SINGULAR_RTOL,
     GhostLine,
     SingularJacobianError,
-    TriPoly,
     ProjectivePlaneMap,
     build_newton_complex,
     build_newton_plane,
@@ -267,9 +266,9 @@ class TestProjective:
     def test_homogenization_exact_triple(self):
         P, ind = homogenize_newton(Z2M1_REAL)
         expected = (
-            TriPoly({(3, 0, 0): 1.0, (1, 2, 0): 1.0, (1, 0, 2): 1.0}),
-            TriPoly({(2, 1, 0): 1.0, (0, 3, 0): 1.0, (0, 1, 2): -1.0}),
-            TriPoly({(2, 0, 1): 2.0, (0, 2, 1): 2.0}),
+            MultiPoly({(3, 0, 0): 1.0, (1, 2, 0): 1.0, (1, 0, 2): 1.0}),
+            MultiPoly({(2, 1, 0): 1.0, (0, 3, 0): 1.0, (0, 1, 2): -1.0}),
+            MultiPoly({(2, 0, 1): 2.0, (0, 2, 1): 2.0}),
         )
         assert P.components == expected
 
@@ -308,8 +307,8 @@ class TestProjective:
             checked += 1
 
     def test_inhomogeneous_components_rejected(self):
-        good = TriPoly({(1, 0, 0): 1.0})
-        bad = TriPoly({(1, 0, 0): 1.0, (0, 0, 0): 1.0})
+        good = MultiPoly({(1, 0, 0): 1.0})
+        bad = MultiPoly({(1, 0, 0): 1.0, (0, 0, 0): 1.0})
         with pytest.raises(ValueError):
             ProjectivePlaneMap((good, good, bad))
 
@@ -340,9 +339,9 @@ class TestProjective:
 
     def test_jacobian_at_indeterminacy_rejected(self):
         # synthetic map whose y=1 chart denominator vanishes at (0, 0)
-        x2 = TriPoly({(2, 0, 0): 1.0})
-        xy = TriPoly({(1, 1, 0): 1.0})
-        xz = TriPoly({(1, 0, 1): 1.0})
+        x2 = MultiPoly({(2, 0, 0): 1.0})
+        xy = MultiPoly({(1, 1, 0): 1.0})
+        xz = MultiPoly({(1, 0, 1): 1.0})
         P = ProjectivePlaneMap((x2, xy, xz))
         with pytest.raises(ValueError):
             jacobian_at_infinity(P, 0.0)

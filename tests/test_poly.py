@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_parse_grammar():
 
 def test_parse_univariate_variable_names():
     p = parse_poly("z^3 - 1", variables=("z",))
-    assert p == MultiPoly([((3, 0), 1.0), ((0, 0), -1.0)])
+    assert p == MultiPoly([((3,), 1.0), ((0,), -1.0)])
 
 
 def test_parse_rejects_repeated_variable_names():
@@ -151,6 +152,11 @@ def test_parse_errors_carry_column():
     ("x - -y", [((1, 0), 1.0), ((0, 1), 1.0)]),
     ("x^0 + x^2.0*3.", [((0, 0), 1.0), ((2, 0), 3.0)]),
     ("1E+1 * .5", [((0, 0), 5.0)]),
+    # rejected: a coefficient that is not finite, at its term's first factor
+    ("1e400*x^3 - 1", ("coefficient is not finite", 1)),
+    ("x^3 - 1e400", ("coefficient is not finite", 7)),
+    ("x + 1e200*1e200*y", ("coefficient is not finite", 5)),
+    ("x - y*1e400*0", ("coefficient is not finite", 5)),
 ])
 def test_parse_table(text, expected):
     if isinstance(expected, list):
@@ -956,3 +962,86 @@ def test_unicomplex_real_eval_stays_real():
 def test_plane_map_requires_nonzero_component():
     with pytest.raises(ValueError):
         PlaneMap(MultiPoly(), MultiPoly())
+
+
+# ---------------------------------------------------------------------------
+# The bits of the polynomials the program builds
+
+
+def _dense_bytes(p):
+    """Every coefficient of a one-variable polynomial, dense and ascending."""
+    assert all(type(c) is complex for c in p.coefficients)
+    return np.array(p.coefficients, complex).tobytes()
+
+
+def _terms_bytes(p):
+    """Every term of a real polynomial in two variables, in term order."""
+    assert all(type(c) is float for _, c in p.terms)
+    return repr([e for e, _ in p.terms]).encode() + np.array([c for _, c in p.terms]).tobytes()
+
+
+def _random_complex_poly(rng, k):
+    """Degree 1-6; by k % 4 complex, real, small integers with zero
+    coefficients, or complex with zero coefficients."""
+    d = int(rng.integers(1, 7))
+    re, im = rng.normal(size=d + 1), rng.normal(size=d + 1)
+    if k % 4 == 2:
+        re, im = rng.integers(-3, 4, size=d + 1).astype(float), np.zeros(d + 1)
+    if k % 4 in (1, 2):
+        im[:] = 0.0
+    if k % 4 == 3:
+        re[rng.random(d + 1) < 0.4] = 0.0
+        im[rng.random(d + 1) < 0.6] = 0.0
+    re[d] = re[d] or 1.0
+    return UniComplexPoly([complex(a, b) for a, b in zip(re.tolist(), im.tolist())])
+
+
+# sha256 of every coefficient of the constructions below, recorded before
+# the polynomial classes were merged into one
+PINNED_CONSTRUCTION_DIGESTS = {
+    "complex": "fdc6c39c7b63b4b2130ec5a8096c2d3c8dc81249e5951929cd839610299aa47c",
+    "planar": "d28f055c140f54de9fa38b1ff6e3e10fc5d4a6036aa7a20c2415c14bd2f8b743",
+}
+
+
+def test_program_constructions_keep_their_bits():
+    """Newton numerators and denominators, num - z*den, the plane map of a
+    complex polynomial, the cleared planar system and the shifted
+    compositions of plane_traps keep every coefficient bit."""
+    from newtondyn.newton import build_newton_complex
+
+    rng = np.random.default_rng(23)
+    h = hashlib.sha256()
+    for k in range(200):
+        p = _random_complex_poly(rng, k)
+        N = build_newton_complex(p)
+        h.update(_dense_bytes(N.numerator) + _dense_bytes(N.denominator))
+        targets = (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist()
+        targets[:20] = [complex(t.real, 0.0) for t in targets[:20]]
+        targets[20:25] = [complex(t.real, -0.0) for t in targets[20:25]]
+        targets[25:30] = [complex(float(rng.integers(-2, 3)), 0.0) for _ in range(5)]
+        for z in targets:
+            h.update(_dense_bytes(N.numerator - z * N.denominator))
+        f = complex_poly_to_plane_map(p)
+        h.update(_terms_bytes(f.first) + _terms_bytes(f.second))
+    got = {"complex": h.hexdigest()}
+
+    h = hashlib.sha256()
+    x, y = MultiPoly.variable(0), MultiPoly.variable(1)
+    for first, second in (("y - x^2", "x - 2 + 4*y - y^2"), ("x^3 - x^2 + y", "x + 0.5 - y^2")):
+        f = parse_plane_map(first, second)
+        N = build_newton_plane(f)
+        for q in (*N.jacobian[0], *N.jacobian[1], N.det):
+            h.update(_terms_bytes(q))
+        shifts = rng.normal(size=(50, 2)).tolist()
+        shifts[:5] = [[float(a), float(b)] for a, b in rng.integers(-2, 3, size=(5, 2))]
+        for zx, zy in shifts:
+            g = _cleared_plane_system(N, zx, zy)
+            h.update(_terms_bytes(g.first) + _terms_bytes(g.second))
+            # plane_traps' Taylor shifts, of f and of its |coefficient| form
+            for c in (f.first, f.second):
+                h.update(_terms_bytes(c.compose(x + zx, y + zy)))
+                on_abs = MultiPoly([(m, abs(v)) for m, v in c.terms])
+                h.update(_terms_bytes(on_abs.compose(x + abs(zx), y + abs(zy))))
+    got["planar"] = h.hexdigest()
+    assert got == PINNED_CONSTRUCTION_DIGESTS
