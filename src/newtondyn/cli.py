@@ -22,7 +22,7 @@ import json
 import sys
 import time
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -415,7 +415,11 @@ def _read_mode_fields(job, cfg, own_fields):
                                           ordered=True)
     if "box" in own_fields:
         p["box"] = _as_floats(cfg.get("box", job.window), 4, "box", _BOX, ordered=True)
-        p["probe"] = _settings(cfg, "probe", GhostProbeConfig)
+        probe = _settings(cfg, "probe", GhostProbeConfig)
+        if "prng_seed" in cfg.get("probe", {}):
+            raise ConfigError("the probe draws with the job's 'prng_seed'; "
+                              "'probe.prng_seed' is not a setting")
+        p["probe"] = replace(probe, prng_seed=job.prng_seed)
 
 
 # ---------------------------------------------------------------------------

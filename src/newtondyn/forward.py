@@ -5,24 +5,24 @@ scan one-parameter polynomial families.
 Classification runs in two phases.  Phase 1 iterates all points in lockstep
 (vectorized, with the active set compressed as points settle): a point is a
 root hit after two consecutive iterates within root_tol of the same root, or
-at the step it enters that root's trap (newton.root_traps: a disk from which
-Newton's method provably converges) with enough budget left for that rule
-to confirm it; it is escaped once its norm exceeds escape_radius, and a
-singular hit when the Newton step degenerates.  Phase 2 re-examines survivors
-for attracting cycles: a trailing window of iterates is searched for the
-smallest period recurring within cycle_tol, the cycle multiplier is the
-spectral radius of the central-difference Jacobian of the period-fold map,
-taken through the adapter's own vectorized step on all cycle points at once,
-and only multipliers below 1 are reported as cycles; everything else stays
-undecided.
+(basins and classify_orbit) at the step it enters that root's trap
+(newton.root_traps: a disk from which Newton's method provably converges)
+with enough budget left for that rule to confirm it; it is escaped once its
+norm exceeds escape_radius, and a singular hit when the Newton step
+degenerates.  Phase 2 re-examines survivors for attracting cycles: a
+trailing window of iterates is searched for the smallest period recurring
+within cycle_tol, the cycle multiplier is the spectral radius of the
+central-difference Jacobian of the period-fold map, taken through the
+adapter's own vectorized step on all cycle points at once, and only
+multipliers below 1 are reported as cycles; everything else stays undecided.
 
 render_basins and parameter_scan run in map_tiles tiles of 65,536 points on
 the calling thread; each point is classified on its own, so no bit moves.
 
 Iteration counts record the number of Newton steps applied when the
-classification became final, except that root hits record the step at which
-the point entered a trap or the first step of the confirming consecutive
-pair, whichever comes first, and singular hits record the steps completed
+classification became final, except that root hits record the first step of
+the confirming consecutive pair, or the step at which the point entered a
+trap if that came first, and singular hits record the steps completed
 before the failing one.
 """
 
@@ -42,7 +42,7 @@ from .grid import (
     _pack,
 )
 from .newton import SINGULAR_RTOL, NewtonComplexMap, plane_traps, row_traps
-from .poly import _TILE_ROWS, batched_complex_roots, map_tiles, row_polyval
+from .poly import batched_complex_roots, map_tiles, row_polyval
 
 __all__ = [
     "ScanConfig",
@@ -99,41 +99,33 @@ class OrbitOutcome:
         return self.kind == "cycle"
 
 
-# internal kind codes used by the batch kernels
-_UNDECIDED, _ROOT, _ESCAPED, _SINGULAR, _CYCLE = 0, 1, 2, 3, 4
-
-
 class _BatchResult:
-    __slots__ = ("kind", "root_index", "iterations", "period", "rep", "multiplier")
+    # per-point outcomes; code is a root index (>= 0) or a CODE_* sentinel
+    __slots__ = ("code", "iterations", "period", "rep", "multiplier")
 
     def __init__(self, n):
-        self.kind = np.full(n, _UNDECIDED, np.int8)
-        self.root_index = np.full(n, -1, np.int32)
+        self.code = np.full(n, CODE_UNDECIDED, np.int32)
         self.iterations = np.full(n, -1, np.int32)
         self.period = np.full(n, -1, np.int32)
         self.rep = np.zeros(n, complex)
         self.multiplier = np.full(n, np.nan)
 
-    def settle(self, idx, kind, iterations):
-        self.kind[idx] = kind
+    def settle(self, idx, code, iterations):
+        self.code[idx] = code
         self.iterations[idx] = iterations
 
     def outcome(self, i, planar):
-        kind = int(self.kind[i])
-        if kind == _CYCLE:
+        code = int(self.code[i])
+        if code == CODE_CYCLE:
             rep = complex(self.rep[i])
             return OrbitOutcome("cycle", period=int(self.period[i]),
                                 representative=(rep.real, rep.imag) if planar else rep,
                                 multiplier=float(self.multiplier[i]))
-        if kind == _UNDECIDED:
+        if code == CODE_UNDECIDED:
             return OrbitOutcome("undecided")
-        return OrbitOutcome(("root", "escaped", "singular")[kind - 1],
-                            root_index=int(self.root_index[i]) if kind == _ROOT else None,
+        kind = "root" if code >= 0 else "escaped" if code == CODE_ESCAPED else "singular"
+        return OrbitOutcome(kind, root_index=code if code >= 0 else None,
                             iterations=int(self.iterations[i]))
-
-    def codes(self):
-        by_kind = np.array([CODE_UNDECIDED, 0, CODE_ESCAPED, CODE_SINGULAR, CODE_CYCLE], np.int32)
-        return np.where(self.kind == _ROOT, self.root_index, by_kind[self.kind])
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +139,7 @@ class _BatchResult:
 def _nearest(z, roots, tol, rho=None):
     """Index of the root within tol of each point (the first on ties), else
     -1.  roots has one row shared by all points or one row per point.  With
-    radii rho shaped like roots, also that index where z is inside rho, else -1."""
+    radii rho (one shared row), also that index where z is inside rho, else -1."""
     if roots.shape[1] == 0:
         none = np.full(z.size, -1, np.int32)
         return none if rho is None else (none, none)
@@ -160,8 +152,7 @@ def _nearest(z, roots, tol, rho=None):
     hit = np.where(best <= tol, h, -1)
     if rho is None:
         return hit
-    r = rho[0][h] if len(rho) == 1 else rho[np.arange(z.size), h]
-    return hit, np.where(best < r, h, -1)
+    return hit, np.where(best < rho[0][h], h, -1)
 
 
 class _PackedPoints:
@@ -197,20 +188,17 @@ def _point_map(N, roots, cfg):
     return _PackedPoints(N, roots, cfg.root_tol, traps)
 
 
-class _FamilyRows(_PackedPoints):
+class _FamilyRows:
     """Row i is the Newton map of the polynomial with coefficient row C[i]
-    (rows share their full degree d >= 1); point i is iterated by map i."""
+    (rows share their full degree d >= 1); point i is iterated by map i.
+    Rows have no traps: they settle by the two-iterate rule."""
 
     def __init__(self, C, cfg):
         self.C = C
         self.D = C[:, 1:] * np.arange(1, C.shape[1])[None, :]
         self.dscale = np.max(np.abs(self.D), axis=1)
-        self.roots = roots = batched_complex_roots(C)
+        self.roots = batched_complex_roots(C)
         self.tol = cfg.root_tol
-        self.rho, self.K = np.empty(roots.shape), np.empty(roots.shape, np.int8)
-        for i in range(0, len(C), _TILE_ROWS):  # in tiles, so temporaries stay small
-            r = slice(i, i + _TILE_ROWS)
-            self.rho[r], self.K[r] = row_traps(C[r], roots[r], cfg.root_tol, cfg.escape_radius)
 
     def step(self, z):
         pv = row_polyval(self.C, z)
@@ -222,8 +210,12 @@ class _FamilyRows(_PackedPoints):
         singular |= ~np.isfinite(w)
         return np.where(singular, 0.0, w), singular
 
+    def nearest(self, z, left):
+        hit = _nearest(z, self.roots, self.tol)
+        return hit, np.full_like(hit, -1)
+
     def keep(self, mask):
-        for name in ("C", "D", "roots", "dscale", "rho", "K"):  # one copy alive at a time
+        for name in ("C", "D", "roots", "dscale"):  # one copy alive at a time
             setattr(self, name, getattr(self, name)[mask])
 
 
@@ -241,16 +233,15 @@ def _classify(M, z, cfg):
     for k in range(cfg.max_iter + 1):
         if k:
             w, sing = M.step(z)
-            res.settle(idx[sing], _SINGULAR, k - 1)
+            res.settle(idx[sing], CODE_SINGULAR, k - 1)
             esc = ~sing & (np.abs(w) > cfg.escape_radius)
-            res.settle(idx[esc], _ESCAPED, k)
+            res.settle(idx[esc], CODE_ESCAPED, k)
             live = ~(sing | esc)
             prev_hit, (hit, trap) = hit, M.nearest(w, cfg.max_iter - k)
             confirm = live & (hit >= 0) & (hit == prev_hit)
             z = w
         root = np.flatnonzero(confirm | (live & (trap >= 0)))
-        res.settle(idx[root], _ROOT, k - confirm[root])
-        res.root_index[idx[root]] = np.where(confirm[root], hit[root], trap[root])
+        res.settle(idx[root], np.where(confirm[root], hit[root], trap[root]), k - confirm[root])
         active = live
         active[root] = False
         if not active.all():  # a long cycle tail settles nothing for many steps
@@ -279,9 +270,9 @@ def _cycle_phase(M, z, idx, res, cfg):
     alive = np.ones(z.size, bool)
     for k in range(1, W + 1):
         w, sing = M.step(trail[k - 1])
-        res.settle(idx[alive & sing], _SINGULAR, cfg.max_iter + k - 1)
+        res.settle(idx[alive & sing], CODE_SINGULAR, cfg.max_iter + k - 1)
         esc = alive & ~sing & (np.abs(w) > cfg.escape_radius)
-        res.settle(idx[esc], _ESCAPED, cfg.max_iter + k)
+        res.settle(idx[esc], CODE_ESCAPED, cfg.max_iter + k)
         alive &= ~sing & ~esc
         trail[k] = np.where(alive, w, trail[k - 1])
     last = trail[-1]
@@ -297,7 +288,7 @@ def _cycle_phase(M, z, idx, res, cfg):
     m = _multipliers(M, last, q, cfg.multiplier_step)
     attracting = m < 1.0
     sel = idx[attracting]
-    res.kind[sel] = _CYCLE
+    res.code[sel] = CODE_CYCLE
     res.period[sel] = q[attracting]
     res.rep[sel] = last[attracting]
     res.multiplier[sel] = m[attracting]
@@ -339,16 +330,6 @@ def classify_orbit(N, x0, roots, cfg=None):
     return _classify(_point_map(N, roots, cfg), z, cfg).outcome(0, planar)
 
 
-_SPECIAL_LEGEND = {CODE_CYCLE: "attracting cycle", CODE_ESCAPED: "escaped beyond radius",
-                   CODE_SINGULAR: "singular derivative hit", CODE_UNDECIDED: "undecided"}
-
-
-def _legend(roots, complex_case):
-    return {**{i: f"root {complex(r):.12g}" if complex_case
-               else f"root ({r[0]:.12g}, {r[1]:.12g})" for i, r in enumerate(roots)},
-            **_SPECIAL_LEGEND}
-
-
 def render_basins(N, roots, window, width, height, cfg=None):
     """Classify the center of every pixel and return the coded raster."""
     cfg = cfg or ScanConfig()
@@ -357,13 +338,13 @@ def render_basins(N, roots, window, width, height, cfg=None):
     z = _pack(X, Y)
     M = _point_map(N, roots, cfg)
     res = _classify_tiles(lambda t: _classify(M, t, cfg), z)
-    return _raster(window, width, height, res, _legend(roots, N.kind == "complex"))
+    return _raster(window, width, height, res)
 
 
-def _raster(window, width, height, res, legend):
+def _raster(window, width, height, res):
     shape = (height, width)
-    return BasinRaster(window, width, height, res.codes().reshape(shape),
-                       res.iterations.reshape(shape), legend,
+    return BasinRaster(window, width, height, res.code.reshape(shape),
+                       res.iterations.reshape(shape),
                        res.period.reshape(shape), res.multiplier.reshape(shape))
 
 
@@ -374,11 +355,12 @@ def _raster(window, width, height, res, legend):
 def _family_coefficients(family, a_values):
     """Coefficient rows of a one-parameter polynomial family: a MultiPoly
     whose first variable is the polynomial variable and whose second is the
-    parameter, at each parameter value in a_values."""
+    parameter, at each parameter value in a_values; inf or nan on overflow."""
     deg = max((i for (i, _), _ in family.terms), default=0)
     coeffs = np.zeros((a_values.size, deg + 1), complex)
-    for (i, j), c in family.terms:
-        coeffs[:, i] += c * a_values**j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), c in family.terms:
+            coeffs[:, i] += c * a_values**j
     return coeffs
 
 
@@ -387,13 +369,15 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
     over a grid of (complex) parameter values.
 
     Root codes index into each parameter's own lexicographically sorted root
-    list; parameters whose polynomial degenerates below degree 1 are marked
-    undecided.  Members are solved and iterated in one batch per degree.
+    list; parameters whose polynomial degenerates below degree 1 or has a
+    coefficient past the float range are marked undecided.  Members are
+    solved and iterated in one batch per degree.
     """
     cfg = cfg or ScanConfig()
     window = Window.from_sequence(window)
     X, Y = window.pixel_centers(width, height)
     C = _family_coefficients(family, (X + 1j * Y).ravel())
+    C[~np.isfinite(C).all(axis=1)] = 0  # undecided, like a degenerate member
     deg_full = C.shape[1] - 1
     # trim per-row trailing zeros to find each member's true degree
     nz = np.abs(C) > 0
@@ -406,7 +390,4 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
                                 np.full(len(c), complex(seed)), cfg), C[rows, : d + 1])
         for name in _BatchResult.__slots__:
             getattr(res, name)[rows] = getattr(part, name)
-
-    legend = {i: f"converged to root #{i} of that parameter's polynomial"
-              for i in range(deg_full)}
-    return _raster(window, width, height, res, {**_SPECIAL_LEGEND, **legend})
+    return _raster(window, width, height, res)

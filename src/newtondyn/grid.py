@@ -8,7 +8,7 @@ matching image output order.  Pixel (row, col) has center
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,11 +91,11 @@ class Window:
 class BasinRaster:
     """Per-pixel outcome codes over a window.
 
-    codes holds root indices >= 0 or the CODE_* sentinels; iterations holds
-    the per-pixel iteration count at decision time (for a root, the step at
-    which the orbit entered the root's trap or the first step of the
-    confirming pair, whichever came first); legend maps each code
-    present to a short description.  period and multiplier, when the
+    codes holds root indices >= 0 or the CODE_* sentinels, as the forward
+    kernel writes them; iterations holds the per-pixel iteration count at
+    decision time (for a root, the first step of the confirming pair, or the
+    step at which the orbit entered the root's trap if that came first; -1
+    for cycle and undecided pixels).  period and multiplier, when the
     classifier recorded them, hold each cycle pixel's period and multiplier
     (-1 and nan on every other pixel).
     """
@@ -105,12 +105,11 @@ class BasinRaster:
     height: int
     codes: np.ndarray
     iterations: np.ndarray
-    legend: dict = field(default_factory=dict)
     period: np.ndarray | None = None
     multiplier: np.ndarray | None = None
 
     def fractions(self):
-        """Fraction of pixels per code, keyed like legend."""
+        """Fraction of pixels per code, keyed by code."""
         total = self.codes.size
         vals, counts = np.unique(self.codes, return_counts=True)
         return {int(v): float(c) / total for v, c in zip(vals, counts)}

@@ -420,8 +420,7 @@ def _two_code_raster(width=32, height=32, split=16):
     codes[:, split:] = 1
     iters = np.ones_like(codes)
     window = Window(-1.0, 1.0, -1.0, 1.0)
-    legend = {0: -1.0 + 0.0j, 1: 1.0 + 0.0j}
-    return BasinRaster(window, width, height, codes, iters, legend)
+    return BasinRaster(window, width, height, codes, iters)
 
 
 class TestExtractBoundary:
@@ -447,7 +446,7 @@ class TestExtractBoundary:
             for i, c in enumerate([0, 1, CODE_CYCLE]):
                 codes[0, i] = codes[-1, -1 - i] = codes[-1 - i, 0] = codes[i, -1] = c
             raster = BasinRaster(Window(-1, 1, -1, 1), int(w), int(h), codes,
-                                 np.ones_like(codes), {0: 0j, 1: 1j, 2: -1j})
+                                 np.ones_like(codes))
             diversity = np.zeros(codes.shape, dtype=np.int16)
             for c in [0, 1, 2, CODE_CYCLE]:
                 diversity += ndimage.binary_dilation(codes == c, structure=box)
@@ -459,8 +458,7 @@ class TestExtractBoundary:
         codes = np.indices((16, 16)).sum(axis=0) % 2
         raster = BasinRaster(Window(-1, 1, -1, 1), 16, 16,
                              codes.astype(np.int32),
-                             np.ones((16, 16), dtype=np.int32),
-                             {0: 0j, 1: 1j})
+                             np.ones((16, 16), dtype=np.int32))
         boundary = extract_boundary(raster)
         assert boundary.count == 16 * 16
 
@@ -499,8 +497,7 @@ class TestExtractBoundary:
         recoded = BasinRaster(original.window, original.width,
                               original.height,
                               original.bits.astype(np.int32),
-                              np.ones_like(original.bits, dtype=np.int32),
-                              {0: 0j, 1: 1j})
+                              np.ones_like(original.bits, dtype=np.int32))
         again = extract_boundary(recoded)
         assert np.all(again.bits[original.bits])
 

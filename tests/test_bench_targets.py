@@ -15,6 +15,7 @@ import numpy as np
 from newtondyn import poly
 from newtondyn.analysis import barna_check
 from newtondyn.cli import JobConfig
+from newtondyn.grid import BasinRaster, OccupancyRaster
 from newtondyn.newton import build_newton_complex
 from newtondyn.poly import UniComplexPoly, batched_complex_roots, univariate_complex_roots
 
@@ -90,6 +91,18 @@ def test_every_job_field_read_by_the_checker_exists():
             and node.value.id == "job"}
     assert {"mode", "outputs", "params"} <= read
     assert read <= {f.name for f in fields(JobConfig)}, read - {f.name for f in fields(JobConfig)}
+
+
+def test_every_raster_field_read_by_tracing_exists():
+    # the counters in tracing.py read the rasters that render_basins,
+    # parameter_scan and backward_tree return through a name 'raster'
+    read = {node.attr for node in ast.walk(ast.parse(TRACING.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "raster"}
+    assert {"codes", "iterations", "count", "partial"} <= read
+    have = {f.name for cls in (BasinRaster, OccupancyRaster) for f in fields(cls)}
+    have |= {name for cls in (BasinRaster, OccupancyRaster) for name in vars(cls)}
+    assert read <= have, read - have
 
 
 def test_one_variable_paths_never_reach_multipoly_eval(monkeypatch):

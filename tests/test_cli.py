@@ -130,8 +130,7 @@ class TestWriteRaster:
     def test_single_pixel_palette_zero(self, tmp_path):
         raster = BasinRaster(Window(-1, 1, -1, 1), 1, 1,
                              np.array([[0]], dtype=np.int32),
-                             np.array([[1]], dtype=np.int32),
-                             {0: 1.0 + 0.0j})
+                             np.array([[1]], dtype=np.int32))
         path = tmp_path / "one.ppm"
         write_raster(raster, path)
         data = path.read_bytes()
@@ -142,8 +141,7 @@ class TestWriteRaster:
         codes = np.array([[CODE_CYCLE, CODE_ESCAPED],
                           [CODE_SINGULAR, CODE_UNDECIDED],
                           [9, 1]], dtype=np.int32)
-        raster = BasinRaster(Window(-1, 1, -1, 1), 2, 3, codes,
-                             np.ones_like(codes), {})
+        raster = BasinRaster(Window(-1, 1, -1, 1), 2, 3, codes, np.ones_like(codes))
         path = tmp_path / "codes.ppm"
         write_raster(raster, path)
         data = path.read_bytes()
@@ -302,13 +300,16 @@ class TestRunJob:
                       "divergence_steps": 10, "invariance_samples": 10},
         }
         path = write_config(tmp_path, "ghost.json", payload)
-        report, _ = run_job(load_config(path, "ghost"), out_dir=tmp_path)
+        job = load_config(path, "ghost", seed_override=7)
+        assert job.params["probe"].prng_seed == 7  # the probe draws with the job's seed
+        report, _ = run_job(job, out_dir=tmp_path)
         stats = report["statistics"]
         assert stats["ghost_line_count"] == 1
         line = stats["ghost_lines"][0]
         assert line["line_invariant"]
         assert line["stay_fraction"] > 0.5
         assert report["tolerances"]["probe"]["seed_count"] == 10
+        assert report["prng_seed"] == report["tolerances"]["probe"]["prng_seed"] == 7
 
     def test_compare_job(self, tmp_path):
         payload = {
@@ -639,6 +640,7 @@ class TestConfigErrors:
          "'disks' must be"),
         ("param-scan", small_job("param-scan", dict(FAMILY, variables=["z", "z"])),
          "distinct"),
+        ("ghost", small_job("ghost", PLANAR, probe={"prng_seed": 3}), "'probe.prng_seed'"),
     ])
     def test_value_rules(self, tmp_path, mode, payload, match):
         with pytest.raises(ConfigError, match=match):
