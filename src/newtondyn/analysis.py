@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import CODE_CYCLE, OccupancyRaster
-from .newton import build_newton_complex, measure_invariance_defect, row_traps
+from .newton import build_newton_complex, measure_invariance_defect
 from .poly import map_tiles, univariate_complex_roots
 from .backward import directed_pixel_distance
 
@@ -341,7 +341,7 @@ def barna_check(p, cfg=None, max_period=5, samples=1_000_000,
     rng = np.random.default_rng(int(prng_seed))
     x = rng.uniform(float(sample_interval[0]), float(sample_interval[1]), int(samples))
     step = _make_step(*_real_rational(N))
-    rho, K = (a[0] for a in row_traps(np.array([p.coefficients]), real_roots[None], conv_rtol))
+    rho, K = N.traps(real_roots, conv_rtol)
     # while every trap is open and wider than this, it holds its root's conv_rtol ball
     cover = 2 * conv_rtol * (1 + np.abs(real_roots)) / (1 - conv_rtol)
 

@@ -265,14 +265,9 @@ def random_backward_orbit(N, z0, length, burn_in=100, prng_seed=0, domain=None):
 
 def _padded_cleared_rows(N):
     """Ascending coefficients of num and den, padded to a common width."""
-    nc = np.asarray(N.numerator.coefficients, complex)
-    dc = np.asarray(N.denominator.coefficients, complex)
+    nc, dc = (np.asarray(c.coefficients, complex) for c in (N.numerator, N.denominator))
     width = max(nc.size, dc.size)
-    ncp = np.zeros(width, complex)
-    ncp[: nc.size] = nc
-    dcp = np.zeros(width, complex)
-    dcp[: dc.size] = dc
-    return ncp, dcp
+    return np.pad(nc, (0, width - nc.size)), np.pad(dc, (0, width - dc.size))
 
 
 def _preimages_batch(N, targets, dom):

@@ -151,7 +151,7 @@ _MAP_FIELDS = {
     "rational": ("numerator", "denominator", "variable"),
     "family": ("polynomial", "variables"),
 }
-_BOX = "[xmin, xmax, ymin, ymax] with xmin < xmax and ymin < ymax"
+_BOX = "[xmin, xmax, ymin, ymax] with xmin < xmax, ymin < ymax and finite widths"
 _POINT = "a two-number list"
 
 
@@ -162,14 +162,15 @@ def _require(cfg, key, mode):
 
 
 def _as_floats(value, n, key, what, ordered=False):
-    """value as a tuple of n finite floats, each (lo, hi) pair ascending if
-    ordered; a ConfigError saying key must be what otherwise."""
+    """value as a tuple of n finite floats, each (lo, hi) pair ascending with
+    a finite width hi - lo if ordered; a ConfigError saying key must be what
+    otherwise."""
     try:
         numbers = tuple(float(v) for v in value) if isinstance(value, (list, tuple)) else ()
     except (TypeError, ValueError):
         numbers = ()
-    if (len(numbers) != n or not all(map(math.isfinite, numbers))
-            or ordered and not all(lo < hi for lo, hi in zip(numbers[::2], numbers[1::2]))):
+    if (len(numbers) != n or not all(map(math.isfinite, numbers)) or ordered and not all(
+            lo < hi and math.isfinite(hi - lo) for lo, hi in zip(numbers[::2], numbers[1::2]))):
         raise ConfigError(f"'{key}' must be {what}")
     return numbers
 
@@ -408,10 +409,13 @@ def _read_mode_fields(job, cfg, own_fields):
         p["report_cycles"] = _as_number(cfg.get("report_cycles", 20), int,
                                         "report_cycles", 0)
     if "samples" in own_fields:
+        if job.source.degree < 3:
+            raise ConfigError(f"barna needs a polynomial of degree >= 3, not {job.source.degree}")
         p["max_period"] = _as_number(cfg.get("max_period", 5), int, "max_period", 1)
         p["samples"] = _as_number(cfg.get("samples", 1_000_000), int, "samples", 1)
-        p["sample_interval"] = _as_floats(cfg.get("sample_interval", (-10.0, 10.0)),
-                                          2, "sample_interval", "[lo, hi] with lo < hi",
+        p["sample_interval"] = _as_floats(cfg.get("sample_interval", (-10.0, 10.0)), 2,
+                                          "sample_interval",
+                                          "[lo, hi] with lo < hi and hi - lo finite",
                                           ordered=True)
     if "box" in own_fields:
         p["box"] = _as_floats(cfg.get("box", job.window), 4, "box", _BOX, ordered=True)
@@ -454,14 +458,6 @@ def write_raster(raster, path):
         rgb[raster.bits] = 0
     _write(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes(),
            "write_raster")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +731,7 @@ def run_job(job, out_dir="."):
         "tolerances": _tolerances(job),
         "timings_s": timings,
     }
-    artifacts["report"] = (json.dumps(report, indent=2, sort_keys=True,
-                                      default=_json_default) + "\n").encode("utf-8")
+    artifacts["report"] = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     out_path.mkdir(parents=True, exist_ok=True)
     written = []

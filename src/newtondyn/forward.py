@@ -5,9 +5,9 @@ scan one-parameter polynomial families.
 Classification runs in two phases.  Phase 1 iterates all points in lockstep
 (vectorized, with the active set compressed as points settle): a point is a
 root hit after two consecutive iterates within root_tol of the same root, or
-(basins and classify_orbit) at the step it enters that root's trap
-(newton.root_traps: a disk from which Newton's method provably converges)
-with enough budget left for that rule to confirm it; it is escaped once its
+(basins and classify_orbit) at the step it enters that root's trap (the
+map's traps(): a disk from which Newton's method provably converges) with
+enough budget left for that rule to confirm it; it is escaped once its
 norm exceeds escape_radius, and a singular hit when the Newton step
 degenerates.  Phase 2 re-examines survivors for attracting cycles: a
 trailing window of iterates is searched for the smallest period recurring
@@ -41,7 +41,7 @@ from .grid import (
     Window,
     _pack,
 )
-from .newton import SINGULAR_RTOL, NewtonComplexMap, plane_traps, row_traps
+from .newton import SINGULAR_RTOL
 from .poly import batched_complex_roots, map_tiles, row_polyval
 
 __all__ = [
@@ -139,7 +139,7 @@ class _BatchResult:
 def _nearest(z, roots, tol, rho=None):
     """Index of the root within tol of each point (the first on ties), else
     -1.  roots has one row shared by all points or one row per point.  With
-    radii rho (one shared row), also that index where z is inside rho, else -1."""
+    radii rho (one per shared root), also that index inside rho, else -1."""
     if roots.shape[1] == 0:
         none = np.full(z.size, -1, np.int32)
         return none if rho is None else (none, none)
@@ -152,18 +152,19 @@ def _nearest(z, roots, tol, rho=None):
     hit = np.where(best <= tol, h, -1)
     if rho is None:
         return hit
-    return hit, np.where(best < rho[0][h], h, -1)
+    return hit, np.where(best < rho[h], h, -1)
 
 
 class _PackedPoints:
     """One Newton or rational map over packed points (a planar (x, y) as
-    x + iy), with trap radii rho and step bounds K beside its roots."""
+    x + iy), with the map's trap radii rho and step bounds K beside its roots."""
 
-    def __init__(self, N, roots, tol, traps):
-        self.N = N
+    def __init__(self, N, roots, cfg):
+        self.N, self.tol = N, cfg.root_tol
+        self.rho, self.K = N.traps(roots, cfg.root_tol, cfg.escape_radius)
+        if N.kind == "planar":
+            roots = _pack([r[0] for r in roots], [r[1] for r in roots])
         self.roots = np.asarray(roots, dtype=complex).reshape(1, -1)
-        self.tol = tol
-        self.rho, self.K = traps
 
     def step(self, z):
         return self.N.step_packed(z)
@@ -176,18 +177,6 @@ class _PackedPoints:
         pass
 
 
-def _point_map(N, roots, cfg):
-    if N.kind == "planar":
-        traps = plane_traps(N.source, roots, cfg.root_tol, cfg.escape_radius)
-        roots = _pack([r[0] for r in roots], [r[1] for r in roots])
-    elif isinstance(N, NewtonComplexMap):
-        traps = row_traps(np.array([N.source.coefficients]), np.array([roots], complex),
-                          cfg.root_tol, cfg.escape_radius)
-    else:
-        traps = np.full((2, 1, len(roots)), -1.0)  # a rational map: no trap
-    return _PackedPoints(N, roots, cfg.root_tol, traps)
-
-
 class _FamilyRows:
     """Row i is the Newton map of the polynomial with coefficient row C[i]
     (rows share their full degree d >= 1); point i is iterated by map i.
@@ -196,15 +185,14 @@ class _FamilyRows:
     def __init__(self, C, cfg):
         self.C = C
         self.D = C[:, 1:] * np.arange(1, C.shape[1])[None, :]
-        self.dscale = np.max(np.abs(self.D), axis=1)
+        self.floor = SINGULAR_RTOL * np.abs(self.D)  # row_polyval at |z|: singular floor
         self.roots = batched_complex_roots(C)
         self.tol = cfg.root_tol
 
     def step(self, z):
         pv = row_polyval(self.C, z)
         dv = row_polyval(self.D, z)
-        d = self.C.shape[1] - 1
-        singular = np.abs(dv) <= SINGULAR_RTOL * self.dscale * (1.0 + np.abs(z)) ** (d - 1)
+        singular = np.abs(dv) <= row_polyval(self.floor, np.abs(z))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = z - pv / np.where(singular, 1.0, dv)
         singular |= ~np.isfinite(w)
@@ -215,7 +203,7 @@ class _FamilyRows:
         return hit, np.full_like(hit, -1)
 
     def keep(self, mask):
-        for name in ("C", "D", "roots", "dscale"):  # one copy alive at a time
+        for name in ("C", "D", "roots", "floor"):  # one copy alive at a time
             setattr(self, name, getattr(self, name)[mask])
 
 
@@ -327,7 +315,7 @@ def classify_orbit(N, x0, roots, cfg=None):
     cfg = cfg or ScanConfig()
     planar = N.kind == "planar"
     z = _pack(x0[0], x0[1]) if planar else np.array([complex(x0)])
-    return _classify(_point_map(N, roots, cfg), z, cfg).outcome(0, planar)
+    return _classify(_PackedPoints(N, roots, cfg), z, cfg).outcome(0, planar)
 
 
 def render_basins(N, roots, window, width, height, cfg=None):
@@ -336,7 +324,7 @@ def render_basins(N, roots, window, width, height, cfg=None):
     window = Window.from_sequence(window)
     X, Y = window.pixel_centers(width, height)
     z = _pack(X, Y)
-    M = _point_map(N, roots, cfg)
+    M = _PackedPoints(N, roots, cfg)
     res = _classify_tiles(lambda t: _classify(M, t, cfg), z)
     return _raster(window, width, height, res)
 

@@ -8,7 +8,6 @@ complex map is the rational function (z p' - p) / p'.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -62,15 +61,21 @@ class ComplexRationalMap:
         self.denominator = denominator
         self.degree = max(numerator.degree, denominator.degree)
 
-    def _den_scale(self, z):
-        return self.denominator.max_abs_coeff() * (1.0 + np.abs(z)) ** max(
-            self.denominator.degree, 0
-        )
+        # SINGULAR_RTOL |d_k|, top degree first, for _den_floor's Horner rule
+        self._den_abs = [SINGULAR_RTOL * abs(c) for c in denominator.coefficients[::-1]]
+
+    def _den_floor(self, z):
+        """|denominator| at or below which a step is singular: SINGULAR_RTOL
+        sum |d_k| |z|^k, the size of the terms its Horner value sums."""
+        r, out = np.abs(z), self._den_abs[0]
+        for a in self._den_abs[1:]:
+            out = out * r + a if a else out * r  # a zero term adds nothing
+        return out
 
     def step(self, z):
         """One application; raises SingularJacobianError at denominator zeros."""
         d = self.denominator.horner(z)
-        if abs(d) <= SINGULAR_RTOL * self._den_scale(z):
+        if abs(d) <= self._den_floor(z):
             raise SingularJacobianError(z)
         w = self.numerator.horner(z) / d
         if not np.isfinite(w.real) or not np.isfinite(w.imag):
@@ -80,7 +85,7 @@ class ComplexRationalMap:
     def step_many(self, z):
         """Vectorized step; returns (values, singular_mask)."""
         d = self.denominator.horner(z)
-        singular = np.abs(d) <= SINGULAR_RTOL * self._den_scale(z)
+        singular = np.abs(d) <= self._den_floor(z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = self.numerator.horner(z) / np.where(singular, 1.0, d)
         bad = ~(np.isfinite(w.real) & np.isfinite(w.imag))
@@ -90,6 +95,10 @@ class ComplexRationalMap:
         """step_many, under the name NewtonPlaneMap gives its packed step."""
         return self.step_many(z)
 
+    def traps(self, roots, tol, escape=np.inf):
+        """A rational map has no root traps: radius -1 and K 8 at each root."""
+        return np.full(len(roots), -1.0), np.full(len(roots), 8)
+
 
 class NewtonComplexMap(ComplexRationalMap):
     """Newton map of a univariate complex polynomial."""
@@ -97,6 +106,18 @@ class NewtonComplexMap(ComplexRationalMap):
     def __init__(self, source, numerator, denominator):
         super().__init__(numerator, denominator)
         self.source = source
+
+    def traps(self, roots, tol, escape=np.inf):
+        """root_traps at roots of the source, one Taylor order at a time; the
+        guard q clears _den_floor (docs/decisions.md, "Root traps")."""
+        C, roots = np.array(self.source.coefficients), np.asarray(roots)
+        d, t, A, Z = C.size - 1, [], np.abs(C), np.abs(roots)
+        for k in range(d + 1):
+            b = np.array([math.comb(i, k) for i in range(k, d + 1)])
+            e = 8 * (d + 1) * _EPS * row_polyval([A[k:] * b], Z)  # rounding of a_k
+            t.append(np.abs(row_polyval([C[k:] * b], roots)) + (-e if k == 1 else e))
+        scale = (A[1:] * np.arange(1, d + 1)).max()  # max |k c_k|
+        return root_traps(roots, t, t[1] / (2 * SINGULAR_RTOL * scale), d - 1, tol, escape)
 
 
 def build_newton_complex(p):
@@ -166,6 +187,27 @@ class NewtonPlaneMap:
         nx, ny, singular = self.step_many(z.real, z.imag)
         return _pack(nx, ny), singular
 
+    def traps(self, roots, tol, escape=np.inf):
+        """root_traps at real roots (x, y) of the source f; ||D^k f/k!|| <= the
+        norm of each component's |coefficient| sum at degree k."""
+        f = self.source
+        d, out = max(f.first.degree, f.second.degree), []
+        x, y = MultiPoly.variable(0), MultiPoly.variable(1)
+        for a, b in roots:
+            at = [c.compose(x + a, y + b) for c in (f.first, f.second)]
+            on_abs = [MultiPoly([(m, abs(v)) for m, v in c.terms]).compose(x + abs(a), y + abs(b))
+                      for c in (f.first, f.second)]
+            t, e = ([math.hypot(*(sum(abs(v) for m, v in c.terms if sum(m) == k) for c in P))
+                     for k in range(d + 1)] for P in (at, on_abs))
+            t = [v + 8 * (d + 1) * _EPS * w for v, w in zip(t, e)]  # rounding
+            M = np.array([[c.coeff(1, 0), c.coeff(0, 1)] for c in at])
+            t[1] = np.linalg.svd(M, compute_uv=False)[-1] - 8 * (d + 1) * _EPS * e[1]
+            q = abs(np.linalg.det(M)) / (4 * SINGULAR_RTOL * (1 + 2 * np.abs(M).sum(1).max()))
+            out.append([q] + t)
+        cols = np.array(out, float).reshape(-1, d + 2).T
+        packed = _pack([r[0] for r in roots], [r[1] for r in roots])
+        return root_traps(packed, list(cols[1:]), cols[0], 0, tol, escape)
+
 
 def build_newton_plane(f):
     """Newton map of a polynomial plane map."""
@@ -196,7 +238,8 @@ def root_traps(roots, t, q, p, tol, escape=np.inf):
     kept only where the settle rule agrees: on B(zeta, R), ||Df(r)^-1 Df(z) -
     I|| < 1/2, so q > (1 + |r| + R + 2 beta)^p keeps Df clear of SINGULAR_RTOL,
     and later iterates stay within R/2 + 2 beta of r, inside escape and over
-    2 tol from every other root.  Returns (radii, K), radius -1 for no trap."""
+    2 tol from every other root.  Takes 1-D roots (planar ones packed x + iy)
+    and returns 1-D (radii, K), radius -1 and K 8 for no trap."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         beta, g = t[0] / t[1], np.zeros(roots.shape)
         for k in range(2, len(t)):
@@ -205,46 +248,11 @@ def root_traps(roots, t, q, p, tol, escape=np.inf):
         R = (3 - math.sqrt(7)) / 2 * (1 - u) * (1 - 4 * u + 2 * u * u) / g
         s = tol - 2 * beta  # K: the least integer above log2(1 + log2(R/s)), at least 1
         K = np.where(g > 0, np.floor(np.log2(1 + np.log2(np.maximum(R / s, 1))) + 1e-9) + 1, 1)
-        reach, sep = np.where(g > 0, R / 2, 0) + 2 * beta, np.full(roots.shape, np.inf)
-        for i, j in itertools.combinations(range(roots.shape[1]), 2):
-            dij = np.abs(roots[:, i] - roots[:, j])
-            sep[:, i], sep[:, j] = np.minimum(sep[:, i], dij), np.minimum(sep[:, j], dij)
+        reach = np.where(g > 0, R / 2, 0) + 2 * beta
+        gaps = np.where(np.eye(roots.size, dtype=bool), np.inf, np.abs(roots[:, None] - roots))
         ok = ((u <= 2e-3) & (s > 0) & (K < 8) & (q > (1 + np.abs(roots) + R + 2 * beta) ** p)
-              & (np.abs(roots) + reach < escape) & (sep > reach + 2 * tol))
+              & (np.abs(roots) + reach < escape) & (gaps.min(1, initial=np.inf) > reach + 2 * tol))
         return np.where(ok, R - 2 * beta, -1.0), np.where(ok, K, 8).astype(int)
-
-
-def row_traps(C, roots, tol, escape=np.inf):
-    """root_traps of the Newton maps of coefficient rows C (ascending) at one
-    row of roots shared by all rows or one per row, one Taylor order at a time."""
-    d, t, A, Z = C.shape[1] - 1, [], np.abs(C), np.abs(roots)
-    for k in range(d + 1):
-        b = np.array([math.comb(i, k) for i in range(k, d + 1)])
-        e = 8 * (d + 1) * _EPS * row_polyval(A[:, k:] * b, Z)  # rounding of a_k
-        t.append(np.abs(row_polyval(C[:, k:] * b, roots)) + (-e if k == 1 else e))
-    scale = (A[:, 1:] * np.arange(1, d + 1)).max(axis=1, keepdims=True)  # max |k c_k|
-    return root_traps(roots, t, t[1] / (2 * SINGULAR_RTOL * scale), d - 1, tol, escape)
-
-
-def plane_traps(f, roots, tol, escape=np.inf):
-    """root_traps of the Newton map of f at real roots (x, y), packed in one row;
-    ||D^k f/k!|| <= the norm of each component's |coefficient| sum at degree k."""
-    d, out = max(f.first.degree, f.second.degree), []
-    x, y = MultiPoly.variable(0), MultiPoly.variable(1)
-    for a, b in roots:
-        at = [c.compose(x + a, y + b) for c in (f.first, f.second)]
-        on_abs = [MultiPoly([(m, abs(v)) for m, v in c.terms]).compose(x + abs(a), y + abs(b))
-                  for c in (f.first, f.second)]
-        t, e = ([math.hypot(*(sum(abs(v) for m, v in c.terms if sum(m) == k) for c in P))
-                 for k in range(d + 1)] for P in (at, on_abs))
-        t = [v + 8 * (d + 1) * _EPS * w for v, w in zip(t, e)]  # rounding
-        M = np.array([[c.coeff(1, 0), c.coeff(0, 1)] for c in at])
-        t[1] = np.linalg.svd(M, compute_uv=False)[-1] - 8 * (d + 1) * _EPS * e[1]
-        q = abs(np.linalg.det(M)) / (4 * SINGULAR_RTOL * (1 + 2 * np.abs(M).sum(1).max()))
-        out.append([q] + t)
-    cols = np.array(out, float).reshape(-1, d + 2).T[:, None]
-    packed = _pack([r[0] for r in roots], [r[1] for r in roots]).reshape(1, -1)
-    return root_traps(packed, list(cols[1:]), cols[0], 0, tol, escape)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +272,6 @@ class ProjectivePlaneMap:
             raise ValueError("components must share one total degree")
         if not all(c.is_homogeneous for c in self.components):
             raise ValueError("components must be homogeneous")
-
-    @property
-    def degree(self):
-        return max(c.degree for c in self.components)
 
     def eval(self, x, y, z):
         return tuple(c.eval(x, y, z) for c in self.components)

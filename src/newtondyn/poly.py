@@ -158,19 +158,16 @@ class MultiPoly:
 
     def horner(self, z):
         """Horner evaluation of a one-variable polynomial on its dense
-        coefficients; real input with real coefficients stays real."""
-        coeffs, scalar = self.coefficients, np.isscalar(z)
-        use_real = self.has_real_coefficients and not np.iscomplexobj(np.asarray(z))
+        coefficients (arrays by row_polyval, 0-d input by the scalar loop);
+        real input with real coefficients stays real."""
+        coeffs, scalar = self.coefficients, np.ndim(z) == 0
+        use_real = self.has_real_coefficients and not np.iscomplexobj(z)
         if not coeffs:
-            return 0.0 if scalar else np.zeros(np.asarray(z).shape)
+            return 0.0 if scalar else np.zeros(np.shape(z))
         coeffs = [c.real for c in coeffs] if use_real else list(coeffs)
-        if scalar:
-            out = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                out = out * z + c
-            return out
-        z = np.asarray(z)
-        out = np.full(z.shape, coeffs[-1], dtype=float if use_real else complex)
+        if not scalar:
+            return row_polyval(np.array([coeffs], float if use_real else complex), z)
+        out = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             out = out * z + c
         return out
@@ -520,15 +517,16 @@ def univariate_complex_roots(p, tol=1e-10):
 def row_polyval(coeff_rows, z):
     """Evaluate many polynomials at matching points: row k of coeff_rows
     (ascending order) at z[k].  z may also broadcast against extra root
-    columns, as in row_polyval(C, roots) with roots shaped (m, d)."""
+    columns, as in row_polyval(C, roots) with roots shaped (m, d).  One row's
+    coefficients are scalars: numpy adds those several times faster."""
     C = np.asarray(coeff_rows)
     if C.ndim != 2 or C.shape[1] == 0:
         raise ValueError("coefficient rows must form a nonempty 2-D array")
     z = np.asarray(z)
-    cols = (slice(None),) + (None,) * (z.ndim - 1)
-    out = np.broadcast_to(C[:, -1][cols], z.shape).copy()
-    for k in range(C.shape[1] - 2, -1, -1):
-        out = out * z + C[:, k][cols]
+    cols = C[0].tolist() if len(C) == 1 else C.T[(slice(None),) * 2 + (None,) * (z.ndim - 1)]
+    out = np.full(z.shape, cols[-1], C.dtype)
+    for c in cols[-2::-1]:
+        out = out * z + c
     return out
 
 

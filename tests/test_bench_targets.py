@@ -2,11 +2,14 @@
 and methods listed in the TARGETS table of bench/tracing.py, the bench
 scripts import names from newtondyn, and bench/checks.py reads fields of
 the JobConfig it is given.  A name that no longer resolves breaks every
-run, so each one is checked here.  The bench sources are read with ast:
-nothing under bench/ is imported or written."""
+run, so each one is checked here.  Its runs at seeds other than 0 load
+configs whose fields bench/workloads.py shifted, so those must load too.
+The bench sources are read with ast: nothing under bench/ is imported or
+written."""
 
 import ast
 import importlib
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from newtondyn import poly
 from newtondyn.analysis import barna_check
-from newtondyn.cli import JobConfig
+from newtondyn.cli import JobConfig, load_config
 from newtondyn.grid import BasinRaster, OccupancyRaster
 from newtondyn.newton import build_newton_complex
 from newtondyn.poly import UniComplexPoly, batched_complex_roots, univariate_complex_roots
@@ -130,3 +133,49 @@ def test_unicomplexpoly_keeps_the_form_the_checker_reads():
     assert len(p.coefficients) == 4
     assert p.coefficients[::-1] == (1, 0, 0, -1)
     assert build_newton_complex(p).degree == 3
+
+
+def _workloads_and_varied_fields():
+    """WORKLOADS of bench/workloads.py and the config fields vary_config
+    assigns: the keywords of its dict(cfg, ...) copy and each out[...] key."""
+    workloads, varied = None, set()
+    for node in ast.parse((BENCH / "workloads.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WORKLOADS" for t in node.targets):
+            workloads = ast.literal_eval(node.value)
+        elif isinstance(node, ast.FunctionDef) and node.name == "vary_config":
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "dict":
+                    varied |= {kw.arg for kw in sub.keywords}
+                elif isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store):
+                    varied.add(ast.literal_eval(sub.slice))
+    return workloads, varied
+
+
+def test_every_benchmark_config_loads_with_its_varied_fields_shifted(tmp_path):
+    # each field vary_config moves, alone and all together, by 0.49 of a
+    # pixel either way (the box by 1/256 of its span, as vary_config does)
+    workloads, varied = _workloads_and_varied_fields()
+    assert {"prng_seed", "window", "seed_point", "box"} <= varied
+    paths = [BENCH.parent / rel for jobs in workloads.values() for rel in jobs]
+    assert len(paths) >= 11
+    for path in paths:
+        cfg = json.loads(path.read_text())
+        xmin, xmax, ymin, ymax = cfg.get("window", (-2.0, 2.0, -2.0, 2.0))
+        for frac in (-0.49, 0.49):
+            dx = frac * (xmax - xmin) / cfg.get("width", 256)
+            dy = frac * (ymax - ymin) / cfg.get("height", 256)
+            moved = {"prng_seed": 2**31 - 1}
+            if "window" in cfg:
+                moved["window"] = [xmin + dx, xmax + dx, ymin + dy, ymax + dy]
+            if "seed_point" in cfg:
+                moved["seed_point"] = [cfg["seed_point"][0] + dx, cfg["seed_point"][1] + dy]
+            if "box" in cfg:
+                bx0, bx1, by0, by1 = cfg["box"]
+                bx, by = frac * (bx1 - bx0) / 256, frac * (by1 - by0) / 256
+                moved["box"] = [bx0 + bx, bx1 + bx, by0 + by, by1 + by]
+            assert set(moved) == varied & (set(cfg) | {"prng_seed"}), path.name
+            for change in [{key: value} for key, value in moved.items()] + [moved]:
+                shifted = tmp_path / path.name
+                shifted.write_text(json.dumps(dict(cfg, **change)))
+                load_config(str(shifted), cfg["mode"])

@@ -449,8 +449,9 @@ class TestCheckedInConfigs:
         def refuse(*args, **kwargs):
             raise AssertionError("numeric work inside load_config")
 
+        # every map's traps() builds through newton.root_traps
         names = ("univariate_complex_roots", "batched_complex_roots", "system_real_roots",
-                 "root_traps", "row_traps", "plane_traps")
+                 "root_traps")
         for module in (poly, newton, forward, analysis, backward, cli):
             for name in names:
                 if hasattr(module, name):
@@ -591,6 +592,10 @@ MODE_KINDS = {
 }
 
 
+# each number is finite, but 1e308 - (-1e308) overflows
+WIDE = [-1e308, 1e308, -1.0, 1.0]
+
+
 def small_job(mode, map_desc=CUBIC, **fields):
     return {"mode": mode, "map": map_desc, "width": 16, "height": 16,
             **MODE_FIELDS[mode], **fields}
@@ -608,9 +613,20 @@ class TestConfigErrors:
         ("alpha-random", small_job("alpha-random", FAMILY)),
         ("basins", small_job("basins", dict(PLANAR, variables=5))),
         ("alpha-random", small_job("alpha-random", burnin=5)),
+        ("barna", small_job("barna", dict(CUBIC, polynomial="z^2 - 1"))),
+        ("basins", small_job("basins", window=WIDE)),
+        ("basins", small_job("basins", PLANAR, window=WIDE)),
+        ("alpha-tree", small_job("alpha-tree", window=WIDE)),
+        ("alpha-random", small_job("alpha-random", domain=WIDE)),
+        ("ghost", small_job("ghost", PLANAR, box=WIDE)),
+        ("barna", small_job("barna", sample_interval=WIDE[:2])),
     ], ids=["scan-text", "scan-fraction", "disk-centers-number", "outputs-number",
             "output-name-number", "bool-as-text", "family-alpha-tree",
-            "family-alpha-random", "variables-number", "unknown-field"])
+            "family-alpha-random", "variables-number", "unknown-field",
+            "barna-below-degree-3", "complex-window-width-overflows",
+            "planar-window-width-overflows", "alpha-tree-window-width-overflows",
+            "domain-width-overflows", "box-width-overflows",
+            "sample-interval-width-overflows"])
     def test_bad_value_is_config_error_before_any_work(self, tmp_path, capsys,
                                                         mode, payload):
         path = write_config(tmp_path, "job.json", payload)
@@ -641,6 +657,8 @@ class TestConfigErrors:
         ("param-scan", small_job("param-scan", dict(FAMILY, variables=["z", "z"])),
          "distinct"),
         ("ghost", small_job("ghost", PLANAR, probe={"prng_seed": 3}), "'probe.prng_seed'"),
+        ("barna", small_job("barna", dict(CUBIC, polynomial="z^2 - 1")), "degree >= 3"),
+        ("basins", small_job("basins", window=WIDE), "'window' must be .* finite widths"),
     ])
     def test_value_rules(self, tmp_path, mode, payload, match):
         with pytest.raises(ConfigError, match=match):

@@ -33,8 +33,8 @@ from newtondyn.forward import (
     parameter_scan,
     render_basins,
 )
-from newtondyn.forward import (_BatchResult, _FamilyRows, _classify, _cycle_phase,
-                               _family_coefficients, _multipliers, _nearest, _point_map)
+from newtondyn.forward import (_BatchResult, _FamilyRows, _PackedPoints, _classify,
+                               _cycle_phase, _family_coefficients, _multipliers, _nearest)
 
 CUBIC = UniComplexPoly([-1, 0, 0, 1])  # z^3 - 1
 _SPECIAL_CODES = {"cycle": CODE_CYCLE, "escaped": CODE_ESCAPED,
@@ -90,6 +90,13 @@ class TestClassifyOrbit:
         out = classify_orbit(N, 0.0, roots)
         assert out.kind == "singular"
         assert out.iterations == 0
+
+    def test_dominant_coefficient_leaves_a_regular_step_regular(self):
+        # p'(0) = 1 and the step from 0 is exactly 1: a singular floor scaled
+        # by max|coefficient| (1 + |z|)^deg (2e12 here) read it as singular
+        p = UniComplexPoly([-1, 1, 1e12])
+        out = classify_orbit(build_newton_complex(p), 0j, univariate_complex_roots(p, tol=1e-10))
+        assert out.kind == "root"
 
     def test_superattracting_two_cycle(self):
         N = build_newton_complex(ISLAND)
@@ -238,6 +245,7 @@ class TestParameterScan:
         ok = np.isfinite(C).all(axis=1)
         assert np.count_nonzero(ok) == finite
         assert (codes[~ok] == CODE_UNDECIDED).all()
+        assert (codes[ok] != CODE_SINGULAR).all()  # p'(0) = 1 for every member
         for i in np.flatnonzero(ok):
             p = UniComplexPoly(C[i])
             out = classify_orbit(build_newton_complex(p), 0.0,
@@ -314,7 +322,7 @@ class TestMultipliers:
     def test_complex_matches_scalar_reference(self):
         N = build_newton_complex(ISLAND)
         z, q = self.starts()
-        got = _multipliers(_point_map(N, [], ScanConfig()), z, q, self.H)
+        got = _multipliers(_PackedPoints(N, [], ScanConfig()), z, q, self.H)
         ref = np.array([_reference_complex_multiplier(N, complex(p), int(k), self.H)
                         for p, k in zip(z, q)])
         assert np.array_equal(np.isnan(got), np.isnan(ref))
@@ -325,7 +333,7 @@ class TestMultipliers:
     def test_planar_matches_scalar_reference(self):
         N = build_newton_plane(self.ISLAND_PLANE)
         z, q = self.starts()
-        got = _multipliers(_point_map(N, [], ScanConfig()), z, q, self.H)
+        got = _multipliers(_PackedPoints(N, [], ScanConfig()), z, q, self.H)
         ref = np.array([_reference_planar_multiplier(N, (p.real, p.imag), int(k), self.H)
                         for p, k in zip(z, q)])
         assert np.array_equal(np.isnan(got), np.isnan(ref))
@@ -335,7 +343,7 @@ class TestMultipliers:
 
     def test_no_points(self):
         N = build_newton_complex(ISLAND)
-        got = _multipliers(_point_map(N, [], ScanConfig()), np.empty(0, complex),
+        got = _multipliers(_PackedPoints(N, [], ScanConfig()), np.empty(0, complex),
                            np.empty(0, np.int32), self.H)
         assert got.shape == (0,)
 
@@ -524,8 +532,8 @@ class TestTrapsMatchReferenceRule:
     def test_complex_basins(self, p, window, cfg):
         N, roots = build_newton_complex(p), univariate_complex_roots(p, tol=1e-10)
         z = self._random_points(window)
-        got = _classify(_point_map(N, roots, cfg), z, cfg)
-        earlier = _same_outcomes(got, _reference_classify(_point_map(N, roots, cfg), z, cfg))
+        got = _classify(_PackedPoints(N, roots, cfg), z, cfg)
+        earlier = _same_outcomes(got, _reference_classify(_PackedPoints(N, roots, cfg), z, cfg))
         assert earlier > (z.size // 2 if cfg is not SHORT else 0)
 
     @pytest.mark.parametrize("cfg", [ScanConfig(), SHORT], ids=["default", "short"])
@@ -533,8 +541,8 @@ class TestTrapsMatchReferenceRule:
         N = build_newton_plane(PARABOLAS)
         roots = system_real_roots(PARABOLAS, (-4, 6, -2, 6), tol=1e-10)
         z = self._random_points((-4, 4, -2, 6), seed=1)
-        got = _classify(_point_map(N, roots, cfg), z, cfg)
-        earlier = _same_outcomes(got, _reference_classify(_point_map(N, roots, cfg), z, cfg))
+        got = _classify(_PackedPoints(N, roots, cfg), z, cfg)
+        earlier = _same_outcomes(got, _reference_classify(_PackedPoints(N, roots, cfg), z, cfg))
         assert earlier > (z.size // 2 if cfg is not SHORT else 0)
 
     @pytest.mark.parametrize("cfg", [ScanConfig(), SHORT], ids=["default", "short"])
@@ -551,22 +559,22 @@ class TestTrapsMatchReferenceRule:
         for N, roots in ((build_newton_complex(CUBIC), univariate_complex_roots(CUBIC, tol=1e-10)),
                          (build_newton_plane(PARABOLAS),
                           system_real_roots(PARABOLAS, (-4, 6, -2, 6), tol=1e-10))):
-            M = _point_map(N, roots, cfg)
+            M = _PackedPoints(N, roots, cfg)
             theta = np.exp(2j * np.pi * np.arange(64) / 64)
-            z = (M.roots[0][:, None] + M.rho[0][:, None] * (1 - 1e-12) * theta).ravel()
+            z = (M.roots[0][:, None] + M.rho[:, None] * (1 - 1e-12) * theta).ravel()
             got = _classify(M, z, cfg)
             assert (got.iterations == 0).all()
-            _same_outcomes(got, _reference_classify(_point_map(N, roots, cfg), z, cfg))
+            _same_outcomes(got, _reference_classify(_PackedPoints(N, roots, cfg), z, cfg))
 
     def test_trap_entry_without_budget_to_confirm(self):
         # a seed 0.1 from the root 1 of z^3 - 1 lies in its trap, but the
         # trap settles it only with K + 1 steps of budget left
         N, roots = build_newton_complex(CUBIC), univariate_complex_roots(CUBIC, tol=1e-10)
-        K = int(_point_map(N, roots, ScanConfig()).K[0, 2])
+        K = int(_PackedPoints(N, roots, ScanConfig()).K[2])
         z = np.array([1.1 + 0j, 1 + 0.1j])
         for max_iter, trapped in ((K, False), (K + 1, True)):
             cfg = ScanConfig(max_iter=max_iter, cycle_window=1)
-            got = _classify(_point_map(N, roots, cfg), z, cfg)
-            want = _reference_classify(_point_map(N, roots, cfg), z, cfg)
+            got = _classify(_PackedPoints(N, roots, cfg), z, cfg)
+            want = _reference_classify(_PackedPoints(N, roots, cfg), z, cfg)
             assert _same_outcomes(got, want) == (2 if trapped else 0)
             assert (got.code == 2).all()

@@ -19,6 +19,7 @@ from newtondyn.poly import (
 from newtondyn.forward import classify_orbit
 from newtondyn.newton import (
     SINGULAR_RTOL,
+    ComplexRationalMap,
     GhostLine,
     SingularJacobianError,
     ProjectivePlaneMap,
@@ -30,9 +31,7 @@ from newtondyn.newton import (
     indeterminacy_points,
     jacobian_at_infinity,
     measure_invariance_defect,
-    plane_traps,
     pullback_map,
-    row_traps,
 )
 
 
@@ -447,7 +446,7 @@ class TestPullback:
 
 
 class TestRootTraps:
-    """Trap radii rho and step bounds K of row_traps and plane_traps."""
+    """Trap radii rho and step bounds K of the Newton maps' traps()."""
 
     # covers the 2 beta offsets (beta < 1e-14 on these maps) and the rounding
     # of each Newton step
@@ -455,9 +454,9 @@ class TestRootTraps:
 
     @staticmethod
     def row(p, tol=1e-8):
-        roots = np.array([univariate_complex_roots(p, tol=1e-12)])
-        rho, K = row_traps(np.array([p.coefficients]), roots, tol)
-        return roots[0], rho[0], K[0]
+        roots = np.array(univariate_complex_roots(p, tol=1e-12))
+        rho, K = build_newton_complex(p).traps(roots, tol)
+        return roots, rho, K
 
     def test_cube_roots_of_unity_have_the_gamma_radius(self):
         _, rho, K = self.row(UniComplexPoly([-1, 0, 0, 1]))
@@ -468,10 +467,15 @@ class TestRootTraps:
         line = UniComplexPoly([-2, 3])
         roots, rho, K = self.row(line)
         assert rho.tolist() == [np.inf] and K.tolist() == [1]
-        rho, K = plane_traps(parse_plane_map("x - 1", "x + y"), [(1.0, -1.0)], 1e-8)
-        assert rho.tolist() == [[np.inf]] and K.tolist() == [[1]]
+        rho, K = build_newton_plane(parse_plane_map("x - 1", "x + y")).traps([(1.0, -1.0)], 1e-8)
+        assert rho.tolist() == [np.inf] and K.tolist() == [1]
         out = classify_orbit(build_newton_complex(line), 1e6 + 5j, list(roots))
         assert (out.kind, out.root_index, out.iterations) == ("root", 0, 0)
+
+    def test_rational_map_grants_no_trap(self):
+        squaring = ComplexRationalMap(UniComplexPoly([0, 0, 1]), UniComplexPoly([1]))
+        rho, K = squaring.traps([0j, 1.0], 1e-8)
+        assert rho.tolist() == [-1.0, -1.0] and K.tolist() == [8, 8]
 
     def test_double_root_gets_no_trap(self):
         roots, rho, _ = self.row(UniComplexPoly([1, -1, -1, 1]))  # (z - 1)^2 (z + 1)
@@ -502,9 +506,9 @@ class TestRootTraps:
     ], ids=["two-parabolas", "cubic-parabola"])
     def test_planar_orbits_from_the_trap_circle_meet_the_bound(self, f, box):
         N, roots = build_newton_plane(f), system_real_roots(f, box, tol=1e-12)
-        rho, K = plane_traps(f, roots, 1e-8)
+        rho, K = N.traps(roots, 1e-8)
         assert roots and (rho > 0).all()
-        for (a, b), radius, steps in zip(roots, rho[0], K[0]):
+        for (a, b), radius, steps in zip(roots, rho, K):
             for t in np.linspace(0, 2 * np.pi, 16, endpoint=False):
                 pt = (a + radius * math.cos(t), b + radius * math.sin(t))
                 for k in range(steps + 1):

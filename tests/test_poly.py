@@ -42,6 +42,24 @@ def test_eval_simple_points():
     assert q.eval(2.0, 0.0) == 6.0
 
 
+def test_horner_keeps_the_dense_rule_on_arrays_and_takes_0d_input():
+    # arrays go through row_polyval, which applies this rule bit for bit; a
+    # 0-d array, which row_polyval cannot broadcast, takes the scalar loop
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    for p in (UniComplexPoly([2.0, -1.0, 0.0, 3.0]), UniComplexPoly([1j, 2.0, -0.5 + 1j])):
+        for pts in (z, z.real, z[0]):
+            real = p.has_real_coefficients and not np.iscomplexobj(pts)
+            coeffs = [c.real if real else c for c in p.coefficients]
+            want = np.full(pts.shape, coeffs[-1], float if real else complex)
+            for c in reversed(coeffs[:-1]):
+                want = want * pts + c
+            got = p.horner(pts)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert p.horner(np.array(pts.flat[0])) == pytest.approx(want.flat[0], rel=1e-15)
+
+
 def test_diff_monomial():
     p = parse_poly("3*x^2*y")
     assert p.diff(0) == parse_poly("6*x*y")
@@ -1007,7 +1025,7 @@ PINNED_CONSTRUCTION_DIGESTS = {
 def test_program_constructions_keep_their_bits():
     """Newton numerators and denominators, num - z*den, the plane map of a
     complex polynomial, the cleared planar system and the shifted
-    compositions of plane_traps keep every coefficient bit."""
+    compositions of NewtonPlaneMap.traps keep every coefficient bit."""
     from newtondyn.newton import build_newton_complex
 
     rng = np.random.default_rng(23)
@@ -1038,7 +1056,7 @@ def test_program_constructions_keep_their_bits():
         for zx, zy in shifts:
             g = _cleared_plane_system(N, zx, zy)
             h.update(_terms_bytes(g.first) + _terms_bytes(g.second))
-            # plane_traps' Taylor shifts, of f and of its |coefficient| form
+            # NewtonPlaneMap.traps' Taylor shifts, of f and of its |coefficient| form
             for c in (f.first, f.second):
                 h.update(_terms_bytes(c.compose(x + zx, y + zy)))
                 on_abs = MultiPoly([(m, abs(v)) for m, v in c.terms])
