@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import CODE_CYCLE, OccupancyRaster
 from .newton import build_newton_complex, measure_invariance_defect
-from .poly import map_tiles, univariate_complex_roots
+from .poly import _horner_columns, map_tiles, univariate_complex_roots
 from .backward import directed_pixel_distance
 
 __all__ = [
@@ -66,9 +66,15 @@ def _real_rational(N):
 
 
 def _make_step(num, den):
+    """x -> num(x) / den(x).  A float array takes horner's real arithmetic,
+    in place, on coefficient lists read once; other input takes horner."""
+    rows = [[c.real for c in p.coefficients] or [0.0] for p in (num, den)]
+
     def step(x):
         with np.errstate(all="ignore"):
-            return num.horner(x) / den.horner(x)
+            if np.ndim(x) == 0 or x.dtype != np.float64:
+                return num.horner(x) / den.horner(x)
+            return _horner_columns(rows[0], x) / _horner_columns(rows[1], x)
 
     return step
 
@@ -126,6 +132,9 @@ def _scan_pieces(step, k, a, b, samples, cert_rtol, rtol):
         if live.size == 0:
             break
         m = 0.5 * (ax[live] + bx[live])
+        # a bracket whose midpoint is an end would only rewrite what it holds
+        moving = (m != ax[live]) & (m != bx[live])
+        live, m = live[moving], m[moving]
         fm = _iterate(step, m, k) - m
         # +1 keeps the sign of fa and -1 flips it; at 0 (an exact zero) the
         # bracket collapses to m and at NaN (a non-finite value) it freezes

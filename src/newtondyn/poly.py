@@ -14,6 +14,7 @@ cumulative powers for more (eval_many).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -503,7 +504,12 @@ def univariate_complex_roots(p, tol=1e-10):
     if p.degree < 1:
         raise ValueError("root solver needs degree >= 1")
     C = np.array(p.coefficients, dtype=complex)
-    roots = _polish_rows(C[None], np.roots(C[::-1]).astype(complex)[None])[0]
+    # np.roots(C[::-1]) unchecked: eigenvalues, then a zero root per zero low coefficient
+    low = int(np.flatnonzero(C)[0])
+    A = np.eye(len(C) - 1 - low, k=-1, dtype=complex)
+    A[:1] = -C[low:][-2::-1] / C[-1]
+    seeds = np.concatenate((np.linalg.eigvals(A), np.zeros(low, complex)))
+    roots = _polish_rows(C[None], seeds[None])[0]
     bound = tol * (1.0 + np.abs(roots)) ** p.degree * p.max_abs_coeff()
     resid = np.abs(p.horner(roots))
     if (resid > bound).any():
@@ -531,7 +537,8 @@ def row_polyval(coeff_rows, z):
 
 
 def _horner_columns(CT, z):
-    """row_polyval on a transposed tile: column k of CT at the roots in z[:, k]."""
+    """row_polyval on a transposed tile: column k of CT at the roots in
+    z[:, k]; on a real z, a list CT of floats is one polynomial."""
     out = np.empty_like(z)
     out[...] = CT[-1]
     for c in CT[-2::-1]:
@@ -651,6 +658,8 @@ def batched_complex_roots(coeff_rows):
 # exclusion, leaf centers polished by damped Newton, merged and sorted.
 
 _X_THEN_Y = np.array([[True], [False]])
+# levels cached unfiltered, and live boxes that force a test (docs/decisions.md)
+_GRID_LEVELS, _BATCH = 10, 512
 
 
 def _enclosure(polys):
@@ -761,6 +770,29 @@ def _newton_polish_batch(system, x, y, max_step, iters=60):
     return out[0], out[1]
 
 
+def _halve(boxes):
+    """Boxes cut across their longer side (x on ties): left halves, then right."""
+    side = boxes[1::2] - boxes[0::2]  # [width; height]
+    mid = 0.5 * (boxes[0::2] + boxes[1::2])
+    cut = (side[0] >= side[1]) == _X_THEN_Y  # [cut x; cut y]
+    n = boxes.shape[1]
+    out = np.concatenate((boxes, boxes), axis=1)
+    np.copyto(out[1::2, :n], mid, where=cut)
+    np.copyto(out[0::2, n:], mid, where=cut)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(box, leaf_side, most):
+    """(levels, boxes): box halved `most` times, or up to the first level with a
+    leaf-size box, read-only.  box is the bounds' float.hex: -0.0 keys apart."""
+    boxes, levels = np.array([[float.fromhex(v)] for v in box]), 0
+    while levels < most and not (np.max(boxes[1::2] - boxes[0::2], axis=0) <= leaf_side).any():
+        boxes, levels = _halve(boxes), levels + 1
+    boxes.flags.writeable = False
+    return levels, boxes
+
+
 def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     """All regular real solutions of f = 0 in a rectangle, sorted
     lexicographically.
@@ -772,48 +804,45 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     2-cycle; points closer than 10*tol are merged.  Leaf boxes that survive
     exclusion but yield no converged point are collected as unresolved
     (returned when return_unresolved is set) rather than treated as fatal.
+    The enclosure is inclusion-isotone, so the test waits for a leaf-size box, the
+    last level or over _BATCH boxes: leaves and their order stay those of a test per level.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in box)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("box must have positive width and height")
     diag0 = math.hypot(xmax - xmin, ymax - ymin)
     leaf_side = max(diag0 / 4096.0, 1e3 * tol)
-    system = _plane_system(f.first, f.second)
 
+    # one box per column; the levels before `first` hold no leaf and skip their test
+    key = tuple(map(float.hex, (xmin, xmax, ymin, ymax)))
+    first, boxes = _grid(key, leaf_side, min(_GRID_LEVELS, max_depth - 1))
     enclose = _enclosure((f.first, f.second))
-    boxes = np.array([[xmin], [xmax], [ymin], [ymax]])  # one box per column
     leaves = []
-    for _ in range(max_depth):
-        f_lo, f_hi = enclose(boxes).transpose(1, 0, 2)  # (component, box) each
-        boxes = boxes.compress(np.logical_and.reduce((f_lo <= 0.0) & (f_hi >= 0.0)), axis=1)
-        if boxes.shape[1] == 0:
-            break
+    for level in range(first, max_depth):
         side = boxes[1::2] - boxes[0::2]  # [width; height]
         small = np.maximum(side[0], side[1]) <= leaf_side
+        if level == max_depth - 1 or boxes.shape[1] > _BATCH or small.any():
+            f_lo, f_hi = enclose(boxes).transpose(1, 0, 2)  # (component, box) each
+            keep = np.logical_and.reduce((f_lo <= 0.0) & (f_hi >= 0.0))
+            boxes, small = boxes.compress(keep, axis=1), small.compress(keep)
         if small.any():
             leaves.append(boxes.compress(small, axis=1))
-            boxes, side = boxes.compress(~small, axis=1), side.compress(~small, axis=1)
-            if boxes.shape[1] == 0:
-                break
-        # halve across the longer side (x on ties): left halves, then right
-        mid = 0.5 * (boxes[0::2] + boxes[1::2])
-        cut = (side[0] >= side[1]) == _X_THEN_Y  # [cut x; cut y]
-        n = boxes.shape[1]
-        boxes = np.concatenate((boxes, boxes), axis=1)
-        np.copyto(boxes[1::2, :n], mid, where=cut)
-        np.copyto(boxes[0::2, n:], mid, where=cut)
+            boxes = boxes.compress(~small, axis=1)
+        if boxes.shape[1] == 0:
+            break
+        boxes = _halve(boxes)
     if boxes.shape[1]:
         # depth exhausted before reaching leaf size
         leaves.append(boxes)
 
     points, unresolved = [], []
     if leaves:
-        leaves = np.hstack(leaves)
+        leaves, system = np.hstack(leaves), _plane_system(f.first, f.second)
         lo, hi = leaves[0::2], leaves[1::2]  # [xlo; ylo] and [xhi; yhi]
         px, py = _newton_polish_batch(system, *(0.5 * (lo + hi)), max_step=4.0 * leaf_side)
         pts, margin = np.array([px, py]), 100.0 * tol
         # a kept point is within two leaf sides of its leaf and in the box
-        good = ((np.maximum(np.abs(f.first.eval(px, py)), np.abs(f.second.eval(px, py))) <= tol)
+        good = ((np.abs(system(px, py)[:2]).max(0) <= tol)
                 & ((pts >= lo - 2.0 * (hi - lo)) & (pts <= hi + 2.0 * (hi - lo))).all(0)
                 & (pts >= [[xmin - margin], [ymin - margin]]).all(0)
                 & (pts <= [[xmax + margin], [ymax + margin]]).all(0))

@@ -4,7 +4,7 @@ extraction, and ghost-line probing."""
 import numpy as np
 import pytest
 
-from newtondyn import poly
+from newtondyn import analysis, poly
 from newtondyn.poly import UniComplexPoly, MultiPoly, PlaneMap, worker_threads
 from newtondyn.newton import (
     GhostLine,
@@ -311,6 +311,72 @@ class TestCensusMatchesScalarReference:
                 assert _record_bits(enumerate_cycles_1d(N, period, interval, **kw)) == expected
                 found += len(expected)
         assert found > 0
+
+
+def _reference_make_step(num, den):
+    """Reference: the census step as it was before it read its coefficient
+    lists once, every call through MultiPoly.horner."""
+    def step(x):
+        with np.errstate(all="ignore"):
+            return num.horner(x) / den.horner(x)
+
+    return step
+
+
+def _reference_scan_pieces(step, k, a, b, samples, cert_rtol, rtol):
+    """Reference: analysis._scan_pieces as it was before brackets that stopped
+    moving left the live set, kept as it was less its comments."""
+    pad = 1e-9 * (b - a)
+    start, stop = a + pad, b - pad
+    owner = np.repeat(np.arange(a.size), samples)
+    first = np.cumsum(samples) - samples
+    xs = (np.arange(owner.size) - first[owner]) * ((stop - start) / (samples - 1))[owner]
+    xs += start[owner]
+    xs[first + samples - 1] = stop
+    g = analysis._iterate(step, xs, k) - xs
+    ok = np.isfinite(g)
+    zeros = np.flatnonzero(g == 0.0)
+    sgn = np.sign(g)
+    flips = np.flatnonzero(ok[:-1] & ok[1:] & (sgn[:-1] * sgn[1:] < 0)
+                           & (owner[:-1] == owner[1:]))
+    ax, bx, fa = xs[flips], xs[flips + 1], g[flips]
+    live = np.arange(flips.size)
+    for _ in range(90):
+        if live.size == 0:
+            break
+        m = 0.5 * (ax[live] + bx[live])
+        fm = analysis._iterate(step, m, k) - m
+        s = np.where(np.isfinite(fm), np.sign(fm) * np.sign(fa[live]), np.nan)
+        ax[live[s >= 0]], fa[live[s >= 0]] = m[s >= 0], fm[s >= 0]
+        bx[live[s <= 0]] = m[s <= 0]
+        live = live[np.abs(s) == 1]
+    m = 0.5 * (ax + bx)
+    res = analysis._iterate(step, m, k) - m
+    cert = np.isfinite(res) & (np.abs(res) <= cert_rtol * (1.0 + np.abs(m)))
+    values = np.concatenate([xs[zeros], m[cert]])
+    piece = np.concatenate([owner[zeros], owner[flips[cert]]])
+    order = np.lexsort((values, piece))
+    groups = np.split(values[order], np.searchsorted(piece[order], np.arange(1, a.size)))
+    return [_dedupe_sorted(v.tolist(), rtol) for v in groups]
+
+
+def _record_words(records):
+    return [(r.period, np.array(r.points).view(np.uint64).tolist(),
+             np.array(r.multiplier).view(np.uint64).item(), r.stability) for r in records]
+
+
+@pytest.mark.parametrize("coeffs", [CUBIC.coefficients, *TestCensusMatchesScalarReference.MAPS.values()],
+                         ids=["cubic", *TestCensusMatchesScalarReference.MAPS])
+def test_census_matches_reference_scan_and_step(monkeypatch, coeffs):
+    # frozen brackets leave the live set and the step reads its coefficient
+    # lists once; neither may move a bit of any record
+    N = build_newton_complex(UniComplexPoly(coeffs))
+    got = [enumerate_cycles_1d(N, period, (-10.0, 10.0)) for period in range(1, 6)]
+    monkeypatch.setattr(analysis, "_scan_pieces", _reference_scan_pieces)
+    monkeypatch.setattr(analysis, "_make_step", _reference_make_step)
+    want = [enumerate_cycles_1d(N, period, (-10.0, 10.0)) for period in range(1, 6)]
+    assert [_record_words(r) for r in got] == [_record_words(r) for r in want]
+    assert sum(map(len, got)) > 0
 
 
 def _reference_lost(p, x, real_roots, budget, conv_rtol):

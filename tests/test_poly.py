@@ -23,10 +23,11 @@ from newtondyn.poly import (
 )
 from newtondyn import poly
 from newtondyn.backward import _cleared_plane_system
-from newtondyn.newton import build_newton_plane
+from newtondyn.newton import build_newton_plane, homogenize_newton
 from newtondyn.poly import (
     _aberth_rows,
     _enclosure,
+    _halve,
     _merge_points,
     _newton_polish_batch,
     _plane_system,
@@ -812,23 +813,102 @@ def test_stacked_subdivision_matches_reference_bit_for_bit():
     maps = [(parse_plane_map("y - x^2", "x - 2 + 4*y - y^2"), (-20.0, 20.0, -24.0, 10.0), 100),
             (parse_plane_map("x^3 - x^2 + y", "x + 0.5 - y^2"), (-3.0, 3.0, -3.0, 3.0), 50),
             (complex_poly_to_plane_map(UniComplexPoly([-1, 0, 0, 1])), (-2.0, 2.0, -2.0, 2.0), 50)]
-    cases = []
+    systems = []
     for f, box, count in maps:
         N = build_newton_plane(f)
-        cases += [(_cleared_plane_system(N, *z), box, 60)
-                  for z in rng.uniform(-3.0, 3.0, size=(count, 2))]
+        systems.append([(_cleared_plane_system(N, *z), box)
+                        for z in rng.uniform(-3.0, 3.0, size=(count, 2))])
+    cases = [(g, box, 60, 1e-10) for pairs in systems for g, box in pairs]
     # depth runs out long before leaf size, and a near miss leaves many
     # unresolved leaves, whose order must hold too
-    cases += [(cases[0][0], cases[0][1], 7),
-              (parse_plane_map("y - x^2", "x^2 + 1e-7 - y"), (-2.0, 2.0, -2.0, 2.0), 60)]
+    near_miss = parse_plane_map("y - x^2", "x^2 + 1e-7 - y")
+    cases += [(*systems[0][0], 7, 1e-10), (near_miss, (-2.0, 2.0, -2.0, 2.0), 60, 1e-10)]
+    # depth runs out on either side of the levels that skip their test
+    cases += [(g, box, depth, 1e-10) for g, box in (pairs[0] for pairs in systems)
+              for depth in (3, 9, 10, 11, 12, 13)]
+    # bounds that are not dyadic, so midpoints round
+    odd = (-0.3, 0.7, -1 / 3, 2 / 3)
+    cases += [(g, odd, 60, 1e-10) for pairs in systems for g, _ in pairs[:4]]
+    cases += [(near_miss, odd, 60, 1e-10)]
+    # leaves sized by 1e3 * tol, reached before and after the skipped levels
+    cases += [(g, box, 60, tol) for pairs in systems for g, box in pairs[:2] for tol in (1e-3, 2e-5)]
     unresolved_leaves = 0
-    for g, box, depth in cases:
-        want, want_left = _reference_system_real_roots(g, box, max_depth=depth)
-        got, got_left = system_real_roots(g, box, max_depth=depth, return_unresolved=True)
+    for g, box, depth, tol in cases:
+        want, want_left = _reference_system_real_roots(g, box, tol=tol, max_depth=depth)
+        got, got_left = system_real_roots(g, box, tol=tol, max_depth=depth, return_unresolved=True)
         assert np.array_equal(_bits(got, 2), _bits(want, 2))
         assert np.array_equal(_bits(got_left, 4), _bits(want_left, 4))
         unresolved_leaves += len(got_left)
     assert unresolved_leaves > 0
+
+
+def _isotonicity_systems(rng):
+    """The systems whose enclosures subdivision skips: cleared Newton-preimage
+    systems of the three maps above at random targets, and the ghost config's
+    map with the chart systems its indeterminacy search solves."""
+    ghost = parse_plane_map("x^3 - x^2 + y", "x + 0.5 - y^2")
+    out = [(ghost.first, ghost.second)]
+    for f in (parse_plane_map("y - x^2", "x - 2 + 4*y - y^2"), ghost,
+              complex_poly_to_plane_map(UniComplexPoly([-1, 0, 0, 1]))):
+        N = build_newton_plane(f)
+        for z in rng.uniform(-3.0, 3.0, size=(4, 2)):
+            g = _cleared_plane_system(N, *z)
+            out.append((g.first, g.second))
+    P, _ = homogenize_newton(build_newton_plane(ghost))
+    for axis in range(3):
+        charts = [c.chart(axis) for c in P.components if not c.chart(axis).is_zero]
+        out += [tuple(charts[:2])] if len(charts) >= 2 else []
+    return out
+
+
+def test_enclosure_is_inclusion_isotone():
+    # subdivision tests a box only where the outcome is read, which is exact
+    # only if every sub-box's enclosure lies inside its parent's: sub-boxes
+    # here are random, the halves the subdivision makes, and boxes one ulp
+    # in from an end, over parents of many widths that often straddle 0
+    rng = np.random.default_rng(41)
+    n = 400
+    for polys in _isotonicity_systems(rng):
+        enclose = _enclosure(polys)
+        center = rng.uniform(-4.0, 4.0, size=(2, n))
+        center[:, :40] = 0.0
+        half = 10.0 ** rng.uniform(-8.0, 0.7, size=(2, n))
+        lo, hi = center - half, center + half
+        parents = np.array([lo[0], hi[0], lo[1], hi[1]])
+        t = np.sort(rng.uniform(0.0, 1.0, size=(2, 2, n)), axis=1)
+        t[:, 0, :100], t[:, 1, 100:200] = 0.0, 1.0  # sub-boxes sharing an end
+        sub_lo = np.clip(lo + t[:, 0] * (hi - lo), lo, hi)
+        sub_hi = np.clip(lo + t[:, 1] * (hi - lo), sub_lo, hi)
+        inward = np.array([np.nextafter(parents[0], np.inf), parents[1],
+                           parents[2], np.nextafter(parents[3], -np.inf)])
+        children = [np.array([sub_lo[0], sub_hi[0], sub_lo[1], sub_hi[1]]), inward]
+        halves = _halve(parents)
+        children += [halves[:, :n], halves[:, n:]]
+        outer = enclose(parents)
+        for child in children:
+            inner = enclose(child)
+            assert (inner[:, 0] >= outer[:, 0]).all() and (inner[:, 1] <= outer[:, 1]).all()
+
+
+def test_subdivision_tests_few_batches(monkeypatch):
+    # the work count that deferred exclusion cuts: one enclosure test per
+    # bisection level would make 25 calls per solve on this map and box
+    N = build_newton_plane(parse_plane_map("y - x^2", "x - 2 + 4*y - y^2"))
+    calls, plan = [], poly._enclosure
+
+    def counting(polys):
+        enclose = plan(polys)
+
+        def counted(B):
+            calls[-1] += 1
+            return enclose(B)
+        return counted
+
+    monkeypatch.setattr(poly, "_enclosure", counting)
+    for z in np.random.default_rng(43).uniform(-3.0, 3.0, size=(50, 2)):
+        calls.append(0)
+        system_real_roots(_cleared_plane_system(N, *z), (-20.0, 20.0, -24.0, 10.0))
+    assert np.median(calls) <= 5
 
 
 def _reference_polish_rows(C, roots):
