@@ -66,14 +66,11 @@ def _real_rational(N):
 
 
 def _make_step(num, den):
-    """x -> num(x) / den(x).  A float array takes horner's real arithmetic,
-    in place, on coefficient lists read once; other input takes horner."""
+    """x -> num(x) / den(x): horner's real loop, in place, on lists read once."""
     rows = [[c.real for c in p.coefficients] or [0.0] for p in (num, den)]
 
     def step(x):
         with np.errstate(all="ignore"):
-            if np.ndim(x) == 0 or x.dtype != np.float64:
-                return num.horner(x) / den.horner(x)
             return _horner_columns(rows[0], x) / _horner_columns(rows[1], x)
 
     return step

@@ -537,8 +537,7 @@ def row_polyval(coeff_rows, z):
 
 
 def _horner_columns(CT, z):
-    """row_polyval on a transposed tile: column k of CT at the roots in
-    z[:, k]; on a real z, a list CT of floats is one polynomial."""
+    """row_polyval's Horner loop in place: each row of CT, ascending, broadcasts against z."""
     out = np.empty_like(z)
     out[...] = CT[-1]
     for c in CT[-2::-1]:
@@ -804,8 +803,8 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     2-cycle; points closer than 10*tol are merged.  Leaf boxes that survive
     exclusion but yield no converged point are collected as unresolved
     (returned when return_unresolved is set) rather than treated as fatal.
-    The enclosure is inclusion-isotone, so the test waits for a leaf-size box, the
-    last level or over _BATCH boxes: leaves and their order stay those of a test per level.
+    While its bounds stay finite the enclosure is inclusion-isotone: the test waits for a
+    leaf-size box, the last level or over _BATCH boxes, and leaves stay those of a test per level.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in box)
     if not (xmax > xmin and ymax > ymin):
@@ -813,15 +812,19 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     diag0 = math.hypot(xmax - xmin, ymax - ymin)
     leaf_side = max(diag0 / 4096.0, 1e3 * tol)
 
+    # bounds under 2^996 stay finite, so no NaN breaks isotonicity (docs/decisions.md)
+    polys, reach = (f.first, f.second), max(1.0, *map(abs, (xmin, xmax, ymin, ymax)))
+    scale = sum(abs(c) for p in polys for _, c in p.terms) or 1.0
+    defer = math.log2(reach) * max(1, *(p.degree for p in polys)) + math.log2(scale) < 996
     # one box per column; the levels before `first` hold no leaf and skip their test
     key = tuple(map(float.hex, (xmin, xmax, ymin, ymax)))
-    first, boxes = _grid(key, leaf_side, min(_GRID_LEVELS, max_depth - 1))
-    enclose = _enclosure((f.first, f.second))
+    first, boxes = _grid(key, leaf_side, min(_GRID_LEVELS, max_depth - 1) if defer else 0)
+    enclose = _enclosure(polys)
     leaves = []
     for level in range(first, max_depth):
         side = boxes[1::2] - boxes[0::2]  # [width; height]
         small = np.maximum(side[0], side[1]) <= leaf_side
-        if level == max_depth - 1 or boxes.shape[1] > _BATCH or small.any():
+        if not defer or level == max_depth - 1 or boxes.shape[1] > _BATCH or small.any():
             f_lo, f_hi = enclose(boxes).transpose(1, 0, 2)  # (component, box) each
             keep = np.logical_and.reduce((f_lo <= 0.0) & (f_hi >= 0.0))
             boxes, small = boxes.compress(keep, axis=1), small.compress(keep)

@@ -832,10 +832,15 @@ def test_stacked_subdivision_matches_reference_bit_for_bit():
     cases += [(near_miss, odd, 60, 1e-10)]
     # leaves sized by 1e3 * tol, reached before and after the skipped levels
     cases += [(g, box, 60, tol) for pairs in systems for g, box in pairs[:2] for tol in (1e-3, 2e-5)]
+    # bounds that overflow to inf, and to NaN on a box edge at 0: a level's
+    # test drops such a box, whose children could pass theirs
+    cases += [(g, (-s, s, -s, s), 60, 1e-10) for pairs in systems for g, _ in pairs[:2]
+              for s in (1e155, 1e300)]
     unresolved_leaves = 0
     for g, box, depth, tol in cases:
-        want, want_left = _reference_system_real_roots(g, box, tol=tol, max_depth=depth)
-        got, got_left = system_real_roots(g, box, tol=tol, max_depth=depth, return_unresolved=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, want_left = _reference_system_real_roots(g, box, tol=tol, max_depth=depth)
+            got, got_left = system_real_roots(g, box, tol=tol, max_depth=depth, return_unresolved=True)
         assert np.array_equal(_bits(got, 2), _bits(want, 2))
         assert np.array_equal(_bits(got_left, 4), _bits(want_left, 4))
         unresolved_leaves += len(got_left)
