@@ -9,8 +9,8 @@ compare.  Every job writes a JSON report; raster modes also write binary
 PPM images and alpha-random writes a CSV orbit dump.  All artifacts except
 the wall-clock timings inside the report are deterministic for a fixed
 config and seed.  --threads N sets how many threads solve the 8,192-row
-tiles of counterimage batches and of the batched root kernel (0, the
-default, means every usable core); forward classification and barna's
+tiles of counterimage batches (0, the default, means every usable core);
+forward classification, with the parameter scan's root rows, and barna's
 Monte-Carlo loop run in tiles of 65,536 points on the calling thread.
 Artifacts are byte-identical at any value, and the report records it.
 

@@ -16,8 +16,10 @@ central-difference Jacobian of the period-fold map, taken through the
 adapter's own vectorized step on all cycle points at once, and only
 multipliers below 1 are reported as cycles; everything else stays undecided.
 
-render_basins and parameter_scan run in map_tiles tiles of 65,536 points on
-the calling thread; each point is classified on its own, so no bit moves.
+render_basins and parameter_scan run in map_tiles tiles of 65,536 pixels on
+the calling thread, nesting no pool.  A tile makes its own pixel centers and
+writes its slice of the raster, so only the raster's 20 bytes grow per pixel;
+each point is classified on its own, so no bit moves.
 
 Iteration counts record the number of Newton steps applied when the
 classification became final, except that root hits record the first step of
@@ -242,15 +244,6 @@ def _classify(M, z, cfg):
     return res
 
 
-def _classify_tiles(fn, a):
-    """One _BatchResult from fn(tile) on every map_tiles tile of a."""
-    parts = map_tiles(fn, a)
-    res = _BatchResult(0)
-    for name in _BatchResult.__slots__:
-        setattr(res, name, np.concatenate([getattr(p, name) for p in parts]))
-    return res
-
-
 def _cycle_phase(M, z, idx, res, cfg):
     W = cfg.cycle_window
     trail = np.empty((W + 1, z.size), complex)
@@ -321,19 +314,25 @@ def classify_orbit(N, x0, roots, cfg=None):
 def render_basins(N, roots, window, width, height, cfg=None):
     """Classify the center of every pixel and return the coded raster."""
     cfg = cfg or ScanConfig()
-    window = Window.from_sequence(window)
-    X, Y = window.pixel_centers(width, height)
-    z = _pack(X, Y)
     M = _PackedPoints(N, roots, cfg)
-    res = _classify_tiles(lambda t: _classify(M, t, cfg), z)
-    return _raster(window, width, height, res)
+    return _stream_raster(window, width, height, lambda x, y: _classify(M, _pack(x, y), cfg))
 
 
-def _raster(window, width, height, res):
-    shape = (height, width)
-    return BasinRaster(window, width, height, res.code.reshape(shape),
-                       res.iterations.reshape(shape),
-                       res.period.reshape(shape), res.multiplier.reshape(shape))
+def _stream_raster(window, width, height, classify):
+    """The raster of classify(x, y) -> _BatchResult on the pixel centers of
+    each map_tiles tile of pixels, written into the tile's own slice, so
+    only the raster itself grows with the pixel count."""
+    window = Window.from_sequence(window)
+    out = [np.empty((height, width), t) for t in (np.int32, np.int32, np.int32, float)]
+
+    def tile(t):
+        i = np.arange(t.start, t.stop)
+        res = classify(*window.center_of(i // width, i % width, width, height))
+        for a, name in zip(out, ("code", "iterations", "period", "multiplier")):
+            a.reshape(-1)[t.start:t.stop] = getattr(res, name)
+
+    map_tiles(tile, range(width * height))
+    return BasinRaster(window, width, height, *out)
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +357,25 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
 
     Root codes index into each parameter's own lexicographically sorted root
     list; parameters whose polynomial degenerates below degree 1 or has a
-    coefficient past the float range are marked undecided.  Members are
-    solved and iterated in one batch per degree.
+    coefficient past the float range are marked undecided.  The members of
+    a tile are solved and iterated in one batch per degree.
     """
     cfg = cfg or ScanConfig()
-    window = Window.from_sequence(window)
-    X, Y = window.pixel_centers(width, height)
-    C = _family_coefficients(family, (X + 1j * Y).ravel())
+    return _stream_raster(window, width, height,
+                          lambda x, y: _scan_tile(family, seed, x + 1j * y, cfg))
+
+
+def _scan_tile(family, seed, a_values, cfg):
+    """parameter_scan's _BatchResult on one tile of parameter values."""
+    C = _family_coefficients(family, a_values)
     C[~np.isfinite(C).all(axis=1)] = 0  # undecided, like a degenerate member
-    deg_full = C.shape[1] - 1
     # trim per-row trailing zeros to find each member's true degree
     nz = np.abs(C) > 0
-    degrees = np.where(nz.any(axis=1), deg_full - np.argmax(nz[:, ::-1], axis=1), -1)
+    degrees = np.where(nz.any(axis=1), C.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
     res = _BatchResult(C.shape[0])
     for d in np.unique(degrees[degrees >= 1]):
         rows = np.nonzero(degrees == d)[0]
-        part = _classify_tiles(
-            lambda c: _classify(_FamilyRows(c, cfg),
-                                np.full(len(c), complex(seed)), cfg), C[rows, : d + 1])
+        part = _classify(_FamilyRows(C[rows, : d + 1], cfg), np.full(rows.size, complex(seed)), cfg)
         for name in _BatchResult.__slots__:
             getattr(res, name)[rows] = getattr(part, name)
-    return _raster(window, width, height, res)
+    return res

@@ -160,27 +160,35 @@ class NewtonPlaneMap:
         return (x - s1, y - s2)
 
     def step_many(self, x, y):
-        """Vectorized step with the same pivoting; returns (nx, ny, singular)."""
-        a, b, c, d, r1, r2 = self._values(x, y)
-        # eval_many's values are arrays already; + 0.0 turns -0 into +0
-        a, b, c, d, r1, r2 = (v + 0.0 for v in (a, b, c, d, r1, r2))
-        det = a * d - b * c
-        norm_inf = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
-        singular = np.abs(det) < SINGULAR_RTOL * (1.0 + norm_inf)
-        swap = np.abs(c) > np.abs(a)
-        a2, b2, t1, c2, d2, t2 = (np.where(swap, u, v) for u, v in
-                                  ((c, a), (d, b), (r2, r1), (a, c), (b, d), (r1, r2)))
-        safe_a = np.where(singular | (a2 == 0.0), 1.0, a2)
-        m = c2 / safe_a
-        denom = d2 - m * b2
-        safe_denom = np.where(singular | (denom == 0.0), 1.0, denom)
-        s2 = (t2 - m * t1) / safe_denom
-        s1 = (t1 - b2 * s2) / safe_a
-        nx = x - s1
-        ny = y - s2
-        bad = ~(np.isfinite(nx) & np.isfinite(ny))
-        singular = singular | bad
-        return (np.where(singular, x, nx), np.where(singular, y, ny), singular)
+        """Vectorized step with the same pivoting; returns (nx, ny, singular).
+        The arithmetic runs in place, in the six fresh arrays of its own
+        eval_many call and four scratch arrays, in the order of x - J^-1 f."""
+        shape = np.broadcast(x, y).shape
+        # + 0.0 turns -0 into +0; a value not of full shape gets its own array
+        a, b, c, d, r1, r2 = (np.add(v, 0.0, out=v if type(v) is np.ndarray and v.shape == shape
+                                     else np.empty(shape)) for v in self._values(x, y))
+        det, p, q, r = (np.empty(shape) for _ in range(4))
+        np.subtract(np.multiply(a, d, out=det), np.multiply(b, c, out=p), out=det)
+        np.add(np.abs(a, out=p), np.abs(b, out=q), out=p)
+        np.add(np.abs(c, out=q), np.abs(d, out=r), out=q)
+        floor = np.multiply(SINGULAR_RTOL, np.add(1.0, np.maximum(p, q, out=p), out=p), out=p)
+        singular = np.abs(det, out=det) < floor  # SINGULAR_RTOL (1 + ||J||_inf)
+        swap = np.abs(c, out=q) > np.abs(a, out=r)
+        for u, v in ((a, c), (b, d), (r1, r2)):  # rows swap: a, b, r1 := c, d, r2
+            np.copyto(p, u)
+            np.copyto(u, v, where=swap)
+            np.copyto(v, p, where=swap)
+        np.copyto(a, 1.0, where=singular | (a == 0.0))  # a: safe pivot
+        m = np.divide(c, a, out=c)
+        denom = np.subtract(d, np.multiply(m, b, out=p), out=d)
+        np.copyto(denom, 1.0, where=singular | (denom == 0.0))
+        s2 = np.divide(np.subtract(r2, np.multiply(m, r1, out=p), out=r2), denom, out=r2)
+        s1 = np.divide(np.subtract(r1, np.multiply(b, s2, out=p), out=r1), a, out=r1)
+        nx, ny = np.subtract(x, s1, out=s1), np.subtract(y, s2, out=s2)
+        singular |= ~(np.isfinite(nx) & np.isfinite(ny))
+        np.copyto(nx, x, where=singular)
+        np.copyto(ny, y, where=singular)
+        return nx, ny, singular
 
     def step_packed(self, z):
         """step_many on points packed as x + iy; returns (packed, singular)."""

@@ -483,16 +483,17 @@ def worker_threads(n):
 def map_tiles(fn, a, rows=None, threads=False):
     """[fn(tile) for each tile] in order, a tile being a run of rows of a
     along axis 0 (_TILE_POINTS unless given).  With threads, tiles run on up
-    to worker_threads threads, never more than there are tiles, and the
-    count is 1 while they run, so a call made inside a tile nests no pool."""
+    to worker_threads threads, never more than there are tiles.  Every tile,
+    pooled or not, runs with the count at 1, so a call inside it nests no pool."""
     rows = rows or _TILE_POINTS
     tiles = [a[k:k + rows] for k in range(0, max(len(a), 1), rows)]
     workers = min(_workers, len(tiles)) if threads else 1
-    if workers == 1:
-        return [fn(t) for t in tiles]
-    # numpy releases the interpreter lock inside its loops, so tiles overlap
-    with ThreadPoolExecutor(workers) as pool, worker_threads(1):
-        return list(pool.map(fn, tiles))
+    with worker_threads(1):
+        if workers == 1:
+            return [fn(t) for t in tiles]
+        # numpy releases the interpreter lock inside its loops, so tiles overlap
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(fn, tiles))
 
 
 def univariate_complex_roots(p, tol=1e-10):
@@ -801,8 +802,8 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     candidate boxes; leaf centers are polished by 60 rounds of damped Newton
     to residual <= tol, stopping early only at an exact fixed point or
     2-cycle; points closer than 10*tol are merged.  Leaf boxes that survive
-    exclusion but yield no converged point are collected as unresolved
-    (returned when return_unresolved is set) rather than treated as fatal.
+    exclusion but yield no converged point, and boxes failed only by bounds that
+    overflowed to NaN, are unresolved (returned when return_unresolved is set).
     While its bounds stay finite the enclosure is inclusion-isotone: the test waits for a
     leaf-size box, the last level or over _BATCH boxes, and leaves stay those of a test per level.
     """
@@ -820,13 +821,17 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     key = tuple(map(float.hex, (xmin, xmax, ymin, ymax)))
     first, boxes = _grid(key, leaf_side, min(_GRID_LEVELS, max_depth - 1) if defer else 0)
     enclose = _enclosure(polys)
-    leaves = []
+    leaves, lost = [], []
     for level in range(first, max_depth):
         side = boxes[1::2] - boxes[0::2]  # [width; height]
         small = np.maximum(side[0], side[1]) <= leaf_side
         if not defer or level == max_depth - 1 or boxes.shape[1] > _BATCH or small.any():
             f_lo, f_hi = enclose(boxes).transpose(1, 0, 2)  # (component, box) each
-            keep = np.logical_and.reduce((f_lo <= 0.0) & (f_hi >= 0.0))
+            hold = (f_lo <= 0.0) & (f_hi >= 0.0)
+            keep = np.logical_and.reduce(hold)
+            if not defer:  # overflow: a box failed only by NaN-NaN bounds is unresolved
+                nan = np.logical_and.reduce(hold | (np.isnan(f_lo) & np.isnan(f_hi))) & ~keep
+                lost.append(boxes.compress(nan, axis=1))
             boxes, small = boxes.compress(keep, axis=1), small.compress(keep)
         if small.any():
             leaves.append(boxes.compress(small, axis=1))
@@ -851,6 +856,7 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
                 & (pts <= [[xmax + margin], [ymax + margin]]).all(0))
         points = list(zip(px[good], py[good]))
         unresolved = [tuple(row) for row in leaves[:, ~good].T]
+    unresolved += [tuple(row) for part in lost for row in part.T]
 
     merged = _merge_points(points, 10.0 * tol)
     merged.sort()

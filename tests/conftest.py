@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
 import pytest
 
 from newtondyn import poly
@@ -17,3 +19,21 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(poly, "ThreadPoolExecutor", RecordingPool)
     return sizes
+
+
+def _traced_peak(run):
+    """Peak traced bytes of one call of run, after a first call outside the
+    trace warms any first-call caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak():
+    """peak(run): the traced peak in bytes of one warm call of run."""
+    return _traced_peak

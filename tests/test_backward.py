@@ -3,7 +3,6 @@ trees, Hutchinson iteration, and raster distances."""
 
 import hashlib
 import math
-import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -891,22 +890,18 @@ class TestLevelBuffer:
         assert kids.size == parent.size == want_kids.size == want_parent.size == 0
         assert kids.dtype == complex and parent.dtype == np.int32
 
-    def test_peak_memory_near_returned_bytes(self):
+    def test_peak_memory_near_returned_bytes(self, peak):
         # z^3 - 1 at 262,144 targets: one tile's temporaries on top of the
         # level buffer come to 1.53x the returned bytes; concatenating the
         # tiles' own arrays peaked at 2.0x
         N = cubic_newton()
         rng = np.random.default_rng(5)
         targets = rng.uniform(-3, 3, 1 << 18) + 1j * rng.uniform(-3, 3, 1 << 18)
+        run = lambda: backward._complex_preimages_batch(N, targets)
         with poly.worker_threads(1):
-            tracemalloc.start()
-            try:
-                kids, parent = backward._complex_preimages_batch(N, targets)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert kids.size == 3 * targets.size
-        assert peak < 1.6 * (kids.nbytes + parent.nbytes)
+            kids, parent = run()
+            assert kids.size == 3 * targets.size
+            assert peak(run) < 1.6 * (kids.nbytes + parent.nbytes)
 
 
 class TestPlanarTreeDedup:
@@ -994,7 +989,7 @@ class TestBoundedComplexTree:
         assert not tree.partial and tree.count > 10 and level.size < 3 ** 7
         assert np.array_equal(tree.bits, want.bits)
 
-    def test_peak_memory_within_filter_after_batch(self, monkeypatch):
+    def test_peak_memory_within_filter_after_batch(self, monkeypatch, peak):
         # z^8 - 1 in a box off the origin keeps about a quarter of each
         # level's counterimages.  A level kept as a view of the batch's
         # buffer holds its 8 slots per target through the next batch and
@@ -1016,15 +1011,6 @@ class TestBoundedComplexTree:
 
         def tree():
             return backward_tree(N, z0, depth, domain=dom.as_tuple(), width=64, height=64)
-
-        def peak(run):
-            run()  # warm any first-call caches outside the trace
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
         with poly.worker_threads(1):
             level = filter_after_batch()

@@ -4,6 +4,7 @@ scans."""
 import numpy as np
 import pytest
 
+from newtondyn.backward import _complex_preimages_batch
 from newtondyn.grid import (
     CODE_CYCLE,
     CODE_ESCAPED,
@@ -453,8 +454,8 @@ class TestTiles:
         self._tiled_matches_untiled(monkeypatch, run, 16)
 
     def test_scan_tiles_run_on_the_calling_thread(self, monkeypatch, pools):
-        # each of the two scan tiles runs on the calling thread and solves
-        # its 128 family rows in 16 root tiles, which start one pool each
+        # each of the two scan tiles solves its 128 family rows in 16 root
+        # tiles on the calling thread: no pool starts inside a forward tile
         family = TestParameterScan.FAMILY
         run = lambda: parameter_scan(family, 0.0, (-2.3, 1.7, -2, 2), 16, 16)
         untiled = _raster_bits(run())
@@ -463,9 +464,33 @@ class TestTiles:
         pools.clear()
         with worker_threads(2):
             got = _raster_bits(run())
-        assert pools == [2, 2]
+        assert pools == []
         for a, b in zip(got, untiled):
             assert np.array_equal(a, b)
+
+    def test_top_level_counterimage_batch_starts_its_pool(self, monkeypatch, pools):
+        # the rule above is for calls inside a tile: a counterimage batch
+        # called at top level still runs its 16 root tiles on two threads
+        monkeypatch.setattr(poly, "_TILE_ROWS", 8)
+        N, _ = cubic_setup()
+        targets = np.linspace(-2, 2, 128) + 0.5j
+        with worker_threads(2):
+            kids, parent = _complex_preimages_batch(N, targets)
+        assert pools == [2]
+        assert kids.size == parent.size == 3 * targets.size
+
+    @pytest.mark.parametrize("job", ["planar-basins", "scan"])
+    def test_memory_grows_with_the_raster_not_the_tiles(self, monkeypatch, peak, job):
+        # a raster keeps 20 bytes per pixel; everything else lives in one tile
+        monkeypatch.setattr(poly, "_TILE_POINTS", 4096)
+        if job == "scan":
+            run = lambda n: parameter_scan(TestParameterScan.FAMILY, 0.0, (-2.3, 1.7, -2, 2), n, n)
+        else:
+            f = parse_plane_map("y - x^2", "x - 2 + 4*y - y^2")
+            N, roots = build_newton_plane(f), system_real_roots(f, (-4, 4, -2, 6), tol=1e-10)
+            run = lambda n: render_basins(N, roots, (-4, 4, -2, 6), n, n)
+        small, large = (peak(lambda: run(n)) for n in (128, 256))
+        assert large - small <= 32 * (256**2 - 128**2)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,72 @@ def _broadcasting_step_many(N, x, y):
     return (np.where(singular, x, nx), np.where(singular, y, ny), singular)
 
 
+def _out_of_place_step_many(N, x, y):
+    """NewtonPlaneMap.step_many as it was before it worked in place in its
+    own arrays, kept verbatim as the bitwise reference."""
+    a, b, c, d, r1, r2 = N._values(x, y)
+    # eval_many's values are arrays already; + 0.0 turns -0 into +0
+    a, b, c, d, r1, r2 = (v + 0.0 for v in (a, b, c, d, r1, r2))
+    det = a * d - b * c
+    norm_inf = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
+    singular = np.abs(det) < SINGULAR_RTOL * (1.0 + norm_inf)
+    swap = np.abs(c) > np.abs(a)
+    a2, b2, t1, c2, d2, t2 = (np.where(swap, u, v) for u, v in
+                              ((c, a), (d, b), (r2, r1), (a, c), (b, d), (r1, r2)))
+    safe_a = np.where(singular | (a2 == 0.0), 1.0, a2)
+    m = c2 / safe_a
+    denom = d2 - m * b2
+    safe_denom = np.where(singular | (denom == 0.0), 1.0, denom)
+    s2 = (t2 - m * t1) / safe_denom
+    s1 = (t1 - b2 * s2) / safe_a
+    nx = x - s1
+    ny = y - s2
+    bad = ~(np.isfinite(nx) & np.isfinite(ny))
+    singular = singular | bad
+    return (np.where(singular, x, nx), np.where(singular, y, ny), singular)
+
+
+class TestInPlacePlanarStep:
+    """step_many's in-place arithmetic against the out-of-place reference."""
+
+    @staticmethod
+    def points(rng, n):
+        x, y = rng.uniform(-3, 3, n), rng.uniform(-3, 3, n)
+        # signed zeros, exact zero pivots and singular Jacobians of the maps
+        # below (FOUR_REAL at (-0.5, 1.5), Z2M1_REAL at the origin), and
+        # overflowing or non-finite coordinates
+        x[:12] = [0.0, -0.0, -0.0, 0.0, -0.5, 0.0, 1e160, -1e200, np.inf, np.nan, 1.0, 2.0]
+        y[:12] = [0.0, -0.0, 0.0, -0.0, 1.5, 1.0, 1.0, 1e200, 0.0, 1.0, -np.inf, 1e308]
+        return x, y
+
+    @pytest.mark.parametrize("f", [FOUR_REAL, DECOUPLED, Z2M1_REAL,
+                                   parse_plane_map("1e300*x^3 - y", "x*y - 1e-300")])
+    def test_matches_out_of_place_reference_bit_for_bit(self, f):
+        N = build_newton_plane(f)
+        x, y = self.points(np.random.default_rng(17), 4000)
+        X, Y = x[:143].reshape(11, 13), y[:143].reshape(11, 13)
+        for xs, ys in ((x, y), (X, Y), (X.T, Y.T), (x[:1], y[:1]), (x[:0], y[:0])):
+            with np.errstate(all="ignore"):
+                got, want = N.step_many(xs, ys), _out_of_place_step_many(N, xs, ys)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == xs.shape and g.dtype == w.dtype
+                assert np.array_equal(g.view(np.uint8 if g.dtype == bool else np.uint64),
+                                      w.view(np.uint8 if w.dtype == bool else np.uint64))
+        with np.errstate(all="ignore"):
+            singular = N.step_many(x, y)[2]
+        assert singular[8] and singular[9] and not singular.all()
+
+    def test_returns_fresh_arrays(self):
+        N = build_newton_plane(FOUR_REAL)
+        x, y = self.points(np.random.default_rng(18), 100)
+        x0, y0 = x.copy(), y.copy()
+        with np.errstate(all="ignore"):
+            nx, ny, _ = N.step_many(x, y)
+        assert np.array_equal(x, x0, equal_nan=True) and np.array_equal(y, y0, equal_nan=True)
+        for v in (nx, ny):
+            assert v.base is None and not np.shares_memory(v, x) and not np.shares_memory(v, y)
+
+
 class TestComplexNewton:
     def test_cubic_map_coefficients(self):
         p = UniComplexPoly([-1, 0, 0, 1])  # z^3 - 1

@@ -732,7 +732,8 @@ def _reference_interval_eval(polys, xlo, xhi, ylo, yhi):
 
 def _reference_system_real_roots(f, box, tol=1e-10, max_depth=60):
     """Reference: system_real_roots as it was before the stacked-bound
-    subdivision, one box per row, kept verbatim; returns (roots, unresolved)."""
+    subdivision, one box per row, kept verbatim but for its boxes of NaN
+    bounds, which are unresolved; returns (roots, unresolved)."""
     xmin, xmax, ymin, ymax = (float(v) for v in box)
     diag0 = np.hypot(xmax - xmin, ymax - ymin)
     leaf_side = max(diag0 / 4096.0, 1e3 * tol)
@@ -741,13 +742,18 @@ def _reference_system_real_roots(f, box, tol=1e-10, max_depth=60):
     boxes = np.array([[xmin, xmax, ymin, ymax]])
     leaves = []
     unresolved = []
+    lost = []
     for _ in range(max_depth):
         if boxes.shape[0] == 0:
             break
         xlo, xhi, ylo, yhi = boxes.T
         keep = np.ones(boxes.shape[0], dtype=bool)
+        nan = np.ones(boxes.shape[0], dtype=bool)
         for lo, hi in _reference_interval_eval((f.first, f.second), xlo, xhi, ylo, yhi):
             keep &= (lo <= 0.0) & (hi >= 0.0)
+            # a component whose lower and upper bounds are both NaN excludes nothing
+            nan &= ((lo <= 0.0) & (hi >= 0.0)) | (np.isnan(lo) & np.isnan(hi))
+        lost += [tuple(row) for row in boxes[nan & ~keep]]
         boxes = boxes[keep]
         if boxes.shape[0] == 0:
             break
@@ -795,6 +801,7 @@ def _reference_system_real_roots(f, box, tol=1e-10, max_depth=60):
         points = list(zip(px[good], py[good]))
         for row in leaves[~good]:
             unresolved.append(tuple(row))
+    unresolved += lost
 
     merged = _merge_points(points, 10.0 * tol)
     merged.sort()
@@ -833,7 +840,8 @@ def test_stacked_subdivision_matches_reference_bit_for_bit():
     # leaves sized by 1e3 * tol, reached before and after the skipped levels
     cases += [(g, box, 60, tol) for pairs in systems for g, box in pairs[:2] for tol in (1e-3, 2e-5)]
     # bounds that overflow to inf, and to NaN on a box edge at 0: a level's
-    # test drops such a box, whose children could pass theirs
+    # test drops an excluded box, whose children could pass theirs, and
+    # reports a box of NaN bounds as unresolved
     cases += [(g, (-s, s, -s, s), 60, 1e-10) for pairs in systems for g, _ in pairs[:2]
               for s in (1e155, 1e300)]
     unresolved_leaves = 0
@@ -845,6 +853,26 @@ def test_stacked_subdivision_matches_reference_bit_for_bit():
         assert np.array_equal(_bits(got_left, 4), _bits(want_left, 4))
         unresolved_leaves += len(got_left)
     assert unresolved_leaves > 0
+
+
+def test_overflowing_enclosure_leaves_unresolved_boxes():
+    # z^3 - 1's cleared Newton-preimage system at (1, 2): past about 2e154 the
+    # halves of the box have NaN bounds, which exclude nothing, so they are
+    # reported unresolved as they are; smaller boxes keep their results
+    N = build_newton_plane(complex_poly_to_plane_map(UniComplexPoly([-1, 0, 0, 1])))
+    g = _cleared_plane_system(N, 1.0, 2.0)
+    solve = lambda s: system_real_roots(g, (-s, s, -s, s), return_unresolved=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in (2e154, 1e155, 1e300):
+            roots, left = solve(s)
+            assert roots == [] and len(left) >= 1
+            assert all(abs(v) <= s for box in left for v in box)
+        for s, counts in ((1e3, (3, 36)), (1e150, (0, 4))):
+            got, got_left = solve(s)
+            want, want_left = _reference_system_real_roots(g, (-s, s, -s, s))
+            assert np.array_equal(_bits(got, 2), _bits(want, 2))
+            assert np.array_equal(_bits(got_left, 4), _bits(want_left, 4))
+            assert (len(got), len(got_left)) == counts
 
 
 def _isotonicity_systems(rng):
