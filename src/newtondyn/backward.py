@@ -284,8 +284,8 @@ def _complex_preimages_batch(N, targets, dom=None):
 
     map_tiles runs the targets in tiles of _TILE_ROWS on worker_threads'
     threads.  A tile clears its rows num - z*den, groups them by effective
-    degree, solves each group with one batched_complex_roots call (serial in
-    a pooled tile) and keeps the roots that _accept passes, so the domain
+    degree, solves each group with one batched_complex_roots call (on the
+    tile's thread) and keeps the roots that _accept passes, so the domain
     filter runs per tile too; rows below degree 1 have no counterimage.
     Every row is solved on its own, so the tiling moves only the order of
     counterimages, within a level that mixes degrees.  Tiles write into

@@ -8,11 +8,11 @@ Modes: basins, alpha-tree, alpha-random, ifs, param-scan, barna, ghost,
 compare.  Every job writes a JSON report; raster modes also write binary
 PPM images and alpha-random writes a CSV orbit dump.  All artifacts except
 the wall-clock timings inside the report are deterministic for a fixed
-config and seed.  --threads N sets how many threads solve the 8,192-row
-tiles of counterimage batches (0, the default, means every usable core);
-forward classification, with the parameter scan's root rows, and barna's
-Monte-Carlo loop run in tiles of 65,536 points on the calling thread.
-Artifacts are byte-identical at any value, and the report records it.
+config and seed.  --threads N sets how many threads solve the 8,192-target
+tiles of complex counterimage batches (alpha-trees and the ifs set map), the
+one pooled stage; 0, the default, means every usable core.  Everything else,
+root solves included, runs on the calling thread.  Artifacts are
+byte-identical at any value, and the report records it.
 
 Exit codes: 0 success, 1 config or validation error, 2 runtime error.
 """
@@ -553,10 +553,7 @@ def _run_alpha_random(job, timings, artifacts):
                    job.newton, p["seed_point"], p["length"],
                    burn_in=p["burn_in"], prng_seed=job.prng_seed,
                    domain=p["domain"])
-    if job.map_kind == "planar":
-        xs, ys = [pt[0] for pt in orbit.points], [pt[1] for pt in orbit.points]
-    else:
-        xs, ys = [pt.real for pt in orbit.points], [pt.imag for pt in orbit.points]
+    xs, ys = np.array([_point_for_report(pt) for pt in orbit.points]).reshape(-1, 2).T
     cloud = OccupancyRaster.from_points(
         xs, ys, Window(*job.window), job.width, job.height,
         partial=orbit.truncated)
@@ -576,8 +573,7 @@ def _run_ifs(job, timings, artifacts):
     centers = p["disk_centers"]
     if centers is None:
         roots = _stage(timings, "find_roots", _roots_of, job)
-        centers = [(r.real, r.imag) if isinstance(r, complex) else r
-                   for r in roots]
+        centers = [_point_for_report(r) for r in roots]
     disks = [(cx, cy, p["disk_radius"]) for cx, cy in centers]
     win = Window(*job.window)
     initial = OccupancyRaster(
@@ -603,13 +599,14 @@ def _run_param_scan(job, timings, artifacts):
                     job.width, job.height, cfg=job.scan)
     fractions = {str(code): frac for code, frac in raster.fractions().items()}
     cycle_rows, cycle_cols = np.nonzero(raster.codes == CODE_CYCLE)
-    xs, ys = Window(*job.window).pixel_centers(job.width, job.height)
+    rows, cols = cycle_rows[:p["report_cycles"]], cycle_cols[:p["report_cycles"]]
+    xs, ys = Window(*job.window).center_of(rows, cols, job.width, job.height)
     cycles = [
-        {"parameter": [float(xs[row, col]), float(ys[row, col])],
+        {"parameter": [float(x), float(y)],
          "outcome": "cycle",
          "period": int(raster.period[row, col]),
          "multiplier": float(raster.multiplier[row, col])}
-        for row, col in list(zip(cycle_rows, cycle_cols))[:p["report_cycles"]]
+        for x, y, row, col in zip(xs, ys, rows, cols)
     ]
     artifacts["raster"] = raster
     return {
@@ -758,9 +755,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's prng_seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads for the 8,192-row tiles of counterimage "
-                             "and root solves (default 0: every usable core); "
-                             "the 65,536-point forward and barna tiles run on "
+                        help="threads for the 8,192-target tiles of complex "
+                             "counterimage batches, the one pooled stage "
+                             "(default 0: every usable core); all else runs on "
                              "one thread; artifacts are identical at any value")
     try:
         args = parser.parse_args(argv)

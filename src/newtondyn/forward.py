@@ -8,13 +8,14 @@ root hit after two consecutive iterates within root_tol of the same root, or
 (basins and classify_orbit) at the step it enters that root's trap (the
 map's traps(): a disk from which Newton's method provably converges) with
 enough budget left for that rule to confirm it; it is escaped once its
-norm exceeds escape_radius, and a singular hit when the Newton step
-degenerates.  Phase 2 re-examines survivors for attracting cycles: a
-trailing window of iterates is searched for the smallest period recurring
-within cycle_tol, the cycle multiplier is the spectral radius of the
-central-difference Jacobian of the period-fold map, taken through the
-adapter's own vectorized step on all cycle points at once, and only
-multipliers below 1 are reported as cycles; everything else stays undecided.
+norm exceeds escape_radius (a start point beyond it at iteration 0, unstepped),
+and a singular hit when the Newton step degenerates.  Phase 2 re-examines
+survivors for attracting cycles: a trailing window of iterates is searched
+for the smallest period recurring within cycle_tol, the cycle multiplier is
+the spectral radius of the central-difference Jacobian of the period-fold
+map, taken through the adapter's own vectorized step on all cycle points at
+once, and only multipliers below 1 are reported as cycles; everything else
+stays undecided.
 
 render_basins and parameter_scan run in map_tiles tiles of 65,536 pixels on
 the calling thread, nesting no pool.  A tile makes its own pixel centers and
@@ -138,23 +139,20 @@ class _BatchResult:
 # of budget left, and keep(mask) to follow the active-set compression.
 
 
-def _nearest(z, roots, tol, rho=None):
+def _nearest(z, roots, tol, rho):
     """Index of the root within tol of each point (the first on ties), else
-    -1.  roots has one row shared by all points or one row per point.  With
-    radii rho (one per shared root), also that index inside rho, else -1."""
+    -1, and that index inside radii rho (one per root column), else -1.
+    roots has one row shared by all points or one row per point."""
     if roots.shape[1] == 0:
         none = np.full(z.size, -1, np.int32)
-        return none if rho is None else (none, none)
+        return none, none
     best, h = np.abs(z - roots[:, 0]), np.zeros(z.size, np.int32)
     for j in range(1, roots.shape[1]):
         d = np.abs(z - roots[:, j])
         closer = d < best
         best = np.where(closer, d, best)
         h[closer] = j
-    hit = np.where(best <= tol, h, -1)
-    if rho is None:
-        return hit
-    return hit, np.where(best < rho[h], h, -1)
+    return np.where(best <= tol, h, -1), np.where(best < rho[h], h, -1)
 
 
 class _PackedPoints:
@@ -179,17 +177,17 @@ class _PackedPoints:
         pass
 
 
-class _FamilyRows:
+class _FamilyRows(_PackedPoints):
     """Row i is the Newton map of the polynomial with coefficient row C[i]
     (rows share their full degree d >= 1); point i is iterated by map i.
-    Rows have no traps: they settle by the two-iterate rule."""
+    Rows have a rational map's no traps (rho -1, K 8): the two-iterate rule settles them."""
 
     def __init__(self, C, cfg):
         self.C = C
         self.D = C[:, 1:] * np.arange(1, C.shape[1])[None, :]
         self.floor = SINGULAR_RTOL * np.abs(self.D)  # row_polyval at |z|: singular floor
         self.roots = batched_complex_roots(C)
-        self.tol = cfg.root_tol
+        self.tol, self.rho, self.K = cfg.root_tol, np.full(C.shape[1] - 1, -1.0), 8
 
     def step(self, z):
         pv = row_polyval(self.C, z)
@@ -199,10 +197,6 @@ class _FamilyRows:
             w = z - pv / np.where(singular, 1.0, dv)
         singular |= ~np.isfinite(w)
         return np.where(singular, 0.0, w), singular
-
-    def nearest(self, z, left):
-        hit = _nearest(z, self.roots, self.tol)
-        return hit, np.full_like(hit, -1)
 
     def keep(self, mask):
         for name in ("C", "D", "roots", "floor"):  # one copy alive at a time
@@ -219,7 +213,8 @@ def _classify(M, z, cfg):
     res = _BatchResult(z.size)
     idx = np.arange(z.size)
     hit, trap = M.nearest(z, cfg.max_iter)
-    live, confirm = np.ones(z.size, bool), np.zeros(z.size, bool)
+    live, confirm = ~(np.abs(z) > cfg.escape_radius), np.zeros(z.size, bool)
+    res.settle(idx[~live], CODE_ESCAPED, 0)  # before a first step could overflow
     for k in range(cfg.max_iter + 1):
         if k:
             w, sing = M.step(z)

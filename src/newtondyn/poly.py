@@ -483,17 +483,16 @@ def worker_threads(n):
 def map_tiles(fn, a, rows=None, threads=False):
     """[fn(tile) for each tile] in order, a tile being a run of rows of a
     along axis 0 (_TILE_POINTS unless given).  With threads, tiles run on up
-    to worker_threads threads, never more than there are tiles.  Every tile,
-    pooled or not, runs with the count at 1, so a call inside it nests no pool."""
+    to worker_threads threads, never more than there are tiles; only
+    counterimage batches ask for them, and nothing their tiles call does."""
     rows = rows or _TILE_POINTS
     tiles = [a[k:k + rows] for k in range(0, max(len(a), 1), rows)]
     workers = min(_workers, len(tiles)) if threads else 1
-    with worker_threads(1):
-        if workers == 1:
-            return [fn(t) for t in tiles]
-        # numpy releases the interpreter lock inside its loops, so tiles overlap
-        with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(fn, tiles))
+    if workers == 1:
+        return [fn(t) for t in tiles]
+    # numpy releases the interpreter lock inside its loops, so tiles overlap
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tiles))
 
 
 def univariate_complex_roots(p, tol=1e-10):
@@ -642,14 +641,14 @@ def batched_complex_roots(coeff_rows):
     (real, imag); no residual bound is enforced here.
 
     Rows are solved in tiles of _TILE_ROWS, so the iteration's temporaries
-    stay in cache, and map_tiles runs the tiles on worker_threads' threads.
-    Every row is solved on its own, so the result is bit-identical for any
-    number of rows in the call and any number of threads.
+    stay in cache, on the calling thread (its callers run inside a forward or
+    counterimage tile).  Every row is solved on its own, so the result is
+    bit-identical for any number of rows in the call.
     """
     C = np.asarray(coeff_rows, dtype=complex)
     if C.shape[1] < 2:
         raise ValueError("need degree >= 1 rows")
-    parts = map_tiles(_tile_roots, C, rows=_TILE_ROWS, threads=True)
+    parts = map_tiles(_tile_roots, C, rows=_TILE_ROWS)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -802,8 +801,8 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     candidate boxes; leaf centers are polished by 60 rounds of damped Newton
     to residual <= tol, stopping early only at an exact fixed point or
     2-cycle; points closer than 10*tol are merged.  Leaf boxes that survive
-    exclusion but yield no converged point, and boxes failed only by bounds that
-    overflowed to NaN, are unresolved (returned when return_unresolved is set).
+    exclusion but yield no converged point, and failed boxes that no component's
+    non-NaN bound proves empty, are unresolved (returned when return_unresolved is set).
     While its bounds stay finite the enclosure is inclusion-isotone: the test waits for a
     leaf-size box, the last level or over _BATCH boxes, and leaves stay those of a test per level.
     """
@@ -829,9 +828,9 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
             f_lo, f_hi = enclose(boxes).transpose(1, 0, 2)  # (component, box) each
             hold = (f_lo <= 0.0) & (f_hi >= 0.0)
             keep = np.logical_and.reduce(hold)
-            if not defer:  # overflow: a box failed only by NaN-NaN bounds is unresolved
-                nan = np.logical_and.reduce(hold | (np.isnan(f_lo) & np.isnan(f_hi))) & ~keep
-                lost.append(boxes.compress(nan, axis=1))
+            if not defer:  # overflow: a failed box no non-NaN bound proves empty is unresolved
+                empty = np.logical_or.reduce((f_lo > 0.0) | (f_hi < 0.0))
+                lost.append(boxes.compress(~(keep | empty), axis=1))
             boxes, small = boxes.compress(keep, axis=1), small.compress(keep)
         if small.any():
             leaves.append(boxes.compress(small, axis=1))

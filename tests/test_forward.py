@@ -117,6 +117,12 @@ class TestClassifyOrbit:
         # 2^(2^k) first exceeds 1e8 at k = 5
         assert out.iterations == 5
 
+    def test_start_beyond_escape_radius_is_escaped_unstepped(self):
+        # a first step from 1e110 overflows, which read the point as singular
+        N, roots = cubic_setup()
+        out = classify_orbit(N, 1e110, roots)
+        assert (out.kind, out.iterations) == ("escaped", 0)
+
     def test_linear_plane_map_one_step(self):
         N = build_newton_plane(parse_plane_map("x", "y"))
         out = classify_orbit(N, (3.7, -2.2), [(0.0, 0.0)])
@@ -196,6 +202,19 @@ class TestRenderBasins:
         assert sorted(roots) == [pytest.approx((-1.0, 0.0)), pytest.approx((1.0, 0.0))]
         ras = render_basins(N, roots, (-2, 2, -2, 2), 60, 60)
         assert ras.fraction_of(CODE_ESCAPED) == 0.0
+
+    @pytest.mark.parametrize("span", [1e110, 1e200, 1e160])
+    def test_window_beyond_escape_radius_is_escaped_at_iteration_0(self, span):
+        # every pixel center lies past escape_radius, and stepping it would
+        # overflow (raising under the suite's error::RuntimeWarning)
+        if span == 1e160:
+            N = build_newton_plane(PARABOLAS)
+            roots = system_real_roots(PARABOLAS, (-4, 6, -2, 6), tol=1e-10)
+        else:
+            N, roots = cubic_setup()
+        ras = render_basins(N, roots, (-span, span, -span, span), 16, 16)
+        assert (ras.codes == CODE_ESCAPED).all()
+        assert (ras.iterations == 0).all()
 
     def test_fractions_sum_to_one(self):
         N, roots = cubic_setup()
@@ -391,6 +410,11 @@ def _argmin_nearest(z, roots, tol):
     return np.where(near, h, -1).astype(np.int32)
 
 
+def _no_traps(roots):
+    """Trap radii that hold no point: a rational map's -1 per root column."""
+    return np.full(roots.shape[1], -1.0)
+
+
 class TestNearest:
     def test_column_pass_matches_argmin(self):
         rng = np.random.default_rng(5)
@@ -406,11 +430,13 @@ class TestNearest:
         for roots in (shared, per_point, shared[:, :1], shared[:, :0]):
             for tol in (1e-8, 0.5, 3.0):
                 want = _argmin_nearest(z, roots, tol)
-                got = _nearest(z, roots, tol)
+                got, trap = _nearest(z, roots, tol, _no_traps(roots))
                 assert got.dtype == want.dtype == np.int32
                 assert np.array_equal(got, want)
+                assert (trap == -1).all()
         ties = np.array([[1.0, -1.0, -1.0]], complex)
-        assert _nearest(np.array([0.0, -1.0, 2j]), ties, 3.0).tolist() == [0, 1, 0]
+        hit, _ = _nearest(np.array([0.0, -1.0, 2j]), ties, 3.0, _no_traps(ties))
+        assert hit.tolist() == [0, 1, 0]
 
 
 def _raster_bits(ras):
@@ -502,7 +528,7 @@ def _reference_classify(M, z, cfg):
     iterates lie within root_tol of one root (recorded at the first)."""
     res = _BatchResult(z.size)
     idx = np.arange(z.size)
-    prev_hit = _nearest(z, M.roots, M.tol)
+    prev_hit = _nearest(z, M.roots, M.tol, _no_traps(M.roots))[0]
     for k in range(1, cfg.max_iter + 1):
         if idx.size == 0:
             break
@@ -510,7 +536,7 @@ def _reference_classify(M, z, cfg):
         res.settle(idx[sing], CODE_SINGULAR, k - 1)
         esc = ~sing & (np.abs(w) > cfg.escape_radius)
         res.settle(idx[esc], CODE_ESCAPED, k)
-        hit = _nearest(w, M.roots, M.tol)
+        hit = _nearest(w, M.roots, M.tol, _no_traps(M.roots))[0]
         confirm = ~sing & ~esc & (hit >= 0) & (hit == prev_hit)
         res.settle(idx[confirm], hit[confirm], k - 1)
         active = ~(sing | esc | confirm)

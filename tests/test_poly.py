@@ -460,7 +460,8 @@ def test_batched_roots_with_tiny_leading_coefficient():
 def test_tiled_roots_match_per_tile_calls(monkeypatch, pools, rows):
     # (z - 1)^3 rows, which Aberth leaves to eigvals, sit in the first,
     # second and last tile; a tiled call must return the bits of one call
-    # per tile and of one untiled call, on one thread or two
+    # per tile and of one untiled call, and run its tiles on the calling
+    # thread whatever the thread count
     tile = poly._TILE_ROWS
     rng = np.random.default_rng(rows)
     C = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
@@ -472,20 +473,20 @@ def test_tiled_roots_match_per_tile_calls(monkeypatch, pools, rows):
         with worker_threads(n):
             got = batched_complex_roots(C)
         assert np.array_equal(got.view(np.uint64), per_tile.view(np.uint64))
-    assert pools == ([2] if rows > tile else [])
+    assert pools == []
     monkeypatch.setattr(poly, "_TILE_ROWS", rows)
     untiled = batched_complex_roots(C)
     assert np.array_equal(untiled.view(np.uint64), per_tile.view(np.uint64))
     assert np.all(np.abs(untiled[stuck] - 1.0) <= 1e-4)
 
 
-def test_tiled_roots_start_no_more_threads_than_tiles(monkeypatch, pools):
-    monkeypatch.setattr(poly, "_TILE_ROWS", 8)
+def test_tiled_roots_start_no_more_threads_than_tiles(pools):
+    # threaded map_tiles, as counterimage batches call it, on 3, 2 and 1 tiles
     C = np.random.default_rng(3).normal(size=(17, 3)).astype(complex)
     with worker_threads(4):
-        batched_complex_roots(C)
-        batched_complex_roots(C[:9])
-        batched_complex_roots(C[:8])
+        for n in (17, 9, 8):
+            got = poly.map_tiles(batched_complex_roots, C[:n], rows=8, threads=True)
+            assert _same_bits(np.concatenate(got), batched_complex_roots(C[:n]))
     assert pools == [3, 2]
 
 
@@ -732,8 +733,9 @@ def _reference_interval_eval(polys, xlo, xhi, ylo, yhi):
 
 def _reference_system_real_roots(f, box, tol=1e-10, max_depth=60):
     """Reference: system_real_roots as it was before the stacked-bound
-    subdivision, one box per row, kept verbatim but for its boxes of NaN
-    bounds, which are unresolved; returns (roots, unresolved)."""
+    subdivision, one box per row, kept verbatim but for its failed boxes
+    that no non-NaN bound proves empty, which are unresolved; returns
+    (roots, unresolved)."""
     xmin, xmax, ymin, ymax = (float(v) for v in box)
     diag0 = np.hypot(xmax - xmin, ymax - ymin)
     leaf_side = max(diag0 / 4096.0, 1e3 * tol)
@@ -748,12 +750,12 @@ def _reference_system_real_roots(f, box, tol=1e-10, max_depth=60):
             break
         xlo, xhi, ylo, yhi = boxes.T
         keep = np.ones(boxes.shape[0], dtype=bool)
-        nan = np.ones(boxes.shape[0], dtype=bool)
+        empty = np.zeros(boxes.shape[0], dtype=bool)
         for lo, hi in _reference_interval_eval((f.first, f.second), xlo, xhi, ylo, yhi):
             keep &= (lo <= 0.0) & (hi >= 0.0)
-            # a component whose lower and upper bounds are both NaN excludes nothing
-            nan &= ((lo <= 0.0) & (hi >= 0.0)) | (np.isnan(lo) & np.isnan(hi))
-        lost += [tuple(row) for row in boxes[nan & ~keep]]
+            # only a bound that is not NaN proves a component's range misses 0
+            empty |= (lo > 0.0) | (hi < 0.0)
+        lost += [tuple(row) for row in boxes[~keep & ~empty]]
         boxes = boxes[keep]
         if boxes.shape[0] == 0:
             break
@@ -858,7 +860,8 @@ def test_stacked_subdivision_matches_reference_bit_for_bit():
 def test_overflowing_enclosure_leaves_unresolved_boxes():
     # z^3 - 1's cleared Newton-preimage system at (1, 2): past about 2e154 the
     # halves of the box have NaN bounds, which exclude nothing, so they are
-    # reported unresolved as they are; smaller boxes keep their results
+    # reported unresolved as they are; smaller boxes keep their results, and
+    # on 1e150 the boxes with one NaN bound, which prove nothing, are unresolved
     N = build_newton_plane(complex_poly_to_plane_map(UniComplexPoly([-1, 0, 0, 1])))
     g = _cleared_plane_system(N, 1.0, 2.0)
     solve = lambda s: system_real_roots(g, (-s, s, -s, s), return_unresolved=True)
@@ -867,7 +870,7 @@ def test_overflowing_enclosure_leaves_unresolved_boxes():
             roots, left = solve(s)
             assert roots == [] and len(left) >= 1
             assert all(abs(v) <= s for box in left for v in box)
-        for s, counts in ((1e3, (3, 36)), (1e150, (0, 4))):
+        for s, counts in ((1e3, (3, 36)), (1e150, (0, 92))):
             got, got_left = solve(s)
             want, want_left = _reference_system_real_roots(g, (-s, s, -s, s))
             assert np.array_equal(_bits(got, 2), _bits(want, 2))
