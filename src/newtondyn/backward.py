@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .poly import (
     PlaneMap,
     _merge_points,
     _plane_polys,
+    _row_degrees,
     batched_complex_roots,
     eval_many,
     map_tiles,
@@ -283,10 +283,11 @@ def _complex_preimages_batch(N, targets, dom=None):
     index (int32) of each one's target.
 
     map_tiles runs the targets in tiles of _TILE_ROWS on worker_threads'
-    threads.  A tile clears its rows num - z*den, groups them by effective
-    degree, solves each group with one batched_complex_roots call (on the
-    tile's thread) and keeps the roots that _accept passes, so the domain
-    filter runs per tile too; rows below degree 1 have no counterimage.
+    threads.  A tile clears its rows num - z*den, groups them by their last
+    nonzero coefficient, however small (_row_degrees, the degree that
+    counterimages() reads), solves each group with one batched_complex_roots
+    call (on the tile's thread) and keeps the roots that _accept passes, so
+    the domain filter runs per tile too; rows below degree 1 have none.
     Every row is solved on its own, so the tiling moves only the order of
     counterimages, within a level that mixes degrees.  Tiles write into
     their own spans of one buffer with deg N slots per target, compacted in
@@ -302,12 +303,7 @@ def _complex_preimages_batch(N, targets, dom=None):
     def tile(ix):
         z = targets[ix]
         rows = ncp[None, :] - z[:, None] * dcp[None, :]
-        # passes over the few columns, not reductions along short rows; NaN rows get -1
-        cols = np.abs(rows).T
-        tol = 1e-12 * reduce(np.maximum, cols)
-        degs = np.full(len(rows), -1)
-        for k, col in enumerate(cols):
-            degs[col > tol] = k
+        degs = _row_degrees(rows)
         found, par = [np.empty(0, complex)], [np.empty(0, int)]
         for d in np.unique(degs[degs >= 1]):
             sel = np.flatnonzero(degs == d)
@@ -460,7 +456,7 @@ def hutchinson_iterate(N, initial, excluded, steps):
     for _ in range(int(steps)):
         new = current.bits & ~solved
         solved |= new
-        targets = _pack(*OccupancyRaster(win, w, h, new).set_pixel_centers())
+        targets = _pack(*win.center_of(*np.nonzero(new), w, h))
         kids, parent = _preimages_batch(N, targets, win)
         px, py = kids.real, kids.imag
         keep = np.ones(px.size, bool)

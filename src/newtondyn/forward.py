@@ -45,7 +45,7 @@ from .grid import (
     _pack,
 )
 from .newton import SINGULAR_RTOL
-from .poly import batched_complex_roots, map_tiles, row_polyval
+from .poly import _row_degrees, batched_complex_roots, map_tiles, row_polyval
 
 __all__ = [
     "ScanConfig",
@@ -351,9 +351,10 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
     over a grid of (complex) parameter values.
 
     Root codes index into each parameter's own lexicographically sorted root
-    list; parameters whose polynomial degenerates below degree 1 or has a
-    coefficient past the float range are marked undecided.  The members of
-    a tile are solved and iterated in one batch per degree.
+    list.  A member's degree is that of its last nonzero coefficient
+    (_row_degrees, the counterimage batches' rule); members below degree 1
+    or with a coefficient past the float range are marked undecided.  The
+    members of a tile are solved and iterated in one batch per degree.
     """
     cfg = cfg or ScanConfig()
     return _stream_raster(window, width, height,
@@ -363,10 +364,7 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
 def _scan_tile(family, seed, a_values, cfg):
     """parameter_scan's _BatchResult on one tile of parameter values."""
     C = _family_coefficients(family, a_values)
-    C[~np.isfinite(C).all(axis=1)] = 0  # undecided, like a degenerate member
-    # trim per-row trailing zeros to find each member's true degree
-    nz = np.abs(C) > 0
-    degrees = np.where(nz.any(axis=1), C.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    degrees = _row_degrees(C)
     res = _BatchResult(C.shape[0])
     for d in np.unique(degrees[degrees >= 1]):
         rows = np.nonzero(degrees == d)[0]

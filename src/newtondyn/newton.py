@@ -343,9 +343,9 @@ def homogenize_newton(N):
     return P, indeterminacy_points(P)
 
 
-def indeterminacy_points(P, tol=1e-8):
-    """Common real zeros of the three components, as normalized projective
-    points.
+def indeterminacy_points(P):
+    """Common real zeros of the three components (each at most 1e-8 times
+    their largest coefficient), as normalized projective points.
 
     Each affine chart is searched with system_real_roots over a box that
     covers all points whose largest coordinate lies on that chart axis.
@@ -365,7 +365,7 @@ def indeterminacy_points(P, tol=1e-8):
         except ValueError:
             continue
         for u, v in candidates:
-            if all(abs(c.eval(u, v)) <= tol * scale for c in charts):
+            if all(abs(c.eval(u, v)) <= 1e-8 * scale for c in charts):
                 pt = [u, v]
                 pt.insert(axis, 1.0)  # the chart's own coordinate
                 points.append(_normalize_projective(pt))
@@ -387,28 +387,16 @@ def _dedupe_tuples(points, radius):
     return out
 
 
-def jacobian_at_infinity(P, x_coord, step=1e-6, axis=1):
-    """Finite-difference Jacobian of the chart map at a point (x, 0) on the
-    line at infinity (z = 0 in the y = 1 chart)."""
-    num1, num2, den = P.chart_map(axis)
-
-    def phi(u, v):
-        d = den.eval(u, v)
-        if d == 0:
-            raise ValueError(
-                f"chart map undefined at ({u}, {v}): denominator vanishes "
-                "(indeterminacy point?)"
-            )
-        return np.array([num1.eval(u, v) / d, num2.eval(u, v) / d])
-
+def jacobian_at_infinity(P, x_coord):
+    """Jacobian of the y = 1 chart map at (x, 0), on the line at infinity z = 0:
+    each entry the quotient rule's polynomials (num' den - num den') / den^2 there."""
+    num1, num2, den = P.chart_map()
     x0 = float(x_coord)
-    scale = den.max_abs_coeff()
-    if abs(den.eval(x0, 0.0)) <= 1e-12 * scale * (1.0 + abs(x0)) ** max(den.degree, 0):
+    if abs(den.eval(x0, 0.0)) <= 1e-12 * den.max_abs_coeff() * (1.0 + abs(x0)) ** den.degree:
         raise ValueError(f"({x0}, 0) is an indeterminacy point of the chart map")
-    h = step
-    col_x = (phi(x0 + h, 0.0) - phi(x0 - h, 0.0)) / (2 * h)
-    col_z = (phi(x0, h) - phi(x0, -h)) / (2 * h)
-    return np.column_stack([col_x, col_z])
+    sq = (den * den).eval(x0, 0.0)
+    return np.array([[(num.diff(v) * den - num * den.diff(v)).eval(x0, 0.0) / sq
+                      for v in (0, 1)] for num in (num1, num2)])
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +447,7 @@ def ghost_line_from_pair(solution):
     )
 
 
-def ghost_lines(f, box, invariance_samples=50):
+def ghost_lines(f, box):
     """Ghost lines of a real plane map: real traces of complex lines through
     conjugate pairs of strictly complex solutions of f = 0.
 
@@ -467,7 +455,7 @@ def ghost_lines(f, box, invariance_samples=50):
     (all isolated complex solutions, none searched for in box).  Every
     conjugate pair yields one line; each line carries its measured
     invariance defect, the largest distance by which the planar Newton
-    map moves line points off the line, sampled at parameters t in
+    map moves line points off the line, sampled at 50 parameters t in
     [-span, span] with span half the diagonal of box (numerically zero
     for maps with quadratic components).
     """
@@ -487,8 +475,7 @@ def ghost_lines(f, box, invariance_samples=50):
         return []  # before build_newton_plane: f may have no Newton map
     N = build_newton_plane(f)
     span = 0.5 * math.hypot(box[1] - box[0], box[3] - box[2])
-    lines = [replace(L, invariance_defect=measure_invariance_defect(
-        N, L, span, invariance_samples)) for L in lines]
+    lines = [replace(L, invariance_defect=measure_invariance_defect(N, L, span)) for L in lines]
     lines.sort(key=lambda L: (L.base[0], L.base[1], L.direction[0], L.direction[1]))
     return lines
 
@@ -517,16 +504,15 @@ def _same_line(a, b, tol=1e-6):
 # Pullbacks
 
 
-def pullback_map(f, psi, psi_inv, check_tol=1e-9):
+def pullback_map(f, psi, psi_inv):
     """Conjugate f by a polynomial coordinate change: psi_inv o f o psi.
 
     psi and psi_inv must be mutually inverse polynomial maps; both
-    compositions are verified symbolically before the pullback is formed.
+    compositions are verified symbolically (to 1e-9) before the pullback is formed.
     """
     ident_x, ident_y = MultiPoly.variable(0), MultiPoly.variable(1)
     for first, second in ((psi, psi_inv), (psi_inv, psi)):
         comp = first.compose(second)
-        if not (comp.first.equals(ident_x, check_tol)
-                and comp.second.equals(ident_y, check_tol)):
+        if not (comp.first.equals(ident_x, 1e-9) and comp.second.equals(ident_y, 1e-9)):
             raise ValueError("psi and psi_inv are not mutually inverse")
     return psi_inv.compose(f.compose(psi))

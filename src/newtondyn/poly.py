@@ -433,21 +433,10 @@ def parse_plane_map(first_text, second_text, variables=("x", "y")):
 
 
 def complex_poly_to_plane_map(p):
-    """Real and imaginary parts of p(x + i*y) as a PlaneMap.
-
-    Realizes a complex univariate polynomial as a polynomial map of the
-    real plane under z = x + i*y.
-    """
-    re_acc = MultiPoly()
-    im_acc = MultiPoly()
-    # (x + i y)^k expanded by recurrence: (R + i I)(x + i y)
-    rk, ik = MultiPoly.constant(1.0), MultiPoly()
-    x, y = MultiPoly.variable(0), MultiPoly.variable(1)
-    for c in p.coefficients:
-        re_acc = re_acc + rk * c.real - ik * c.imag
-        im_acc = im_acc + ik * c.real + rk * c.imag
-        rk, ik = rk * x - ik * y, rk * y + ik * x
-    return PlaneMap(re_acc, im_acc)
+    """Real and imaginary parts of p(x + i*y): p as a PlaneMap of the real plane."""
+    q = p.compose(MultiPoly.variable(0) + MultiPoly.variable(1) * 1j)
+    return PlaneMap(*(MultiPoly([(e, part(c)) for e, c in q.terms], 2)
+                      for part in (np.real, np.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +620,23 @@ def _tile_roots(C):
     return np.sort(_polish_rows(C, roots), axis=1, kind="stable")
 
 
+def _row_degrees(C):
+    """Each row's degree by MultiPoly.degree's rule, -1 if an entry is not
+    finite: passes over the few columns, not reductions along short rows."""
+    degs, finite = np.full(len(C), -1), np.ones(len(C), bool)
+    for k, col in enumerate(C.T):
+        degs[col != 0] = k
+        finite &= np.isfinite(col)
+    return np.where(finite, degs, -1)
+
+
 def batched_complex_roots(coeff_rows):
     """Roots of many same-degree polynomials, one ascending coefficient row
     each: Aberth-Ehrlich seeds (companion-matrix eigenvalues for the rows it
     leaves unconverged), then the Newton polish of _polish_rows.
 
     Every row's leading coefficient must be nonzero (callers group rows by
-    effective degree).  Rows of roots come back lexicographically sorted by
+    _row_degrees).  Rows of roots come back lexicographically sorted by
     (real, imag); no residual bound is enforced here.
 
     Rows are solved in tiles of _TILE_ROWS, so the iteration's temporaries
@@ -659,6 +658,7 @@ def batched_complex_roots(coeff_rows):
 _X_THEN_Y = np.array([[True], [False]])
 # levels cached unfiltered, and live boxes that force a test (docs/decisions.md)
 _GRID_LEVELS, _BATCH = 10, 512
+_LEAF_POLISH_ROUNDS = 60  # damped Newton rounds on each leaf center
 
 
 def _enclosure(polys):
@@ -743,19 +743,19 @@ def _plane_system(f, g):
     return eval_many(_plane_polys(f, g))
 
 
-def _newton_polish_batch(system, x, y, max_step, iters=60):
-    """Damped Newton on a batch of seeds; returns the points after iters
-    rounds.  A point's rounds depend on that point alone, so a point whose
-    round returns its previous iterate (a fixed point) or the one before
-    (an exact 2-cycle) stops with the iterate that the remaining rounds
-    would end on: the result is bit-for-bit that of all iters rounds."""
+def _newton_polish_batch(system, x, y, max_step):
+    """Damped Newton on a batch of seeds; returns the points after
+    _LEAF_POLISH_ROUNDS rounds.  A point's rounds depend on that point alone, so
+    a point whose round returns its previous iterate (a fixed point) or the
+    one before (an exact 2-cycle) stops with the iterate that the remaining
+    rounds would end on: the result is bit-for-bit that of all the rounds."""
     p = np.array([x, y], dtype=float)  # row 0 holds x, row 1 holds y
     out, prev, active = p.copy(), p, np.arange(p.shape[1])
-    for left in range(iters - 1, -1, -1):
+    for left in reversed(range(_LEAF_POLISH_ROUNDS)):
         f1, f2, a, b, c, d = system(p[0], p[1])
         sx, sy, bad = _solve_2x2(a, b, c, d, f1, f2)
         norm = np.hypot(sx, sy)
-        lim = np.where(norm > max_step, max_step / np.maximum(norm, 1e-300), 1.0)
+        lim = max_step / np.maximum(norm, max_step)  # 1.0 unless norm > max_step
         new = np.where(bad, p, p - np.array([sx, sy]) * lim)
         bits = new.view(np.uint64)
         fixed = (bits == p.view(np.uint64)).all(0)

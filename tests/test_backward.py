@@ -646,6 +646,20 @@ class TestComplexPreimageBatch:
         assert kids.size == 8
         assert np.allclose(np.sort(kids), want, rtol=0, atol=1e-12)
 
+    def test_targets_near_a_degree_drop_keep_their_counterimages(self):
+        # (z^2 + 1)/(z^2 - 1): at 1 + e the cleared quadratic's leading
+        # coefficient is -e, and its two counterimages lie near +-sqrt(2/e);
+        # a batch reads each row's degree as counterimages() does, however
+        # small that coefficient (1 + 1e-9 and 3 are controls)
+        N = ComplexRationalMap(UniComplexPoly([1, 0, 1]), UniComplexPoly([-1, 0, 1]))
+        targets = np.array([1 + 1e-13, 1 + 2.0**-50, 1 + 1e-9, 3.0])
+        kids, parent = backward._complex_preimages_batch(N, targets)
+        for k, t in enumerate(targets):
+            want = np.sort(np.asarray(counterimages(N, t), complex))
+            got = np.sort(kids[parent == k])
+            assert want.size == got.size == 2
+            assert np.allclose(got, want, rtol=1e-9, atol=0)
+
 
 def _untiled_complex_preimages(N, targets):
     """The counterimage batch before tiling, kept as the reference: one

@@ -385,6 +385,13 @@ class TestProjective:
             assert J[1, 1] == pytest.approx(2.0, abs=1e-4)
             assert abs(J[0, 1]) <= 1e-4 and abs(J[1, 0]) <= 1e-4
 
+    def test_jacobian_at_infinity_is_exact(self):
+        # the quotient rule's polynomials, evaluated at (x, 0), give the
+        # matrix bit for bit
+        P, _ = homogenize_newton(Z2M1_REAL)
+        for x0 in np.linspace(-2, 2, 10):
+            assert np.array_equal(jacobian_at_infinity(P, x0), [[1.0, 0.0], [0.0, 2.0]])
+
     def test_jacobian_at_infinity_matches_symbolic(self):
         P, _ = homogenize_newton(Z2M1_REAL)
         num1, num2, den = P.chart_map(axis=1)

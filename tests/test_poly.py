@@ -32,6 +32,7 @@ from newtondyn.poly import (
     _newton_polish_batch,
     _plane_system,
     _polish_rows,
+    _row_degrees,
     row_polyval,
 )
 
@@ -448,6 +449,19 @@ def test_eval_many_matches_eval_bit_for_bit():
         assert _same_bits(v, want)
 
 
+def test_row_degrees():
+    inf, nan = np.inf, np.nan
+    C = np.array([[1, 2, 0, 0],  # trailing zeros
+                  [0, 0, 0, 0],  # the zero row
+                  [1, nan, 0, 0],
+                  [1, 0, 0, inf],
+                  [0, 1, 0, 1e-300],  # a tiny leading coefficient keeps its degree
+                  [3, 0, 0, 0],
+                  [complex(0, 1e-20), 0, 0, 0]], complex)
+    assert _row_degrees(C).tolist() == [1, -1, -1, -1, 3, 0, 0]
+    assert _row_degrees(C.real).tolist() == [1, -1, -1, -1, 3, 0, -1]
+
+
 def test_batched_roots_with_tiny_leading_coefficient():
     # 1e-11 w^2 + w + 1: one root near -1, the other near -1e11
     roots = batched_complex_roots([[1.0, 1.0, 1e-11]])[0]
@@ -630,6 +644,18 @@ def test_polish_exit_matches_all_sixty_rounds():
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 exits += fixed.sum(), cycle.sum()
     assert exits.min() > 0
+
+
+@pytest.mark.parametrize("side", [1e12, 1e20])
+def test_wide_box_solves_without_warning(side):
+    # a leaf center's Newton step is 0 at a fixed point while max_step (4
+    # leaf sides) is past 1.8e8: limiting that step must not overflow, which
+    # the suite's error filter would report
+    f = parse_plane_map("y - x^2", "x - 2 + 4*y - y^2")
+    roots = system_real_roots(f, (-side, side, -side, side))
+    assert len(roots) == 3
+    assert np.allclose(roots, [(-1.618033988749895, 2.618033988749895),
+                               (0.6180339887498949, 0.38196601125010515), (2.0, 4.0)])
 
 
 def _interval_eval_by_terms(p, xlo, xhi, ylo, yhi):
