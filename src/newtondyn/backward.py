@@ -278,9 +278,10 @@ def _preimages_batch(N, targets, dom):
     return _planar_preimages_batch(N, targets, dom)
 
 
-def _complex_preimages_batch(N, targets, dom=None):
+def _complex_preimages_batch(N, targets, dom=None, raster=None):
     """Accepted counterimages of every target, in target order, and the
-    index (int32) of each one's target.
+    index (int32) of each one's target; given an OccupancyRaster, their
+    count, with the raster's pixels they fall in set.
 
     map_tiles runs the targets in tiles of _TILE_ROWS on worker_threads'
     threads.  A tile clears its rows num - z*den, groups them by their last
@@ -293,12 +294,15 @@ def _complex_preimages_batch(N, targets, dom=None):
     their own spans of one buffer with deg N slots per target, compacted in
     tile order afterwards, so the level is never copied whole: the results
     are views of that buffer, whose slots a domain may have mostly emptied.
+    A raster takes the buffer's place; tiles only ever set its bits, so
+    their order and overlap do not matter.
     """
     targets = np.asarray(targets, complex).ravel()
     ncp, dcp = _padded_cleared_rows(N)
     span = ncp.size - 1
-    kids = np.empty(targets.size * span, complex)
-    parent = np.empty(kids.size, np.int32)
+    if raster is None:
+        kids = np.empty(targets.size * span, complex)
+        parent = np.empty(kids.size, np.int32)
 
     def tile(ix):
         z = targets[ix]
@@ -311,14 +315,22 @@ def _complex_preimages_batch(N, targets, dom=None):
             par.append(np.repeat(sel, d))
         found, par = np.concatenate(found), np.concatenate(par)
         good = _accept(N, found, z[par], dom)
-        lo = span * int(ix[0]) if ix.size else 0
         n = int(np.count_nonzero(good))
+        if raster is not None:
+            row, col = raster.window.pixel_of(found.real[good], found.imag[good],
+                                              raster.width, raster.height)
+            raster.bits[row[row >= 0], col[row >= 0]] = True
+            return n
+        lo = span * int(ix[0]) if ix.size else 0
         kids[lo:lo + n] = found[good]
         parent[lo:lo + n] = ix[par[good]]
         return lo, n
 
+    tiles = map_tiles(tile, np.arange(targets.size), rows=poly._TILE_ROWS, threads=True)
+    if raster is not None:
+        return sum(tiles)
     end = 0
-    for lo, n in map_tiles(tile, np.arange(targets.size), rows=poly._TILE_ROWS, threads=True):
+    for lo, n in tiles:
         kids[end:end + n] = kids[lo:lo + n]  # end <= lo: an overlapping copy is safe
         parent[end:end + n] = parent[lo:lo + n]
         end += n
@@ -400,10 +412,20 @@ def backward_tree(N, z0, depth, cap=DEFAULT_NODE_CAP, domain=None,
     else:
         level = np.array([complex(z0)])
         branch = max(int(N.degree), 1)
-    total, completed = 1, 0
+    total, completed, stream = 1, 0, not planar
     for k in range(1, depth + 1):
-        if total + level.size * branch > cap:
+        grow = level.size * branch
+        if total + grow > cap:
             break
+        # while every level was full, one that is last even if full goes straight
+        # into the raster; if it falls short without ending the tree, it is solved again
+        if stream and (k == depth or total + grow * (1 + branch) > cap):
+            last = OccupancyRaster(win, width, height, np.zeros((height, width), bool), k < depth)
+            n = _complex_preimages_batch(N, level, dom, last)
+            if n == 0:
+                break
+            if k == depth or total + n * (1 + branch) > cap:
+                return last
         kids = _preimages_batch(N, level, dom)[0]
         if kids.size == 0:
             break
@@ -414,6 +436,7 @@ def backward_tree(N, z0, depth, cap=DEFAULT_NODE_CAP, domain=None,
             kids = _pack(*dom.center_of(flat // ddw, flat % ddw, ddw, ddh))
         elif dom is not None:
             kids = kids.copy()  # a view would hold the batch's deg N slots per target
+        stream &= kids.size == grow
         level = kids
         total += kids.size
         completed = k
@@ -452,7 +475,7 @@ def hutchinson_iterate(N, initial, excluded, steps):
     gaps = []
     current = initial
     solved = np.zeros((h, w), bool)
-    src = dst = np.empty(0, np.int64)  # flat (source, destination) pixel pairs
+    src = dst = np.empty(0, np.int32)  # flat (source, destination) pixel pairs
     for _ in range(int(steps)):
         new = current.bits & ~solved
         solved |= new
@@ -464,8 +487,8 @@ def hutchinson_iterate(N, initial, excluded, steps):
             keep &= (px - cx) ** 2 + (py - cy) ** 2 >= r * r
         row, col = win.pixel_of(px, py, w, h)
         keep &= row >= 0
-        src = np.concatenate([src, np.flatnonzero(new)[parent[keep]]])
-        dst = np.concatenate([dst, row[keep] * w + col[keep]])
+        src = np.concatenate([src, np.flatnonzero(new)[parent[keep]]], dtype=np.int32)
+        dst = np.concatenate([dst, row[keep] * w + col[keep]], dtype=np.int32)
         bits = np.zeros((h, w), bool)
         bits.flat[dst[current.bits.flat[src]]] = True
         nxt = OccupancyRaster(win, w, h, bits)

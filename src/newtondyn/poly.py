@@ -19,6 +19,7 @@ import math
 import operator
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -471,17 +472,38 @@ def worker_threads(n):
 
 def map_tiles(fn, a, rows=None, threads=False):
     """[fn(tile) for each tile] in order, a tile being a run of rows of a
-    along axis 0 (_TILE_POINTS unless given).  With threads, tiles run on up
-    to worker_threads threads, never more than there are tiles; only
-    counterimage batches ask for them, and nothing their tiles call does."""
+    along axis 0 (_TILE_POINTS unless given).  With threads, the calling
+    thread and a pool take tiles from one queue, on up to worker_threads
+    threads and never more than there are tiles, and none starts once one
+    has raised; only counterimage batches ask for threads, and nothing their
+    tiles call does."""
     rows = rows or _TILE_POINTS
     tiles = [a[k:k + rows] for k in range(0, max(len(a), 1), rows)]
     workers = min(_workers, len(tiles)) if threads else 1
     if workers == 1:
         return [fn(t) for t in tiles]
+    out, todo = [None] * len(tiles), iter(range(len(tiles)))
+    lock, failed = threading.Lock(), threading.Event()
+
+    def take():
+        with lock:
+            return None if failed.is_set() else next(todo, None)
+
+    def run():
+        for k in iter(take, None):
+            try:
+                out[k] = fn(tiles[k])
+            except BaseException:
+                failed.set()
+                raise
+
     # numpy releases the interpreter lock inside its loops, so tiles overlap
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, tiles))
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(run) for _ in range(workers - 1)]
+        run()
+        for h in helpers:
+            h.result()
+    return out
 
 
 def univariate_complex_roots(p, tol=1e-10):

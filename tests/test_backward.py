@@ -741,7 +741,7 @@ class TestTiledPreimageBatch:
         want = _untiled_complex_preimages(N, targets)
         with poly.worker_threads(threads):
             kids, parent = backward._complex_preimages_batch(N, targets)
-        assert pools == ([threads] if threads > 1 else [])
+        assert pools == ([threads - 1] if threads > 1 else [])
         assert np.array_equal(_sorted_bits(kids), _sorted_bits(want))
         counts = np.bincount(parent, minlength=n)
         assert np.all(counts[lost] == 1) and np.all(counts[nan] == 0)
@@ -1030,6 +1030,125 @@ class TestBoundedComplexTree:
             level = filter_after_batch()
             assert 8000 < level.size < 12000 and not tree().partial
             assert peak(tree) < 1.03 * peak(filter_after_batch)
+
+
+def _level_loop_tree(N, z0, depth, cap=backward.DEFAULT_NODE_CAP, domain=None,
+                     window=None, width=256, height=256):
+    """backward_tree before its last level went straight into the raster,
+    kept verbatim as the reference: every level, the last one included, is
+    held whole, and the deepest full level goes through from_points."""
+    N = backward._as_backward_map(N)
+    depth = int(depth)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    win = backward._window_or_none(window)
+    dom = backward._window_or_none(domain)
+    if win is None:
+        win = dom
+    if win is None:
+        raise ValueError("need a window (or domain) to rasterize the tree")
+    planar = N.kind == "planar"
+    if planar:
+        if dom is None:
+            raise ValueError("planar backward tree needs a bounded search domain")
+        level = np.array([complex(float(z0[0]), float(z0[1]))])
+        branch = max(N.source.first.degree, 1) * max(N.source.second.degree, 1)
+        # dedup grid over the domain, matched to the output pixel size
+        pw = (win.xmax - win.xmin) / width
+        ph = (win.ymax - win.ymin) / height
+        ddw = int(min(2048, max(1, math.ceil((dom.xmax - dom.xmin) / pw))))
+        ddh = int(min(2048, max(1, math.ceil((dom.ymax - dom.ymin) / ph))))
+    else:
+        level = np.array([complex(z0)])
+        branch = max(int(N.degree), 1)
+    total, completed = 1, 0
+    for k in range(1, depth + 1):
+        if total + level.size * branch > cap:
+            break
+        kids = backward._preimages_batch(N, level, dom)[0]
+        if kids.size == 0:
+            break
+        if planar:
+            row, col = dom.pixel_of(kids.real, kids.imag, ddw, ddh)
+            keep = row >= 0
+            flat = np.unique(row[keep] * ddw + col[keep])  # sorted: np.nonzero's row-major order
+            kids = _pack(*dom.center_of(flat // ddw, flat % ddw, ddw, ddh))
+        elif dom is not None:
+            kids = kids.copy()  # a view would hold the batch's deg N slots per target
+        level = kids
+        total += kids.size
+        completed = k
+    return OccupancyRaster.from_points(level.real, level.imag, win, width, height,
+                                       partial=completed < depth)
+
+
+def window_filling_map():
+    # the rational window-filling config's map, (z^2+1)^2 / 4z(z^2-1)
+    return ComplexRationalMap(UniComplexPoly([1.0, 0.0, 2.0, 0.0, 1.0]),
+                              UniComplexPoly([0.0, -4.0, 0.0, 4.0]))
+
+
+class TestStreamedLastLevel:
+    # (map, seed, depth, cap, domain, window, streamed calls, solved levels):
+    # cubic z0 = 5+i has the first-level counterimages -0.25, 0.26 and
+    # 7.49+1.50i, and the second level one more near 11.2+2.3i
+    CASES = {
+        # 1+4+...+4^6 = 5,461 nodes; level 7 (16,384) fits in 30,000 but
+        # its children would not, so it is the last by the bound
+        "rational-capped": (window_filling_map, 0.5 + 0.5j, 12, 30_000, None,
+                            (-3, 3, -3, 3), 1, 6),
+        "cubic-full-depth": (cubic_newton, 5.0 + 1.0j, 8, backward.DEFAULT_NODE_CAP, None,
+                             SQUARE_WINDOW, 1, 7),
+        # the domain drops 7.49+1.50i at level 1, so no level streams
+        "cubic-domain": (cubic_newton, 5.0 + 1.0j, 6, backward.DEFAULT_NODE_CAP,
+                         (-1.5, 1.5, -1.5, 1.5), SQUARE_WINDOW, 0, 6),
+        # level 2 streams (4 + 9·4 > 38) and keeps 8 of 9; 4 + 8·4 <= 38 does
+        # not end the tree, so level 2 is solved again and level 3 after it
+        "cubic-short": (cubic_newton, 5.0 + 1.0j, 5, 38, (-1.0, 8.0, -1.0, 2.0),
+                        (-8.0, 12.0, -4.0, 4.0), 1, 3),
+        # level 1 streams (1 + 3·4 > 5) and the domain keeps none of it
+        "cubic-empty": (cubic_newton, 5.0 + 1.0j, 5, 5, (10.0, 11.0, 10.0, 11.0),
+                        (-8.0, 8.0, -8.0, 8.0), 1, 0),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_level_loop(self, monkeypatch, case, threads):
+        make, z0, depth, cap, domain, window, streamed, solved = self.CASES[case]
+        kw = dict(cap=cap, domain=domain, window=window, width=128, height=128)
+        want = _level_loop_tree(make(), z0, depth, **kw)
+        calls = []
+        batch = backward._complex_preimages_batch
+
+        def recording_batch(N, targets, dom=None, raster=None):
+            calls.append((np.size(targets), raster is not None))
+            return batch(N, targets, dom, raster)
+
+        monkeypatch.setattr(backward, "_complex_preimages_batch", recording_batch)
+        with poly.worker_threads(threads):
+            tree = backward_tree(make(), z0, depth, **kw)
+        assert np.array_equal(tree.bits, want.bits) and tree.partial == want.partial
+        assert sum(s for _, s in calls) == streamed
+        assert sum(not s for _, s in calls) == solved
+        if case == "cubic-short":
+            # the one redo: the streamed level is solved again at once
+            assert calls[1:3] == [(3, True), (3, False)] and want.partial
+        if case == "cubic-empty":
+            assert calls == [(1, True)] and want.count == 1 and want.partial
+
+    def test_capped_tree_holds_no_last_level(self, monkeypatch, peak):
+        # level 9 of the window-filling tree, 65,536 targets, is the last
+        # under a 400,000-node cap; held, its counterimages alone take
+        # 4.2 MB (7.4 MB traced peak), streamed the tree peaks near 2.2 MB
+        monkeypatch.setattr(poly, "_TILE_ROWS", 512)
+        N = window_filling_map()
+        run = lambda: backward_tree(N, 0.5 + 0.5j, 12, cap=400_000,
+                                    window=(-3, 3, -3, 3), width=128, height=128)
+        with poly.worker_threads(1):
+            assert run().partial
+            assert peak(run) < 4 ** 9 * np.dtype(complex).itemsize
 
 
 # The four acceptance checks the counterimage paths made inline before they

@@ -482,7 +482,7 @@ class TestCheckedInConfigs:
             out_dir = tmp_path / f"t{threads}"
             assert main(["ifs", "--config", str(cfg_path), "--out", str(out_dir),
                          "--threads", str(threads)]) == 0
-            assert pools[:1] == ([threads] if threads > 1 else [])
+            assert pools[:1] == ([threads - 1] if threads > 1 else [])
             images.append((out_dir / cfg["outputs"]["raster"]).read_bytes())
             rep = json.loads((out_dir / cfg["outputs"]["report"]).read_text())
             assert rep["threads"] == rep["config"]["threads"] == threads

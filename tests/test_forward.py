@@ -502,7 +502,7 @@ class TestTiles:
         targets = np.linspace(-2, 2, 128) + 0.5j
         with worker_threads(2):
             kids, parent = _complex_preimages_batch(N, targets)
-        assert pools == [2]
+        assert pools == [1]
         assert kids.size == parent.size == 3 * targets.size
 
     @pytest.mark.parametrize("job", ["planar-basins", "scan"])

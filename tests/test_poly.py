@@ -1,5 +1,8 @@
 import hashlib
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -495,13 +498,14 @@ def test_tiled_roots_match_per_tile_calls(monkeypatch, pools, rows):
 
 
 def test_tiled_roots_start_no_more_threads_than_tiles(pools):
-    # threaded map_tiles, as counterimage batches call it, on 3, 2 and 1 tiles
+    # threaded map_tiles, as counterimage batches call it, on 3, 2 and 1
+    # tiles; the calling thread runs tiles too, so its pools are one smaller
     C = np.random.default_rng(3).normal(size=(17, 3)).astype(complex)
     with worker_threads(4):
         for n in (17, 9, 8):
             got = poly.map_tiles(batched_complex_roots, C[:n], rows=8, threads=True)
             assert _same_bits(np.concatenate(got), batched_complex_roots(C[:n]))
-    assert pools == [3, 2]
+    assert pools == [2, 1]
 
 
 def test_tiles_inside_pooled_tiles_start_no_pool(monkeypatch, pools):
@@ -512,8 +516,46 @@ def test_tiles_inside_pooled_tiles_start_no_pool(monkeypatch, pools):
     with worker_threads(2):
         got = poly.map_tiles(batched_complex_roots, C, rows=32, threads=True)
         assert poly._workers == 2
-    assert pools == [2]
+    assert pools == [1]
     assert _same_bits(np.concatenate(got), batched_complex_roots(C))
+
+
+@pytest.mark.parametrize("raiser", ["calling", "pool"])
+def test_a_raising_tile_raises_and_stops_the_tiles(raiser):
+    # the first tile on the raiser's thread raises; a tile on the other
+    # thread waits for that, finishes and must then take no further tile
+    calling = threading.current_thread()
+    raised = threading.Event()
+    started = []
+
+    def fn(tile):
+        started.append(int(tile[0]))
+        if (threading.current_thread() is calling) == (raiser == "calling"):
+            raised.set()
+            raise ValueError("tile failed")
+        assert raised.wait(10)
+        time.sleep(0.05)
+        return tile
+
+    with worker_threads(2), pytest.raises(ValueError, match="tile failed"):
+        poly.map_tiles(fn, np.arange(8), rows=1, threads=True)
+    assert 1 <= len(started) <= 2
+
+
+def test_threaded_tiles_run_once_each_in_order():
+    # more threads than cores and a short switch interval: every tile runs
+    # once and lands in its own place
+    runs = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with worker_threads(8):
+            got = poly.map_tiles(lambda t: runs.append(int(t[0])) or t.sum(),
+                                 np.arange(3000), rows=7, threads=True)
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [np.arange(k, min(k + 7, 3000)).sum() for k in range(0, 3000, 7)]
+    assert sorted(runs) == list(range(0, 3000, 7))
 
 
 def test_worker_threads_zero_means_every_usable_core():
