@@ -45,6 +45,8 @@ __all__ = [
 
 # stability bands around multiplier magnitude 1
 STABILITY_BAND = 1e-6
+# the census: relative tolerance, brackets per pole-bounded piece of N, sample doublings
+_CENSUS_TOL, _INITIAL_BRACKETS, _MAX_REFINEMENTS = 1e-8, 10_000, 6
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,11 @@ def _iterate(step, x, k):
     return y
 
 
-def _real_poly_roots(p, imag_tol=1e-9):
+def _real_poly_roots(p):
     if p.degree < 1:
         return []
     roots = univariate_complex_roots(p, tol=1e-12)
-    return sorted(r.real for r in roots if abs(r.imag) <= imag_tol)
+    return sorted(r.real for r in roots if abs(r.imag) <= 1e-9)
 
 
 def _poles_of_iterate(num, den, k, lo, hi):
@@ -160,8 +162,7 @@ def _dedupe_sorted(values, rtol):
     return out
 
 
-def enumerate_cycles_1d(N, period, interval, tol=1e-8, initial_brackets=10_000,
-                        max_refinements=6):
+def enumerate_cycles_1d(N, period, interval):
     """All period-`period` orbits of a real rational map with at least one
     point in `interval`, found by sign scanning N^period(x) - x between the
     poles of N^period and certified by their forward residual.
@@ -177,7 +178,7 @@ def enumerate_cycles_1d(N, period, interval, tol=1e-8, initial_brackets=10_000,
     num, den = _real_rational(N)
     step = _make_step(num, den)
 
-    cert_rtol = max(10.0 * tol, 1e-9)
+    cert_rtol = max(10.0 * _CENSUS_TOL, 1e-9)
     poles = [q for q in _poles_of_iterate(num, den, period, lo, hi) if lo < q < hi]
     cuts = np.array([lo] + poles + [hi])
     base_poles = [q for q in _real_poly_roots(den) if lo < q < hi]
@@ -189,17 +190,17 @@ def enumerate_cycles_1d(N, period, interval, tol=1e-8, initial_brackets=10_000,
     per_parent = np.bincount(parent, minlength=len(base_cuts) - 1)
     wide = b - a >= 1e-13
     a, b = a[wide], b[wide]
-    samples = np.maximum(64, initial_brackets // np.maximum(1, per_parent[parent[wide]]))
+    samples = np.maximum(64, _INITIAL_BRACKETS // np.maximum(1, per_parent[parent[wide]]))
 
     # each piece doubles its samples until two successive counts agree and
     # keeps the coarser of the two
     found = [None] * a.size
     todo = np.arange(a.size)
-    for _ in range(max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         if todo.size == 0:
             break
         scans = _scan_pieces(step, period, a[todo], b[todo], samples[todo],
-                             cert_rtol, 0.1 * tol)
+                             cert_rtol, 0.1 * _CENSUS_TOL)
         changed = []
         for i, hits in zip(todo, scans):
             if found[i] is None or len(hits) != len(found[i]):
@@ -207,11 +208,11 @@ def enumerate_cycles_1d(N, period, interval, tol=1e-8, initial_brackets=10_000,
                 changed.append(i)
         todo = np.array(changed, dtype=int)
         samples[todo] *= 2
-    x0 = np.array(_dedupe_sorted([v for hits in found for v in hits], 0.1 * tol))
+    x0 = np.array(_dedupe_sorted([v for hits in found for v in hits], 0.1 * _CENSUS_TOL))
 
     # orbit[:, j] = N^j(x0): the lower-period filter, the orbit walk and the
     # closing check all read it
-    match_rtol = 100.0 * tol
+    match_rtol = 100.0 * _CENSUS_TOL
     orbit = np.empty((x0.size, period + 1))
     orbit[:, 0] = x0
     for j in range(period):
@@ -281,10 +282,10 @@ def _format_poly(p):
     return head + "".join(f" {s} {t}" for s, t in parts[1:])
 
 
-def _cluster_roots(roots, rtol=1e-6):
+def _cluster_roots(roots):
     out = []
     for r in sorted(roots, key=lambda v: (v.real, v.imag)):
-        if out and abs(r - out[-1][0]) <= rtol * (1.0 + abs(r)):
+        if out and abs(r - out[-1][0]) <= 1e-6 * (1.0 + abs(r)):
             out[-1][1] += 1
         else:
             out.append([r, 1])

@@ -350,10 +350,9 @@ def _planar_preimages_batch(N, targets, dom):
     zx, zy = targets.real, targets.imag
     f = N.source
     (fx, fy), (gx, gy) = N.jacobian
-    u, v = MultiPoly.variable(0), MultiPoly.variable(1)
-    # Df(w)(w - z) - f(w) is affine in z: P(w) - zx Df(w)e1 - zy Df(w)e2,
+    # Df(w)(w - z) - f(w) is affine in z: N.rhs(w) - zx Df(w)e1 - zy Df(w)e2,
     # and all three parts share one table of powers
-    parts = ((fx * u + fy * v - f.first, gx * u + gy * v - f.second), (fx, gx), (fy, gy))
+    parts = (N.rhs, (fx, gx), (fy, gy))
     values = eval_many([h for part in parts for h in _plane_polys(*part)])
 
     def cleared(x, y, rows):

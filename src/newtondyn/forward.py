@@ -160,14 +160,11 @@ class _PackedPoints:
     x + iy), with the map's trap radii rho and step bounds K beside its roots."""
 
     def __init__(self, N, roots, cfg):
-        self.N, self.tol = N, cfg.root_tol
+        self.step, self.tol = N.step_packed, cfg.root_tol
         self.rho, self.K = N.traps(roots, cfg.root_tol, cfg.escape_radius)
         if N.kind == "planar":
             roots = _pack([r[0] for r in roots], [r[1] for r in roots])
         self.roots = np.asarray(roots, dtype=complex).reshape(1, -1)
-
-    def step(self, z):
-        return self.N.step_packed(z)
 
     def nearest(self, z, left):
         rho = self.rho if left >= 8 else np.where(self.K < left, self.rho, -1.0)  # K < 8

@@ -139,6 +139,9 @@ class NewtonPlaneMap:
         self.det = det
         (fx, fy), (gx, gy) = jacobian
         self._values = eval_many((fx, fy, gx, gy, source.first, source.second))
+        # Df(w) w - f(w), the right side of the step's system Df(w) N(w) = Df(w) w - f(w)
+        x, y = MultiPoly.variable(0), MultiPoly.variable(1)
+        self.rhs = (fx * x + fy * y - source.first, gx * x + gy * y - source.second)
 
     def step(self, point):
         """One Newton step at a point; partial-pivot 2x2 elimination."""
@@ -231,7 +234,7 @@ def build_newton_plane(f):
 # Root traps
 
 
-def root_traps(roots, t, q, p, tol, escape=np.inf):
+def root_traps(roots, t, q, p, tol, escape):
     """Trap disks about computed roots by Smale's gamma-theorem (Blum, Cucker,
     Shub & Smale, Complexity and Real Computation, 1998, ch. 8; for systems,
     alphaCertified, Hauenstein & Sottile 2012): if zeta is a simple root of f
@@ -284,14 +287,11 @@ class ProjectivePlaneMap:
     def eval(self, x, y, z):
         return tuple(c.eval(x, y, z) for c in self.components)
 
-    def chart_map(self, axis=1):
-        """Rational map of the chart: components restricted to the chart,
-        returned as (first_numerator, second_numerator, denominator).
-
-        The axis component is the denominator: in the y=1 chart the map is
-        (P0/P1, P2/P1) in variables (x, z)."""
-        charts = [c.chart(axis) for c in self.components]
-        return (*charts[:axis], *charts[axis + 1:], charts[axis])
+    def chart_map(self):
+        """Rational map of the y = 1 chart, (P0/P1, P2/P1) in variables (x, z),
+        returned as (first_numerator, second_numerator, denominator)."""
+        p0, p1, p2 = (c.chart(1) for c in self.components)
+        return p0, p2, p1
 
 
 def _normalize_scalar_content(polys):
@@ -324,11 +324,8 @@ def homogenize_newton(N):
     """
     if isinstance(N, PlaneMap):
         N = build_newton_plane(N)
-    f = N.source
     (fx, fy), (gx, gy) = N.jacobian
-    x, y = MultiPoly.variable(0), MultiPoly.variable(1)
-    w1 = fx * x + fy * y - f.first
-    w2 = gx * x + gy * y - f.second
+    w1, w2 = N.rhs
     u1 = gy * w1 - fy * w2
     u2 = fx * w2 - gx * w1
     det = N.det
@@ -492,12 +489,12 @@ def measure_invariance_defect(N, line, span, samples=50):
     return float(moved.max()) if moved.size else float("inf")
 
 
-def _same_line(a, b, tol=1e-6):
-    if min(abs(a.direction[0] - b.direction[0]), abs(a.direction[0] + b.direction[0])) > tol:
+def _same_line(a, b):
+    if min(abs(a.direction[0] - b.direction[0]), abs(a.direction[0] + b.direction[0])) > 1e-6:
         return False
-    if min(abs(a.direction[1] - b.direction[1]), abs(a.direction[1] + b.direction[1])) > tol:
+    if min(abs(a.direction[1] - b.direction[1]), abs(a.direction[1] + b.direction[1])) > 1e-6:
         return False
-    return a.distance(b.base[0], b.base[1]) <= tol
+    return a.distance(b.base[0], b.base[1]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

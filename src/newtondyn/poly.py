@@ -681,6 +681,7 @@ _X_THEN_Y = np.array([[True], [False]])
 # levels cached unfiltered, and live boxes that force a test (docs/decisions.md)
 _GRID_LEVELS, _BATCH = 10, 512
 _LEAF_POLISH_ROUNDS = 60  # damped Newton rounds on each leaf center
+_MAX_DEPTH = 60  # bisection levels before live boxes become leaves
 
 
 def _enclosure(polys):
@@ -814,7 +815,7 @@ def _grid(box, leaf_side, most):
     return levels, boxes
 
 
-def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
+def system_real_roots(f, box, tol=1e-10, return_unresolved=False):
     """All regular real solutions of f = 0 in a rectangle, sorted
     lexicographically.
 
@@ -840,13 +841,13 @@ def system_real_roots(f, box, tol=1e-10, max_depth=60, return_unresolved=False):
     defer = math.log2(reach) * max(1, *(p.degree for p in polys)) + math.log2(scale) < 996
     # one box per column; the levels before `first` hold no leaf and skip their test
     key = tuple(map(float.hex, (xmin, xmax, ymin, ymax)))
-    first, boxes = _grid(key, leaf_side, min(_GRID_LEVELS, max_depth - 1) if defer else 0)
+    first, boxes = _grid(key, leaf_side, min(_GRID_LEVELS, _MAX_DEPTH - 1) if defer else 0)
     enclose = _enclosure(polys)
     leaves, lost = [], []
-    for level in range(first, max_depth):
+    for level in range(first, _MAX_DEPTH):
         side = boxes[1::2] - boxes[0::2]  # [width; height]
         small = np.maximum(side[0], side[1]) <= leaf_side
-        if not defer or level == max_depth - 1 or boxes.shape[1] > _BATCH or small.any():
+        if not defer or level == _MAX_DEPTH - 1 or boxes.shape[1] > _BATCH or small.any():
             f_lo, f_hi = enclose(boxes).transpose(1, 0, 2)  # (component, box) each
             hold = (f_lo <= 0.0) & (f_hi >= 0.0)
             keep = np.logical_and.reduce(hold)

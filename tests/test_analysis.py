@@ -142,13 +142,13 @@ class TestEnumerateCycles1d:
         N = build_newton_complex(UniComplexPoly([-1.0, 0.0, 1.0]))
         assert enumerate_cycles_1d(N, 2, (-10.0, 10.0)) == []
 
-    def test_refinement_only_adds_cycles(self):
+    def test_refinement_only_adds_cycles(self, monkeypatch):
         # a coarse bracket budget finds a subset of the saturated census
         N = quartic_newton()
-        coarse = enumerate_cycles_1d(N, 4, (-10.0, 10.0),
-                                     initial_brackets=2000,
-                                     max_refinements=0)
         fine = enumerate_cycles_1d(N, 4, (-10.0, 10.0))
+        monkeypatch.setattr(analysis, "_INITIAL_BRACKETS", 2000)
+        monkeypatch.setattr(analysis, "_MAX_REFINEMENTS", 0)
+        coarse = enumerate_cycles_1d(N, 4, (-10.0, 10.0))
         fine_pts = orbit_points(fine)
         assert len(coarse) <= len(fine)
         for rec in coarse:
@@ -299,8 +299,12 @@ class TestCensusMatchesScalarReference:
         "one-real-root": [1.0, 0.3, 0.0, 1.0],
     }
 
+    # the census's constants, by the reference's argument names
+    CONSTANTS = {"tol": "_CENSUS_TOL", "initial_brackets": "_INITIAL_BRACKETS",
+                 "max_refinements": "_MAX_REFINEMENTS"}
+
     @pytest.mark.parametrize("name", sorted(MAPS))
-    def test_records_are_bit_identical(self, name):
+    def test_records_are_bit_identical(self, name, monkeypatch):
         N = build_newton_complex(UniComplexPoly(self.MAPS[name]))
         cases = [((-10.0, 10.0), {}), ((-2.5, 3.1), {}),
                  ((-10.0, 10.0), dict(tol=1e-6, initial_brackets=300, max_refinements=2))]
@@ -308,7 +312,11 @@ class TestCensusMatchesScalarReference:
         for period in (1, 2, 3, 4):
             for interval, kw in cases:
                 expected = _record_bits(_scalar_census(N, period, interval, **kw))
-                assert _record_bits(enumerate_cycles_1d(N, period, interval, **kw)) == expected
+                with monkeypatch.context() as m:
+                    for key, value in kw.items():
+                        m.setattr(analysis, self.CONSTANTS[key], value)
+                    got = _record_bits(enumerate_cycles_1d(N, period, interval))
+                assert got == expected
                 found += len(expected)
         assert found > 0
 

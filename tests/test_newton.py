@@ -224,6 +224,25 @@ class TestPlaneNewton:
         N = build_newton_plane(parse_plane_map("x", "y"))
         assert N.step((3.7, -2.2)) == pytest.approx((0.0, 0.0), abs=1e-15)
 
+    def test_rhs_has_the_terms_of_both_expressions_it_replaced(self):
+        # Df(w) w - f(w) as homogenize_newton and _planar_preimages_batch each
+        # wrote it, kept verbatim: N.rhs has their terms, bit for bit
+        def bits(polys):
+            return [[(m, float(c).hex()) for m, c in p.terms] for p in polys]
+
+        odd = parse_plane_map("0.3*x^3*y - 1.7*x*y^2 + 0.1*y - 2.9",
+                              "1.3*y^3 - 0.7*x^2*y + 0.11*x")
+        for source in (FOUR_REAL, DECOUPLED, Z2M1_REAL, cubic_pair_family(0.3), odd):
+            N = build_newton_plane(source)
+            f = N.source
+            (fx, fy), (gx, gy) = N.jacobian
+            x, y = MultiPoly.variable(0), MultiPoly.variable(1)
+            w1 = fx * x + fy * y - f.first
+            w2 = gx * x + gy * y - f.second
+            u, v = MultiPoly.variable(0), MultiPoly.variable(1)
+            part = (fx * u + fy * v - f.first, gx * u + gy * v - f.second)
+            assert bits(N.rhs) == bits((w1, w2)) == bits(part)
+
     def test_decoupled_origin_fixed(self):
         N = build_newton_plane(DECOUPLED)
         assert N.step((0.0, 0.0)) == pytest.approx((0.0, 0.0), abs=1e-15)
@@ -394,7 +413,7 @@ class TestProjective:
 
     def test_jacobian_at_infinity_matches_symbolic(self):
         P, _ = homogenize_newton(Z2M1_REAL)
-        num1, num2, den = P.chart_map(axis=1)
+        num1, num2, den = P.chart_map()
         rng = np.random.default_rng(3)
         for x0 in rng.uniform(-2, 2, size=10):
             d = den.eval(x0, 0.0)

@@ -882,7 +882,7 @@ def _bits(rows, width):
     return np.array(rows, dtype=float).reshape(-1, width).view(np.uint64)
 
 
-def test_stacked_subdivision_matches_reference_bit_for_bit():
+def test_stacked_subdivision_matches_reference_bit_for_bit(monkeypatch):
     # cleared Newton-preimage systems of three maps: even powers only (two
     # parabolas), odd powers (cubic and parabola) and monomials in both
     # variables (z^3 - 1 as a plane map), at random targets
@@ -916,9 +916,10 @@ def test_stacked_subdivision_matches_reference_bit_for_bit():
               for s in (1e155, 1e300)]
     unresolved_leaves = 0
     for g, box, depth, tol in cases:
+        monkeypatch.setattr(poly, "_MAX_DEPTH", depth)
         with np.errstate(over="ignore", invalid="ignore"):
             want, want_left = _reference_system_real_roots(g, box, tol=tol, max_depth=depth)
-            got, got_left = system_real_roots(g, box, tol=tol, max_depth=depth, return_unresolved=True)
+            got, got_left = system_real_roots(g, box, tol=tol, return_unresolved=True)
         assert np.array_equal(_bits(got, 2), _bits(want, 2))
         assert np.array_equal(_bits(got_left, 4), _bits(want_left, 4))
         unresolved_leaves += len(got_left)
