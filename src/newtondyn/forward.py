@@ -17,10 +17,13 @@ map, taken through the adapter's own vectorized step on all cycle points at
 once, and only multipliers below 1 are reported as cycles; everything else
 stays undecided.
 
-render_basins and parameter_scan run in map_tiles tiles of 65,536 pixels on
-the calling thread, nesting no pool.  A tile makes its own pixel centers and
-writes its slice of the raster, so only the raster's 20 bytes grow per pixel;
-each point is classified on its own, so no bit moves.
+render_basins runs in map_tiles tiles of 65,536 pixels and parameter_scan in
+tiles of _TILE_ROWS (8,192) members, on the calling thread, nesting no pool.
+Inside a tile the step, the nearest-root test and the cycle phase run in
+blocks of _TILE_ROWS points, so no temporary outgrows a block.  A tile makes
+its own pixel centers and writes its slice of the raster, so only the
+raster's 20 bytes grow per pixel; each point is classified on its own, so no
+bit moves.
 
 Iteration counts record the number of Newton steps applied when the
 classification became final, except that root hits record the first step of
@@ -44,6 +47,7 @@ from .grid import (
     Window,
     _pack,
 )
+from . import poly
 from .newton import SINGULAR_RTOL
 from .poly import _row_degrees, batched_complex_roots, map_tiles, row_polyval
 
@@ -139,6 +143,13 @@ class _BatchResult:
 # of budget left, and keep(mask) to follow the active-set compression.
 
 
+def _blocks(fn, z):
+    """fn(z) -> arrays, run on blocks of _TILE_ROWS points and joined, so no
+    temporary of fn outgrows a block; each point is computed on its own."""
+    parts = map_tiles(fn, z, rows=poly._TILE_ROWS)
+    return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+
+
 def _nearest(z, roots, tol, rho):
     """Index of the root within tol of each point (the first on ties), else
     -1, and that index inside radii rho (one per root column), else -1.
@@ -160,15 +171,18 @@ class _PackedPoints:
     x + iy), with the map's trap radii rho and step bounds K beside its roots."""
 
     def __init__(self, N, roots, cfg):
-        self.step, self.tol = N.step_packed, cfg.root_tol
+        self._step, self.tol = N.step_packed, cfg.root_tol
         self.rho, self.K = N.traps(roots, cfg.root_tol, cfg.escape_radius)
         if N.kind == "planar":
             roots = _pack([r[0] for r in roots], [r[1] for r in roots])
         self.roots = np.asarray(roots, dtype=complex).reshape(1, -1)
 
+    def step(self, z):
+        return _blocks(self._step, z)
+
     def nearest(self, z, left):
         rho = self.rho if left >= 8 else np.where(self.K < left, self.rho, -1.0)  # K < 8
-        return _nearest(z, self.roots, self.tol, rho)
+        return _blocks(lambda b: _nearest(b, self.roots, self.tol, rho), z)
 
     def keep(self, mask):
         pass
@@ -177,7 +191,8 @@ class _PackedPoints:
 class _FamilyRows(_PackedPoints):
     """Row i is the Newton map of the polynomial with coefficient row C[i]
     (rows share their full degree d >= 1); point i is iterated by map i.
-    Rows have a rational map's no traps (rho -1, K 8): the two-iterate rule settles them."""
+    Rows have a rational map's no traps (rho -1, K 8): the two-iterate rule settles them.
+    A scan tile holds one block of rows, so blocks never split the rows."""
 
     def __init__(self, C, cfg):
         self.C = C
@@ -231,8 +246,8 @@ def _classify(M, z, cfg):
             M.keep(active)
         if idx.size == 0:
             break
-    if idx.size:
-        _cycle_phase(M, z, idx, res, cfg)
+    for s in range(0, idx.size, poly._TILE_ROWS):  # the cycle trail holds one block
+        _cycle_phase(M, z[s:s + poly._TILE_ROWS], idx[s:s + poly._TILE_ROWS], res, cfg)
     return res
 
 
@@ -310,7 +325,7 @@ def render_basins(N, roots, window, width, height, cfg=None):
     return _stream_raster(window, width, height, lambda x, y: _classify(M, _pack(x, y), cfg))
 
 
-def _stream_raster(window, width, height, classify):
+def _stream_raster(window, width, height, classify, rows=None):
     """The raster of classify(x, y) -> _BatchResult on the pixel centers of
     each map_tiles tile of pixels, written into the tile's own slice, so
     only the raster itself grows with the pixel count."""
@@ -323,7 +338,7 @@ def _stream_raster(window, width, height, classify):
         for a, name in zip(out, ("code", "iterations", "period", "multiplier")):
             a.reshape(-1)[t.start:t.stop] = getattr(res, name)
 
-    map_tiles(tile, range(width * height))
+    map_tiles(tile, range(width * height), rows=rows)
     return BasinRaster(window, width, height, *out)
 
 
@@ -349,19 +364,24 @@ def parameter_scan(family, seed, window, width, height, cfg=None):
 
     Root codes index into each parameter's own lexicographically sorted root
     list.  A member's degree is that of its last nonzero coefficient
-    (_row_degrees, the counterimage batches' rule); members below degree 1
-    or with a coefficient past the float range are marked undecided.  The
-    members of a tile are solved and iterated in one batch per degree.
+    (_row_degrees, the counterimage batches' rule); members below degree 1,
+    with a coefficient past the float range or with a companion row (the
+    coefficients over the leading one) past it are marked undecided.  The
+    members of a tile of _TILE_ROWS are solved and iterated in one batch per
+    degree.
     """
     cfg = cfg or ScanConfig()
     return _stream_raster(window, width, height,
-                          lambda x, y: _scan_tile(family, seed, x + 1j * y, cfg))
+                          lambda x, y: _scan_tile(family, seed, x + 1j * y, cfg), poly._TILE_ROWS)
 
 
 def _scan_tile(family, seed, a_values, cfg):
     """parameter_scan's _BatchResult on one tile of parameter values."""
     C = _family_coefficients(family, a_values)
     degrees = _row_degrees(C)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        companion = C / C[np.arange(len(C)), degrees][:, None]  # a -1 row stays -1
+    degrees[~np.isfinite(companion).all(axis=1)] = -1
     res = _BatchResult(C.shape[0])
     for d in np.unique(degrees[degrees >= 1]):
         rows = np.nonzero(degrees == d)[0]

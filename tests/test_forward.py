@@ -272,6 +272,20 @@ class TestParameterScan:
                                  univariate_complex_roots(p, tol=1e-10))
             assert codes[i] == _code_of(out)
 
+    def test_members_with_an_overflowing_companion_row_are_undecided(self):
+        # a subnormal leading coefficient puts the companion row C[:-1] / C[-1]
+        # past the float range: such a member is undecided and never reaches
+        # the root solver, which raised LinAlgError on it
+        family = parse_poly("1e-310*z^2 + z + A", variables=("z", "A"))
+        assert (parameter_scan(family, 0.0, (-1, 1, -1, 1), 8, 8).codes == CODE_UNDECIDED).all()
+        # 1 / (1e-300 A) passes the float range for |A| < 5.6e-9 only; the
+        # other members send the seed 0 to their root 1 in one step
+        family = parse_poly("1e-300*A*z^2 + z - 1", variables=("z", "A"))
+        ras = parameter_scan(family, 0.0, (-1e-8, 1e-8, -1, 1), 8, 1)
+        U = CODE_UNDECIDED
+        assert ras.codes.tolist() == [[0, 0, U, U, U, U, 1, 1]]
+        assert ras.iterations.tolist() == [[1, 1, -1, -1, -1, -1, 1, 1]]
+
     def test_reported_cycles_reverify(self):
         ras = parameter_scan(self.FAMILY, 0.0, (-2.3, 1.7, -2, 2), 100, 100)
         X, Y = Window.from_sequence((-2.3, 1.7, -2, 2)).pixel_centers(100, 100)
@@ -448,9 +462,10 @@ class TestTiles:
     runs at any thread count give the bits of one untiled run."""
 
     @staticmethod
-    def _tiled_matches_untiled(monkeypatch, run, tile):
+    def _tiled_matches_untiled(monkeypatch, run, **tiles):
         untiled = _raster_bits(run())
-        monkeypatch.setattr(poly, "_TILE_POINTS", tile)
+        for name, rows in tiles.items():
+            monkeypatch.setattr(poly, name, rows)
         for threads in (1, 2):
             with worker_threads(threads):
                 got = _raster_bits(run())
@@ -465,27 +480,27 @@ class TestTiles:
         run = lambda: render_basins(N, roots, (-1.5, 1.5, -1.5, 1.5), 60, 60)
         cycle_tiles = np.flatnonzero(run().codes == CODE_CYCLE) // 700
         assert np.unique(cycle_tiles).size >= 3
-        self._tiled_matches_untiled(monkeypatch, run, 700)
+        self._tiled_matches_untiled(monkeypatch, run, _TILE_POINTS=700, _TILE_ROWS=300)
 
     def test_planar_basins(self, monkeypatch):
         f = parse_plane_map("y - x^2", "x - 2 + 4*y - y^2")
         N = build_newton_plane(f)
         roots = system_real_roots(f, (-4, 4, -2, 6), tol=1e-10)
         run = lambda: render_basins(N, roots, (-4, 4, -2, 6), 48, 48)
-        self._tiled_matches_untiled(monkeypatch, run, 500)
+        self._tiled_matches_untiled(monkeypatch, run, _TILE_POINTS=500, _TILE_ROWS=200)
 
     def test_parameter_scan_across_degrees(self, monkeypatch):
         rows = TestLowerDegreeScanRows  # members of degree 1, 2 and 3
         run = lambda: parameter_scan(rows.FAMILY, rows.SEED, rows.WINDOW, 5, 41)
-        self._tiled_matches_untiled(monkeypatch, run, 16)
+        self._tiled_matches_untiled(monkeypatch, run, _TILE_ROWS=16)
 
     def test_scan_tiles_run_on_the_calling_thread(self, monkeypatch, pools):
-        # each of the two scan tiles solves its 128 family rows in 16 root
-        # tiles on the calling thread: no pool starts inside a forward tile
+        # scan tiles have _TILE_ROWS rows: each of the 32 tiles of 8 solves
+        # its family rows in one root tile on the calling thread, and no pool
+        # starts inside a forward tile
         family = TestParameterScan.FAMILY
         run = lambda: parameter_scan(family, 0.0, (-2.3, 1.7, -2, 2), 16, 16)
         untiled = _raster_bits(run())
-        monkeypatch.setattr(poly, "_TILE_POINTS", 128)
         monkeypatch.setattr(poly, "_TILE_ROWS", 8)
         pools.clear()
         with worker_threads(2):
@@ -508,7 +523,9 @@ class TestTiles:
     @pytest.mark.parametrize("job", ["planar-basins", "scan"])
     def test_memory_grows_with_the_raster_not_the_tiles(self, monkeypatch, peak, job):
         # a raster keeps 20 bytes per pixel; everything else lives in one tile
+        # (a scan tile has _TILE_ROWS members)
         monkeypatch.setattr(poly, "_TILE_POINTS", 4096)
+        monkeypatch.setattr(poly, "_TILE_ROWS", 4096)
         if job == "scan":
             run = lambda n: parameter_scan(TestParameterScan.FAMILY, 0.0, (-2.3, 1.7, -2, 2), n, n)
         else:
@@ -629,3 +646,171 @@ class TestTrapsMatchReferenceRule:
             want = _reference_classify(_PackedPoints(N, roots, cfg), z, cfg)
             assert _same_outcomes(got, want) == (2 if trapped else 0)
             assert (got.code == 2).all()
+
+
+# ---------------------------------------------------------------------------
+# Blocks of _TILE_ROWS points against the whole-tile kernel they replaced
+
+
+class _WholeTile(_PackedPoints):
+    """_PackedPoints as it stepped and tested a whole tile in one call."""
+
+    def step(self, z):
+        return self._step(z)
+
+    def nearest(self, z, left):
+        rho = self.rho if left >= 8 else np.where(self.K < left, self.rho, -1.0)  # K < 8
+        return _nearest(z, self.roots, self.tol, rho)
+
+
+def _whole_classify(M, z, cfg):
+    """Settle loop over packed points z under adapter M, then cycle phase; a
+    trap settles a point after k steps only if k + K + 1 <= max_iter."""
+    res = _BatchResult(z.size)
+    idx = np.arange(z.size)
+    hit, trap = M.nearest(z, cfg.max_iter)
+    live, confirm = ~(np.abs(z) > cfg.escape_radius), np.zeros(z.size, bool)
+    res.settle(idx[~live], CODE_ESCAPED, 0)  # before a first step could overflow
+    for k in range(cfg.max_iter + 1):
+        if k:
+            w, sing = M.step(z)
+            res.settle(idx[sing], CODE_SINGULAR, k - 1)
+            esc = ~sing & (np.abs(w) > cfg.escape_radius)
+            res.settle(idx[esc], CODE_ESCAPED, k)
+            live = ~(sing | esc)
+            prev_hit, (hit, trap) = hit, M.nearest(w, cfg.max_iter - k)
+            confirm = live & (hit >= 0) & (hit == prev_hit)
+            z = w
+        root = np.flatnonzero(confirm | (live & (trap >= 0)))
+        res.settle(idx[root], np.where(confirm[root], hit[root], trap[root]), k - confirm[root])
+        active = live
+        active[root] = False
+        if not active.all():  # a long cycle tail settles nothing for many steps
+            z, idx, hit = z[active], idx[active], hit[active]
+            M.keep(active)
+        if idx.size == 0:
+            break
+    if idx.size:
+        _whole_cycle_phase(M, z, idx, res, cfg)
+    return res
+
+
+def _whole_cycle_phase(M, z, idx, res, cfg):
+    W = cfg.cycle_window
+    trail = np.empty((W + 1, z.size), complex)
+    trail[0] = z
+    alive = np.ones(z.size, bool)
+    for k in range(1, W + 1):
+        w, sing = M.step(trail[k - 1])
+        res.settle(idx[alive & sing], CODE_SINGULAR, cfg.max_iter + k - 1)
+        esc = alive & ~sing & (np.abs(w) > cfg.escape_radius)
+        res.settle(idx[esc], CODE_ESCAPED, cfg.max_iter + k)
+        alive &= ~sing & ~esc
+        trail[k] = np.where(alive, w, trail[k - 1])
+    last = trail[-1]
+    found_q = np.full(z.size, -1, np.int32)
+    for q in range(1, W + 1):
+        cand = alive & (found_q < 0) & (
+            np.abs(trail[-1 - q] - last) <= cfg.cycle_tol * (1.0 + np.abs(last))
+        )
+        found_q[cand] = q
+    found = found_q > 0
+    M.keep(found)
+    last, q, idx = last[found], found_q[found], idx[found]
+    m = _multipliers(M, last, q, cfg.multiplier_step)
+    attracting = m < 1.0
+    sel = idx[attracting]
+    res.code[sel] = CODE_CYCLE
+    res.period[sel] = q[attracting]
+    res.rep[sel] = last[attracting]
+    res.multiplier[sel] = m[attracting]
+
+
+def _result_bits(res):
+    return [getattr(res, name).view(np.uint64) if name in ("rep", "multiplier")
+            else getattr(res, name) for name in _BatchResult.__slots__]
+
+
+WINDOW_FILLING = ComplexRationalMap(UniComplexPoly([1, 0, 2, 0, 1]),
+                                    UniComplexPoly([0, -4, 0, 4]))
+
+
+class TestBlocksMatchWholeTiles:
+    """The step, the nearest-root test and the cycle phase run in blocks of
+    _TILE_ROWS points; every point is computed on its own, so a tile's
+    outcomes keep every bit of the whole-tile kernel."""
+
+    # non-finite starts, exact singular points of each map, -0.0 coordinates
+    SPECIAL = [np.inf, -np.inf, np.nan, complex(np.nan, 1.0), complex(1.0, np.inf), 1e300,
+               0.0, 1.0, -1.0, complex(-0.5, 1.5), complex(-0.0, -0.0), complex(1.0, -0.0),
+               complex(-0.0, 1.0), complex(-0.0, 0.5)]
+
+    @classmethod
+    def points(cls, n, window, seed=0):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(window[0], window[1], n) + 1j * rng.uniform(window[2], window[3], n)
+        at = np.array([0, n // 3, n - 1, poly._TILE_ROWS - 1, poly._TILE_ROWS,
+                       2 * poly._TILE_ROWS + 5, 7, 11, n - 2, n - 3, 100, 101, 102, 103]) % n
+        z[at] = cls.SPECIAL
+        return z
+
+    @staticmethod
+    def same_bits(N, roots, z, cfg):
+        got = _classify(_PackedPoints(N, roots, cfg), z, cfg)
+        want = _whole_classify(_WholeTile(N, roots, cfg), z, cfg)
+        for a, b in zip(_result_bits(got), _result_bits(want)):
+            assert np.array_equal(a, b)
+        return got
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 24464])  # 24,464: a 300^2 tile
+    @pytest.mark.parametrize("case", ["cubic", "window-filling", "parabolas"])
+    def test_maps_and_tile_sizes(self, case, n):
+        if case == "cubic":
+            N, roots = cubic_setup()
+            window = (-2, 2, -2, 2)
+        elif case == "window-filling":
+            # no attracting root: every point runs the settle loop and the
+            # trail; the roots only exercise the nearest-root test
+            N, roots, window = WINDOW_FILLING, [1j, -1j], (-3, 3, -3, 3)
+        else:
+            N = build_newton_plane(PARABOLAS)
+            roots = system_real_roots(PARABOLAS, (-4, 6, -2, 6), tol=1e-10)
+            window = (-4, 4, -2, 6)
+        cfg = ScanConfig(max_iter=40, cycle_window=16)
+        got = self.same_bits(N, roots, self.points(n, window), cfg)
+        assert (got.code == CODE_SINGULAR).any() and (got.code == CODE_ESCAPED).any()
+
+    def test_cycle_basin_fills_several_blocks(self):
+        # inside the superattracting 2-cycle's basin of z^3 - 2z + 2 no point
+        # settles, so the cycle phase gets three blocks of points
+        N = build_newton_complex(ISLAND)
+        roots = univariate_complex_roots(ISLAND, tol=1e-10)
+        z = self.points(2 * poly._TILE_ROWS + 100, (-0.05, 0.05, -0.05, 0.05), seed=1)
+        got = self.same_bits(N, roots, z, ScanConfig())
+        assert np.count_nonzero(got.code == CODE_CYCLE) > 2 * poly._TILE_ROWS
+
+    def test_planar_cycle_basin(self):
+        N = build_newton_plane(TestMultipliers.ISLAND_PLANE)
+        z = self.points(poly._TILE_ROWS + 1, (-0.05, 0.05, -0.05, 0.05), seed=2)
+        got = self.same_bits(N, [], z, ScanConfig(max_iter=60, cycle_window=8))
+        assert np.count_nonzero(got.code == CODE_CYCLE) > poly._TILE_ROWS - 20
+
+
+class TestForwardMemory:
+    """Traced peaks of forward jobs; the whole-tile kernel held 95.1, 21.0
+    and 15.0 MB."""
+
+    def test_cycle_basin_window(self, peak):
+        # the 65-iterate trail is held for one block of unsettled points
+        N = build_newton_complex(ISLAND)
+        roots = univariate_complex_roots(ISLAND, tol=1e-10)
+        assert peak(lambda: render_basins(N, roots, (-0.05, 0.05, -0.05, 0.05), 256, 256)) <= 25e6
+
+    def test_cubic_family_scan(self, peak):
+        family = TestParameterScan.FAMILY
+        assert peak(lambda: parameter_scan(family, 0.0, (-2.3, 1.7, -2, 2), 200, 200)) <= 12e6
+
+    def test_planar_render(self, peak):
+        N = build_newton_plane(PARABOLAS)
+        roots = system_real_roots(PARABOLAS, (-4, 6, -2, 6), tol=1e-10)
+        assert peak(lambda: render_basins(N, roots, (-4, 4, -2, 6), 256, 256)) <= 12.5e6
